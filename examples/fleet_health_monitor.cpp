@@ -10,6 +10,7 @@
 
 #include <cstdio>
 #include <map>
+#include <memory>
 
 #include "core/dataset_builder.hpp"
 #include "core/failure_timeline.hpp"
@@ -37,7 +38,7 @@ int main() {
 
   // Threshold selection on held-out folds: at most ~2 false tickets per
   // drive-century (FPR 5e-5/day ~ 0.02/drive-year).
-  const auto forest = ml::make_model(ml::ModelKind::kRandomForest);
+  auto forest = ml::make_model(ml::ModelKind::kRandomForest);
   const core::PooledScores validation = core::pooled_cv_scores(*forest, history);
   const double threshold = core::threshold_for_fpr(validation.scores, validation.labels,
                                                    /*max_fpr=*/5e-3);
@@ -56,6 +57,9 @@ int main() {
   live_config.seed = 2002;  // different seed: genuinely unseen drives
   const sim::FleetSimulator live_fleet(live_config);
 
+  // One in-memory monitor for the whole fleet, fed one drive-day at a time.
+  core::FleetMonitor monitor(std::shared_ptr<const ml::Classifier>(std::move(forest)),
+                             threshold);
   std::uint64_t tickets = 0;
   std::uint64_t caught = 0;
   std::uint64_t missed = 0;
@@ -65,11 +69,11 @@ int main() {
     const trace::DriveHistory drive = live_fleet.simulate(i);
     const core::DriveTimeline timeline = core::derive_timeline(drive);
 
-    core::OnlineDriveMonitor monitor(*forest, threshold, drive.model, drive.deploy_day);
     bool ticketed = false;
     std::int32_t ticket_day = -1;
     for (const auto& rec : drive.records) {
-      const core::RiskAssessment assessment = monitor.observe(rec);
+      const core::RiskAssessment assessment =
+          monitor.observe(drive.model, drive.drive_index, drive.deploy_day, rec);
       if (core::in_failed_state(timeline, rec.day)) continue;
       ++scored_days;
       if (!ticketed && assessment.alert) {

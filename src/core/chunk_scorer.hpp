@@ -5,9 +5,10 @@
 // the mapped chunk spans (no per-row DailyRecord gather), rows are scored
 // in blocks through FlatForest::predict_into, and chunks run in parallel.
 //
-// This is the offline/bulk sibling of FleetMonitor::observe_batch: score
-// an entire stored fleet (backfills, model evaluation sweeps, alert
-// replays) without materializing row structs.  Scores are bit-identical to
+// This is the offline/bulk sibling of the online scoring kernel
+// (core::ScoringShard, behind FleetMonitor and the telemetry daemon):
+// score an entire stored fleet (backfills, model evaluation sweeps, alert
+// replays) without materializing row structs or sanitizing.  Scores are bit-identical to
 // gathering each record and scoring it through the same engine (pinned by
 // tests/core/test_chunk_scorer.cpp).
 

@@ -60,12 +60,12 @@ class FeatureExtractor {
   [[nodiscard]] static std::size_t age_index();
 };
 
-/// The per-drive online feature state shared by every streaming scorer:
-/// OnlineDriveMonitor (serve path) and the telemetry daemon's ingest
-/// shards (src/daemon) both advance cumulative state record-by-record and
-/// emit one feature row per accepted record.  Factoring the cursor out
-/// guarantees the daemon's WAL recovery rebuilds state through the exact
-/// code path the live path used — the bit-identity the replay tests pin.
+/// The per-drive online feature state of the streaming scoring kernel
+/// (core::ScoringShard, behind both FleetMonitor and the telemetry
+/// daemon): it advances cumulative state record-by-record and emits one
+/// feature row per accepted record, so the daemon's WAL recovery rebuilds
+/// state through the exact code path the live path used — the
+/// bit-identity the replay tests pin.
 class DriveFeatureCursor {
  public:
   DriveFeatureCursor(trace::DriveModel drive_model, std::int32_t deploy_day);

@@ -23,7 +23,7 @@ struct FleetObservation {
 
   /// Globally unique drive id across models (matches DriveHistory::uid).
   [[nodiscard]] std::uint64_t uid() const noexcept {
-    return (static_cast<std::uint64_t>(drive_model) << 32) | drive_index;
+    return trace::drive_uid(drive_model, drive_index);
   }
 };
 

@@ -78,16 +78,16 @@ class MonitorMetrics {
     alerts_raised_.inc(alerts);
   }
   void on_batch() noexcept { batches_scored_.inc(); }
-  void on_drive_created() noexcept {
-    drives_created_.inc();
-    drives_tracked_.add(1.0);
+  void on_drives_created(std::uint64_t drives) noexcept {
+    drives_created_.inc(drives);
+    drives_tracked_.add(static_cast<double>(drives));
   }
   void on_drive_retired() noexcept {
     drives_retired_.inc();
     drives_tracked_.add(-1.0);
   }
   void on_out_of_order() noexcept { out_of_order_dropped_.inc(); }
-  void on_non_finite() noexcept { non_finite_scores_.inc(); }
+  void on_non_finite(std::uint64_t scores) noexcept { non_finite_scores_.inc(scores); }
 
   /// Record the mean per-record scoring latency for `records` records.
   void add_score_latency(double us_per_record, std::uint64_t records) noexcept {

@@ -2,13 +2,10 @@
 
 #include <atomic>
 #include <chrono>
-#include <cmath>
-#include <stdexcept>
 #include <string>
 
 #include "ml/model_zoo.hpp"
 #include "obs/trace_span.hpp"
-#include "stats/rng.hpp"
 
 namespace ssdfail::core {
 namespace {
@@ -29,32 +26,11 @@ std::string next_monitor_label() {
 
 }  // namespace
 
-OnlineDriveMonitor::OnlineDriveMonitor(const ml::Classifier& model, double threshold,
-                                       trace::DriveModel drive_model,
-                                       std::int32_t deploy_day)
-    : model_(&model),
-      threshold_(threshold),
-      cursor_(drive_model, deploy_day),
-      row_(1, FeatureExtractor::count()) {}
-
-void OnlineDriveMonitor::prepare_row(const trace::DailyRecord& record,
-                                     std::span<float> out) {
-  cursor_.advance_and_extract(record, out);
-}
-
-RiskAssessment OnlineDriveMonitor::observe(const trace::DailyRecord& record) {
-  prepare_row(record, row_.row(0));
-  RiskAssessment out;
-  out.risk = model_->predict_proba(row_)[0];
-  out.alert = out.risk >= threshold_;
-  return out;
-}
-
 FleetMonitor::FleetMonitor(std::shared_ptr<const ml::Classifier> model, double threshold,
                            std::size_t shards,
                            robustness::SanitizerConfig sanitizer_config,
                            obs::MetricsRegistry* registry)
-    : model_(ml::make_serving_model(std::move(model))), threshold_(threshold) {
+    : model_(ml::make_serving_model(std::move(model))) {
   if (shards == 0) shards = 1;
   obs::MetricsRegistry& reg =
       registry != nullptr ? *registry : obs::MetricsRegistry::global();
@@ -65,16 +41,8 @@ FleetMonitor::FleetMonitor(std::shared_ptr<const ml::Classifier> model, double t
   shards_.reserve(shards);
   for (std::size_t s = 0; s < shards; ++s)
     shards_.push_back(std::make_unique<Shard>(
-        sanitizer_config, reg,
+        threshold, sanitizer_config, reg,
         obs::Labels{{"monitor", instance}, {"shard", std::to_string(s)}}));
-}
-
-std::size_t FleetMonitor::shard_index(std::uint64_t uid) const noexcept {
-  // Hash, not modulo of the raw uid: drive_index occupies the low bits, so
-  // raw-modulo would stripe a model's drives deterministically but keep all
-  // of one drive's traffic on one shard either way; hashing also spreads
-  // the model tag in the high bits.
-  return static_cast<std::size_t>(stats::hash_keys({uid}) % shards_.size());
 }
 
 std::shared_ptr<const ml::Classifier> FleetMonitor::current_model() const {
@@ -91,126 +59,56 @@ void FleetMonitor::set_model(std::shared_ptr<const ml::Classifier> model) {
   model_ = std::move(serving);
 }
 
-OnlineDriveMonitor& FleetMonitor::monitor_for(Shard& shard, std::uint64_t uid,
-                                              trace::DriveModel drive_model,
-                                              std::int32_t deploy_day,
-                                              const ml::Classifier& model) {
-  auto it = shard.monitors.find(uid);
-  if (it == shard.monitors.end()) {
-    it = shard.monitors
-             .emplace(uid,
-                      OnlineDriveMonitor(model, threshold_, drive_model, deploy_day))
-             .first;
-    shard.metrics.on_drive_created();
-  }
-  return it->second;
-}
-
-float FleetMonitor::finite_or_clamp(Shard& shard, float risk) {
-  if (std::isfinite(risk)) return risk;
-  // A broken model must fail loud: conservative max risk, counted.
-  shard.metrics.on_non_finite();
-  return 1.0f;
-}
-
 RiskAssessment FleetMonitor::observe(trace::DriveModel drive_model,
                                      std::uint32_t drive_index, std::int32_t deploy_day,
                                      const trace::DailyRecord& record) {
-  static const obs::SiteId kSite = obs::intern_site("monitor.observe");
-  obs::Span span(kSite);
-  const std::uint64_t uid =
-      (static_cast<std::uint64_t>(drive_model) << 32) | drive_index;
-  Shard& shard = *shards_[shard_index(uid)];
-  const std::shared_ptr<const ml::Classifier> model = current_model();
-  std::scoped_lock lock(shard.mutex);
-
-  const robustness::SanitizeResult clean =
-      shard.sanitizer.sanitize(uid, deploy_day, record);
-  RiskAssessment assessment;
-  switch (clean.action) {
-    case robustness::SanitizeAction::kQuarantined:
-      if (clean.kind == trace::ViolationKind::kNonMonotoneDays)
-        shard.metrics.on_out_of_order();
-      assessment.dropped = true;
-      assessment.quarantined = true;
-      return assessment;
-    case robustness::SanitizeAction::kDuplicateDropped:
-      assessment.dropped = true;
-      return assessment;
-    case robustness::SanitizeAction::kClean:
-    case robustness::SanitizeAction::kRepaired:
-      break;
-  }
-
-  OnlineDriveMonitor& monitor =
-      monitor_for(shard, uid, drive_model, deploy_day, *model);
-  monitor.rebind(*model);  // refresh after any hot swap; `model` outlives the call
-  const auto start = std::chrono::steady_clock::now();
-  assessment = monitor.observe(clean.record);
-  assessment.risk = finite_or_clamp(shard, assessment.risk);
-  assessment.alert = assessment.risk >= threshold_;
-  assessment.repaired = clean.action == robustness::SanitizeAction::kRepaired;
-  shard.metrics.on_scored(1, assessment.alert ? 1 : 0);
-  shard.metrics.add_score_latency(elapsed_us(start), 1);
-  return assessment;
+  const FleetObservation obs{drive_model, drive_index, deploy_day, record};
+  return observe_batch({&obs, 1})[0];
 }
 
-void FleetMonitor::score_shard_batch(const ml::Classifier& model, Shard& shard,
-                                     std::span<const FleetObservation> batch,
-                                     const std::vector<std::size_t>& indices,
-                                     std::vector<RiskAssessment>& out) {
-  if (indices.empty()) return;
+void FleetMonitor::score_group(const ml::Classifier& model, Shard& shard,
+                               std::span<const FleetObservation> batch,
+                               std::span<const std::size_t> at,
+                               std::span<RiskAssessment> out) {
+  if (at.empty()) return;
   static const obs::SiteId kSite = obs::intern_site("monitor.score_shard");
   obs::Span span(kSite);
   const auto start = std::chrono::steady_clock::now();
-  ml::Matrix rows;
-  std::vector<float> row(FeatureExtractor::count());
-  std::vector<std::size_t> prepared;  // batch positions of accepted records
-  prepared.reserve(indices.size());
-  {
-    std::scoped_lock lock(shard.mutex);
-    for (std::size_t i : indices) {
-      const FleetObservation& obs = batch[i];
-      const std::uint64_t uid = obs.uid();
-      const robustness::SanitizeResult clean =
-          shard.sanitizer.sanitize(uid, obs.deploy_day, obs.record);
-      if (clean.action == robustness::SanitizeAction::kQuarantined) {
-        if (clean.kind == trace::ViolationKind::kNonMonotoneDays)
+  std::vector<FleetObservation> group;
+  group.reserve(at.size());
+  for (std::size_t i : at) group.push_back(batch[i]);
+
+  std::scoped_lock lock(shard.mutex);
+  const std::size_t drives_before = shard.kernel.drives_tracked();
+  const ScoredBatch& scored = shard.kernel.score(group, &model);
+  for (std::size_t k = 0; k < at.size(); ++k) {
+    const ScoredRecord& r = scored.records[k];
+    RiskAssessment& a = out[at[k]];
+    switch (r.action) {
+      case robustness::SanitizeAction::kQuarantined:
+        if (r.kind == trace::ViolationKind::kNonMonotoneDays)
           shard.metrics.on_out_of_order();
-        out[i].dropped = true;
-        out[i].quarantined = true;
-        continue;
-      }
-      if (clean.action == robustness::SanitizeAction::kDuplicateDropped) {
-        out[i].dropped = true;
-        continue;
-      }
-      OnlineDriveMonitor& monitor =
-          monitor_for(shard, uid, obs.drive_model, obs.deploy_day, model);
-      monitor.rebind(model);
-      // The sanitizer guarantees accepted records arrive in strictly
-      // increasing day order, so prepare_row cannot throw here.
-      monitor.prepare_row(clean.record, row);
-      out[i].repaired = clean.action == robustness::SanitizeAction::kRepaired;
-      rows.push_row(row);
-      prepared.push_back(i);
+        a.quarantined = true;
+        a.dropped = true;
+        break;
+      case robustness::SanitizeAction::kDuplicateDropped:
+        a.dropped = true;
+        break;
+      case robustness::SanitizeAction::kClean:
+      case robustness::SanitizeAction::kRepaired:
+        a.risk = r.score;
+        a.alert = r.alert;
+        a.repaired = r.action == robustness::SanitizeAction::kRepaired;
+        break;
     }
   }
-  if (prepared.empty()) return;
-  // One matrix call per shard.  predict_proba scores rows independently, so
-  // the result is bit-identical to per-record observe() for any sharding.
-  const std::vector<float> scores = model.predict_proba(rows);
-  std::uint64_t alerts = 0;
-  for (std::size_t k = 0; k < prepared.size(); ++k) {
-    RiskAssessment& a = out[prepared[k]];
-    a.risk = finite_or_clamp(shard, scores[k]);
-    a.alert = a.risk >= threshold_;
-    if (a.alert) ++alerts;
-  }
-  shard.metrics.on_scored(prepared.size(), alerts);
+  shard.metrics.on_drives_created(shard.kernel.drives_tracked() - drives_before);
+  shard.metrics.on_non_finite(scored.non_finite);
+  const std::size_t n = scored.accepted();
+  if (n == 0) return;
+  shard.metrics.on_scored(n, scored.alerts);
   shard.metrics.on_batch();
-  shard.metrics.add_score_latency(elapsed_us(start) / static_cast<double>(prepared.size()),
-                                  prepared.size());
+  shard.metrics.add_score_latency(elapsed_us(start) / static_cast<double>(n), n);
 }
 
 std::vector<RiskAssessment> FleetMonitor::observe_batch(
@@ -218,41 +116,40 @@ std::vector<RiskAssessment> FleetMonitor::observe_batch(
   static const obs::SiteId kSite = obs::intern_site("monitor.observe_batch");
   obs::Span span(kSite);
   std::vector<RiskAssessment> out(batch.size());
-  std::vector<std::vector<std::size_t>> by_shard(shards_.size());
+  std::vector<std::vector<std::size_t>> at(shards_.size());
   for (std::size_t i = 0; i < batch.size(); ++i)
-    by_shard[shard_index(batch[i].uid())].push_back(i);
+    at[shard_of(batch[i].uid(), shards_.size())].push_back(i);
 
   const std::shared_ptr<const ml::Classifier> model = current_model();
-  if (pool.size() <= 1) {
+  // A single record (every observe()) is not worth a pool dispatch.
+  if (pool.size() <= 1 || batch.size() <= 1) {
     for (std::size_t s = 0; s < shards_.size(); ++s)
-      score_shard_batch(*model, *shards_[s], batch, by_shard[s], out);
+      score_group(*model, *shards_[s], batch, at[s], out);
     return out;
   }
-  // Each worker owns a stripe of shards, so a shard's group is prepared and
-  // scored by exactly one thread (predict_proba degrades to sequential
-  // inside a pool worker — the shard, not the row range, is the unit of
-  // parallelism, which is what makes shard count the scaling knob).
+  // Each worker owns a stripe of shards, so a shard's group is scored by
+  // exactly one thread (predict_proba degrades to sequential inside a pool
+  // worker — the shard, not the row range, is the unit of parallelism,
+  // which is what makes shard count the scaling knob).
   pool.run_on_all([&](unsigned w) {
     for (std::size_t s = w; s < shards_.size(); s += pool.size())
-      score_shard_batch(*model, *shards_[s], batch, by_shard[s], out);
+      score_group(*model, *shards_[s], batch, at[s], out);
   });
   return out;
 }
 
 void FleetMonitor::retire(trace::DriveModel drive_model, std::uint32_t drive_index) {
-  const std::uint64_t uid =
-      (static_cast<std::uint64_t>(drive_model) << 32) | drive_index;
-  Shard& shard = *shards_[shard_index(uid)];
+  const std::uint64_t uid = trace::drive_uid(drive_model, drive_index);
+  Shard& shard = *shards_[shard_of(uid, shards_.size())];
   std::scoped_lock lock(shard.mutex);
-  if (shard.monitors.erase(uid) > 0) shard.metrics.on_drive_retired();
-  shard.sanitizer.forget(uid);
+  if (shard.kernel.retire(uid)) shard.metrics.on_drive_retired();
 }
 
 std::size_t FleetMonitor::drives_tracked() const {
   std::size_t n = 0;
   for (const auto& shard : shards_) {
     std::scoped_lock lock(shard->mutex);
-    n += shard->monitors.size();
+    n += shard->kernel.drives_tracked();
   }
   return n;
 }
@@ -265,7 +162,7 @@ MonitorMetricsSnapshot FleetMonitor::metrics() const {
     MonitorMetricsSnapshot s = shard->metrics.snapshot();
     {
       std::scoped_lock lock(shard->mutex);
-      s.sanitizer = shard->sanitizer.snapshot();
+      s.sanitizer = shard->kernel.sanitizer().snapshot();
     }
     total.merge(s);
   }

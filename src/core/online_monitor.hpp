@@ -1,42 +1,39 @@
 #pragma once
 
 // Online (streaming) failure monitoring: the production embodiment of the
-// paper's Section 5 prediction models (beyond the paper's offline study).  A monitor holds the per-drive cumulative
-// feature state; each daily record yields a risk score and an optional
-// alert against a configured threshold.
+// paper's Section 5 prediction models (beyond the paper's offline study).
+// Each daily record of a drive yields a risk score and an optional alert
+// against a configured threshold.
 //
-// FleetMonitor multiplexes monitors across a fleet keyed by drive uid and
-// is SHARDED for concurrency: drive state is partitioned into N shards by
-// uid hash, each shard with its own mutex, per-shard state map, and
-// per-shard metrics block, so observe() calls from many threads contend
-// only when they hit the same shard.  The batched path (observe_batch)
-// groups a stream of records by shard and scores each shard's group with
-// ONE predict_proba matrix call; shards score in parallel on a thread
-// pool.  Scores are identical between the sequential and batched paths
-// and independent of the shard count (rows are scored row-independently).
+// FleetMonitor is the in-memory front end over the shared scoring kernel
+// (core::ScoringShard, scoring_shard.hpp): drives are partitioned into N
+// shards by uid hash, each shard holding one mutex, one ScoringShard and
+// one metrics block, so observe() calls from many threads contend only
+// when they hit the same shard.  observe_batch() routes a stream of
+// records to their shards and runs each shard's group through the kernel
+// (one predict_proba matrix call per group), shards in parallel on a
+// thread pool; observe() is observe_batch() of one record.  Scores do not
+// depend on the batching or the shard count.
 //
-// Both paths run every record through a per-shard
-// robustness::RecordSanitizer first: repairable violations (counter
+// The kernel sanitizes every record first: repairable violations (counter
 // regressions, factory-count drift, erase-on-idle garbage) are fixed and
 // scored, exact duplicates are dropped, and irreparable records
 // (out-of-order days, pre-deploy records, saturated garbage) are
-// quarantined to a bounded dead-letter queue.  Neither path throws on bad
-// data.  Non-finite model scores are clamped to 1.0 (conservative alert)
-// and counted, so a broken model degrades loudly instead of silently.
+// quarantined to a bounded dead-letter queue.  Nothing throws on bad data.
+// Non-finite model scores are clamped to 1.0 (conservative alert) and
+// counted, so a broken model degrades loudly instead of silently.  The
+// telemetry daemon (src/daemon) runs the same kernel behind its WAL.
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
-#include "core/features.hpp"
-#include "core/fleet_observation.hpp"
 #include "core/monitor_metrics.hpp"
-#include "ml/classifier.hpp"
+#include "core/scoring_shard.hpp"
 #include "parallel/thread_pool.hpp"
-#include "robustness/record_sanitizer.hpp"
 
 namespace ssdfail::core {
 
@@ -49,42 +46,7 @@ struct RiskAssessment {
   bool quarantined = false; ///< routed to the dead-letter queue
 };
 
-/// Streaming monitor for a single drive.  Feed records in day order.
-class OnlineDriveMonitor {
- public:
-  /// The classifier must outlive the monitor and already be fitted.
-  OnlineDriveMonitor(const ml::Classifier& model, double threshold,
-                     trace::DriveModel drive_model, std::int32_t deploy_day);
-
-  /// Fold in one daily record and score it.  Records must arrive in
-  /// strictly increasing day order; throws std::invalid_argument otherwise.
-  /// (FleetMonitor pre-sanitizes, so its calls never trip this.)
-  RiskAssessment observe(const trace::DailyRecord& record);
-
-  /// Batch-path split of observe(): advance state for `record` and write
-  /// its feature row into `out` (size FeatureExtractor::count()) WITHOUT
-  /// scoring it — the caller scores many rows with one predict_proba call.
-  /// Same day-order contract (and exception) as observe().
-  void prepare_row(const trace::DailyRecord& record, std::span<float> out);
-
-  /// Point scoring at a different fitted model (hot model swap).  Feature
-  /// state is model-independent, so scores continue seamlessly.
-  void rebind(const ml::Classifier& model) noexcept { model_ = &model; }
-
-  [[nodiscard]] std::int32_t last_day() const noexcept { return cursor_.last_day(); }
-  [[nodiscard]] std::uint64_t days_observed() const noexcept {
-    return cursor_.days_observed();
-  }
-  [[nodiscard]] double threshold() const noexcept { return threshold_; }
-
- private:
-  const ml::Classifier* model_;
-  double threshold_;
-  DriveFeatureCursor cursor_;  ///< shared online feature state (features.hpp)
-  ml::Matrix row_;
-};
-
-/// Sharded fleet-wide monitor: lazily creates a per-drive monitor on first
+/// Sharded fleet-wide monitor: lazily creates a drive's state on first
 /// sight; a retired drive's next observation recreates fresh state.
 class FleetMonitor {
  public:
@@ -98,18 +60,17 @@ class FleetMonitor {
                robustness::SanitizerConfig sanitizer_config = {},
                obs::MetricsRegistry* registry = nullptr);
 
-  /// Observe one record for the given drive (thread-safe; locks only the
-  /// drive's shard).  Never throws on bad data: the record is sanitized
-  /// first and a quarantined/duplicate record comes back with
-  /// `dropped = true` — identical semantics to the batched path.
+  /// Observe one record for the given drive: observe_batch() of one record
+  /// (thread-safe; locks only the drive's shard).  A quarantined/duplicate
+  /// record comes back with `dropped = true`.
   RiskAssessment observe(trace::DriveModel drive_model, std::uint32_t drive_index,
                          std::int32_t deploy_day, const trace::DailyRecord& record);
 
-  /// Score a batch: records are grouped by shard, each shard's rows are
-  /// scored with one predict_proba call, and shards run in parallel on
-  /// `pool` (each worker owns a stripe of shards, so per-shard work stays
-  /// sequential and deterministic).  Sanitization semantics are identical
-  /// to observe().  Results are positionally aligned with `batch`.
+  /// Score a batch: records are grouped by shard, each shard's group runs
+  /// through its ScoringShard (one predict_proba call), and shards run in
+  /// parallel on `pool` (each worker owns a stripe of shards, so per-shard
+  /// work stays sequential and deterministic).  Results are positionally
+  /// aligned with `batch`.  Never throws on bad data.
   std::vector<RiskAssessment> observe_batch(
       std::span<const FleetObservation> batch,
       parallel::ThreadPool& pool = parallel::ThreadPool::global());
@@ -119,9 +80,9 @@ class FleetMonitor {
 
   /// Hot-swap the scoring model (degraded-mode fallback / reload).
   /// Concurrent observers see either model; per-drive feature state
-  /// carries over untouched.  Every scoring path rebinds its drive
-  /// monitor to a model snapshot it holds alive for the duration of the
-  /// call, so the swap is safe without stopping ingestion.
+  /// carries over untouched.  Every batch scores on a model snapshot it
+  /// holds alive for the duration of the call, so the swap is safe
+  /// without stopping ingestion.
   void set_model(std::shared_ptr<const ml::Classifier> model);
 
   /// Mark (or clear) degraded mode; surfaced through metrics() and the
@@ -144,33 +105,23 @@ class FleetMonitor {
  private:
   struct Shard {
     mutable std::mutex mutex;
-    std::unordered_map<std::uint64_t, OnlineDriveMonitor> monitors;
-    robustness::RecordSanitizer sanitizer;
+    ScoringShard kernel;
     MonitorMetrics metrics;
 
-    Shard(robustness::SanitizerConfig config, obs::MetricsRegistry& registry,
-          const obs::Labels& labels)
-        : sanitizer(config), metrics(registry, labels) {}
+    Shard(double threshold, robustness::SanitizerConfig config,
+          obs::MetricsRegistry& registry, const obs::Labels& labels)
+        : kernel(threshold, config), metrics(registry, labels) {}
   };
 
-  [[nodiscard]] std::size_t shard_index(std::uint64_t uid) const noexcept;
-  /// Find-or-create a drive monitor bound to `model`.  Caller holds the
-  /// shard mutex and keeps `model` alive for the duration of the call.
-  OnlineDriveMonitor& monitor_for(Shard& shard, std::uint64_t uid,
-                                  trace::DriveModel drive_model,
-                                  std::int32_t deploy_day,
-                                  const ml::Classifier& model);
-  /// Clamp a non-finite score to the conservative 1.0 and count it.
-  float finite_or_clamp(Shard& shard, float risk);
-  void score_shard_batch(const ml::Classifier& model, Shard& shard,
-                         std::span<const FleetObservation> batch,
-                         const std::vector<std::size_t>& indices,
-                         std::vector<RiskAssessment>& out);
+  /// Run the records batch[at[k]] through `shard`'s kernel and write the
+  /// assessment of batch[at[k]] to out[at[k]].
+  void score_group(const ml::Classifier& model, Shard& shard,
+                   std::span<const FleetObservation> batch,
+                   std::span<const std::size_t> at, std::span<RiskAssessment> out);
   [[nodiscard]] std::shared_ptr<const ml::Classifier> current_model() const;
 
   mutable std::mutex model_mutex_;  ///< guards model_ swap vs batch snapshot
   std::shared_ptr<const ml::Classifier> model_;
-  double threshold_;
   std::atomic<bool> degraded_{false};
   obs::Gauge* degraded_gauge_;  ///< registry mirror of degraded_ (per instance)
   std::vector<std::unique_ptr<Shard>> shards_;

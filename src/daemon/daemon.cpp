@@ -2,9 +2,7 @@
 
 #include <atomic>
 
-#include "ml/matrix.hpp"
 #include "ml/model_zoo.hpp"
-#include "stats/rng.hpp"
 
 namespace ssdfail::daemon {
 namespace {
@@ -16,38 +14,14 @@ std::string next_daemon_label() {
   return std::to_string(next.fetch_add(1, std::memory_order_relaxed));
 }
 
-std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) noexcept {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xFF;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-/// Order-independent digest of one feature cursor (summed by the caller).
-std::uint64_t cursor_digest(std::uint64_t uid, const core::DriveFeatureCursor& cursor) {
-  std::uint64_t h = 1469598103934665603ULL;
-  h = fnv_mix(h, uid);
-  h = fnv_mix(h, static_cast<std::uint64_t>(static_cast<std::uint32_t>(cursor.last_day())));
-  h = fnv_mix(h, cursor.days_observed());
-  const core::FeatureExtractor::State& st = cursor.state();
-  h = fnv_mix(h, st.cum.reads);
-  h = fnv_mix(h, st.cum.writes);
-  h = fnv_mix(h, st.cum.erases);
-  for (std::uint64_t e : st.cum.errors) h = fnv_mix(h, e);
-  h = fnv_mix(h, st.cum_bad_blocks);
-  h = fnv_mix(h, (static_cast<std::uint64_t>(st.prev_bad_blocks) << 32) |
-                     st.new_bad_blocks_today);
-  return h;
-}
-
 }  // namespace
 
 TelemetryDaemon::Shard::Shard(const DaemonConfig& config,
                               obs::MetricsRegistry& registry, std::uint32_t idx)
     : index(idx),
       ring(config.ring_capacity),
-      sanitizer(robustness::SanitizerConfig{config.dead_letter_capacity, &registry}),
+      scoring(config.threshold,
+              robustness::SanitizerConfig{config.dead_letter_capacity, &registry}),
       health(config.health, &registry) {}
 
 TelemetryDaemon::TelemetryDaemon(std::shared_ptr<const ml::Classifier> model,
@@ -67,6 +41,8 @@ TelemetryDaemon::TelemetryDaemon(std::shared_ptr<const ml::Classifier> model,
                                 "Records that reached the model");
   alerts_metric_ = &reg.counter("daemon_alerts_total", {},
                                 "Scores at or above the alert threshold");
+  non_finite_metric_ = &reg.counter("daemon_non_finite_scores_total", {},
+                                    "NaN/inf model scores clamped to 1.0");
   segments_metric_ = &reg.counter("daemon_wal_segments_appended_total", {},
                                   "WAL segments appended across shards");
   wal_bytes_metric_ = &reg.counter("daemon_wal_appended_bytes_total", {},
@@ -103,12 +79,6 @@ TelemetryDaemon::TelemetryDaemon(std::shared_ptr<const ml::Classifier> model,
 }
 
 TelemetryDaemon::~TelemetryDaemon() { stop(); }
-
-std::size_t TelemetryDaemon::shard_index(std::uint64_t uid) const noexcept {
-  // Same routing as FleetMonitor: hash, then modulo, so one drive's whole
-  // stream stays on one shard (the sanitizer/cursor day-order invariant).
-  return static_cast<std::size_t>(stats::hash_keys({uid}) % shards_.size());
-}
 
 std::shared_ptr<const ml::Classifier> TelemetryDaemon::current_model() const {
   std::scoped_lock lock(model_mutex_);
@@ -243,7 +213,7 @@ PushResult TelemetryDaemon::push(const core::FleetObservation& obs) {
     rejected_.fetch_add(1, std::memory_order_relaxed);
     return PushResult::kRejected;
   }
-  Shard& shard = *shards_[shard_index(obs.uid())];
+  Shard& shard = shard_for(obs.uid());
   const PushResult result =
       shard.ring.push(obs, config_.backpressure, config_.block_timeout);
   if (result == PushResult::kAccepted) {
@@ -257,9 +227,8 @@ PushResult TelemetryDaemon::push(const core::FleetObservation& obs) {
 }
 
 void TelemetryDaemon::retire(trace::DriveModel drive_model, std::uint32_t drive_index) {
-  const std::uint64_t uid =
-      (static_cast<std::uint64_t>(drive_model) << 32) | drive_index;
-  Shard& shard = *shards_[shard_index(uid)];
+  const std::uint64_t uid = trace::drive_uid(drive_model, drive_index);
+  Shard& shard = shard_for(uid);
   if (!running_.load() || stopping_.load()) {
     // Quiesced: apply inline (and WAL it if a writer is open) so tests can
     // exercise retire without threads.
@@ -304,80 +273,57 @@ void TelemetryDaemon::process_records(Shard& shard,
   const std::shared_ptr<const ml::Classifier> model = current_model();
   BatchObserver* const observer =
       recovering_.load(std::memory_order_relaxed) ? nullptr : config_.batch_observer;
+  const core::ScoredBatch& scored = shard.scoring.score(batch, model.get());
 
-  struct Prepared {
-    std::uint64_t uid;
-    std::int32_t day;
-    bool suspect;
-    bool dead;
-  };
-  ml::Matrix rows;
-  std::vector<float> row(core::FeatureExtractor::count());
-  std::vector<Prepared> prepared;
-  prepared.reserve(batch.size());
-  // Sanitized records and assessments, retained only when a tap listens.
-  std::vector<trace::DailyRecord> clean_records;
-  std::vector<DriveAssessment> assessments;
-  if (observer != nullptr) {
-    clean_records.reserve(batch.size());
-    assessments.reserve(batch.size());
-  }
-
-  for (const core::FleetObservation& obs : batch) {
-    const std::uint64_t uid = obs.uid();
-    const robustness::SanitizeResult clean =
-        shard.sanitizer.sanitize(uid, obs.deploy_day, obs.record);
-    switch (clean.action) {
+  // Quarantine strikes first, then the accepted records in input order:
+  // the health sequence every existing WAL and state digest was built
+  // with, so recovering an older WAL lands on the same state.
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    switch (scored.records[i].action) {
       case robustness::SanitizeAction::kQuarantined:
         quarantined_.fetch_add(1, std::memory_order_relaxed);
         // Irreparable telemetry is itself a symptom: a ramp-tier strike,
         // but never a swap (a corrupt record's dead flag is not trusted).
-        shard.health.observe(uid, 0.0, /*suspect=*/true, /*dead=*/false);
-        continue;
+        shard.health.observe(batch[i].uid(), 0.0, /*suspect=*/true, /*dead=*/false);
+        break;
       case robustness::SanitizeAction::kDuplicateDropped:
         duplicates_.fetch_add(1, std::memory_order_relaxed);
-        continue;
+        break;
       case robustness::SanitizeAction::kClean:
       case robustness::SanitizeAction::kRepaired:
         break;
     }
-    auto [it, inserted] =
-        shard.cursors.try_emplace(uid, obs.drive_model, obs.deploy_day);
-    // Sanitizer guarantees strictly increasing days per uid, so this
-    // cannot throw.
-    it->second.advance_and_extract(clean.record, row);
-    rows.push_row(row);
-    prepared.push_back({uid, clean.record.day,
-                        clean.action == robustness::SanitizeAction::kRepaired,
-                        clean.record.dead});
-    if (observer != nullptr) clean_records.push_back(clean.record);
   }
-  if (prepared.empty()) return;
+  const std::size_t accepted = scored.accepted();
+  if (accepted == 0) return;
 
-  std::vector<float> scores;
-  if (model != nullptr) scores = model->predict_proba(rows);
-  std::uint64_t alerts = 0;
-  for (std::size_t i = 0; i < prepared.size(); ++i) {
-    const Prepared& p = prepared[i];
+  std::vector<DriveAssessment> assessments;  // retained only when a tap listens
+  if (observer != nullptr) assessments.reserve(accepted);
+  std::size_t row = 0;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const core::ScoredRecord& r = scored.records[i];
+    if (!r.accepted()) continue;
+    const trace::DailyRecord& record = scored.sanitized[row++];
     DriveAssessment assessment;
-    assessment.uid = p.uid;
-    assessment.day = p.day;
+    assessment.uid = batch[i].uid();
+    assessment.day = record.day;
     assessment.scored = model != nullptr;
-    assessment.score = assessment.scored ? scores[i] : 0.0f;
-    assessment.alert = assessment.scored && assessment.score >= config_.threshold;
-    if (assessment.alert) ++alerts;
-    assessment.dead = p.dead;
-    assessment.health =
-        shard.health.observe(p.uid, assessment.score, p.suspect, p.dead);
+    assessment.score = r.score;
+    assessment.alert = r.alert;
+    assessment.dead = record.dead;
+    assessment.health = shard.health.observe(
+        assessment.uid, assessment.score,
+        r.action == robustness::SanitizeAction::kRepaired, record.dead);
     if (config_.on_assessment) config_.on_assessment(assessment);
     if (observer != nullptr) assessments.push_back(assessment);
   }
-  if (observer != nullptr) observer->on_batch(rows, clean_records, assessments);
+  if (observer != nullptr) observer->on_batch(scored.features, scored.sanitized, assessments);
   if (model != nullptr) {
-    scored_.fetch_add(prepared.size(), std::memory_order_relaxed);
-    scored_metric_->inc(prepared.size());
-    alerts_.fetch_add(alerts, std::memory_order_relaxed);
-    alerts_metric_->inc(alerts);
+    scored_.fetch_add(accepted, std::memory_order_relaxed);
+    scored_metric_->inc(accepted);
+    alerts_.fetch_add(scored.alerts, std::memory_order_relaxed);
+    alerts_metric_->inc(scored.alerts);
+    non_finite_metric_->inc(scored.non_finite);
   }
 }
 
@@ -385,8 +331,7 @@ void TelemetryDaemon::process_retires(Shard& shard,
                                       std::span<const std::uint64_t> uids) {
   if (uids.empty()) return;
   for (const std::uint64_t uid : uids) {
-    shard.cursors.erase(uid);
-    shard.sanitizer.forget(uid);
+    (void)shard.scoring.retire(uid);
     shard.health.retire(uid);
   }
   if (config_.batch_observer != nullptr && !recovering_.load(std::memory_order_relaxed))
@@ -471,7 +416,7 @@ DaemonStats TelemetryDaemon::stats() const {
   out.degraded = current_model() == nullptr;
   out.wal_degraded = wal_degraded_.load();
   for (const auto& shard : shards_) {
-    out.drives_tracked += shard->cursors.size();
+    out.drives_tracked += shard->scoring.drives_tracked();
     const auto counts = shard->health.counts();
     for (std::size_t s = 0; s < kNumHealthStates; ++s)
       out.health_counts[s] += counts[s];
@@ -481,11 +426,8 @@ DaemonStats TelemetryDaemon::stats() const {
 
 std::uint64_t TelemetryDaemon::state_digest() const {
   std::uint64_t total = 0;
-  for (const auto& shard : shards_) {
-    for (const auto& [uid, cursor] : shard->cursors)
-      total += cursor_digest(uid, cursor);
-    total += shard->health.digest();
-  }
+  for (const auto& shard : shards_)
+    total += shard->scoring.cursor_digest() + shard->health.digest();
   return total;
 }
 

@@ -6,19 +6,23 @@
 //                     |
 //               appender thread (one per shard)
 //                     |--> WalWriter.append(raw batch)      [durability first]
-//                     |--> RecordSanitizer                   [repair/drop/DLQ]
-//                     |--> DriveFeatureCursor + Classifier   [score]
+//                     |--> core::ScoringShard                [sanitize, features,
+//                     |                                        score, clamp, alert]
 //                     |--> HealthTracker                     [escalate/page]
 //
-// The WAL records RAW observations before any processing, so startup
-// recovery replays them through the exact same sanitize -> advance ->
-// score -> health path and lands on bit-identical per-drive state (the
-// state_digest() invariant; pinned under real SIGKILL by
-// tests/daemon/test_crash_recovery.cpp).
+// The scoring kernel is the one core::FleetMonitor runs
+// (core/scoring_shard.hpp); the daemon only maps its per-record outcomes
+// onto health strikes, stats, counters and the BatchObserver tap.  The WAL
+// records RAW observations before any processing, so startup recovery
+// replays them through the exact same kernel -> health path and lands on
+// bit-identical per-drive state (the state_digest() invariant; pinned
+// under real SIGKILL by tests/daemon/test_crash_recovery.cpp).
 //
 // Failure posture — the daemon degrades, it does not die:
 //   * scorer unavailable (null model)  -> ingest + WAL + health continue,
 //     scores read 0, `daemon_degraded` gauge is 1 until set_model().
+//   * scorer broken (NaN/inf scores)   -> each such score is clamped to
+//     1.0, alerts, and counts in `daemon_non_finite_scores_total`.
 //   * store unavailable (WAL open or append fails) -> scoring continues
 //     without durability, `daemon_wal_degraded` is 1 and every failure
 //     counts in `daemon_wal_errors_total`.
@@ -39,16 +43,12 @@
 #include <span>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
-#include "core/features.hpp"
+#include "core/scoring_shard.hpp"
 #include "daemon/health.hpp"
 #include "daemon/ingest_ring.hpp"
 #include "daemon/wal.hpp"
-#include "ml/classifier.hpp"
-#include "ml/matrix.hpp"
-#include "robustness/record_sanitizer.hpp"
 
 namespace ssdfail::daemon {
 
@@ -198,8 +198,7 @@ class TelemetryDaemon {
     std::uint32_t index = 0;
     IngestRing ring;
     std::unique_ptr<WalWriter> wal;
-    robustness::RecordSanitizer sanitizer;
-    std::unordered_map<std::uint64_t, core::DriveFeatureCursor> cursors;
+    core::ScoringShard scoring;
     HealthTracker health;
 
     std::mutex retire_mutex;
@@ -215,7 +214,9 @@ class TelemetryDaemon {
     obs::Gauge* depth_metric = nullptr;       ///< daemon_ring_depth{shard=}
   };
 
-  [[nodiscard]] std::size_t shard_index(std::uint64_t uid) const noexcept;
+  [[nodiscard]] Shard& shard_for(std::uint64_t uid) noexcept {
+    return *shards_[core::shard_of(uid, shards_.size())];
+  }
   [[nodiscard]] std::shared_ptr<const ml::Classifier> current_model() const;
 
   void appender_main(Shard& shard);
@@ -255,6 +256,7 @@ class TelemetryDaemon {
   obs::Counter* shed_metric_ = nullptr;
   obs::Counter* scored_metric_ = nullptr;
   obs::Counter* alerts_metric_ = nullptr;
+  obs::Counter* non_finite_metric_ = nullptr;
   obs::Counter* segments_metric_ = nullptr;
   obs::Counter* wal_bytes_metric_ = nullptr;
   obs::Counter* wal_errors_metric_ = nullptr;

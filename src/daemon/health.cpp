@@ -1,5 +1,7 @@
 #include "daemon/health.hpp"
 
+#include "stats/rng.hpp"
+
 namespace ssdfail::daemon {
 
 std::string_view health_state_name(HealthState state) noexcept {
@@ -146,18 +148,11 @@ std::uint64_t HealthTracker::digest() const noexcept {
   // so unordered_map iteration order cannot leak into the digest.
   std::uint64_t total = 0;
   for (const auto& [uid, drive] : drives_) {
-    std::uint64_t h = 1469598103934665603ULL;
-    const auto mix = [&h](std::uint64_t v) {
-      for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xFF;
-        h *= 1099511628211ULL;
-      }
-    };
-    mix(uid);
-    mix(static_cast<std::uint64_t>(drive.state));
-    mix((static_cast<std::uint64_t>(drive.ramp_streak) << 32) | drive.alert_streak);
-    mix(drive.quiet_streak);
-    total += h;
+    std::uint64_t h = stats::fnv1a_mix(stats::kFnv1aInit, uid);
+    h = stats::fnv1a_mix(h, static_cast<std::uint64_t>(drive.state));
+    h = stats::fnv1a_mix(
+        h, (static_cast<std::uint64_t>(drive.ramp_streak) << 32) | drive.alert_streak);
+    total += stats::fnv1a_mix(h, drive.quiet_streak);
   }
   return total;
 }

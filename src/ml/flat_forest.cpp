@@ -11,6 +11,7 @@
 
 #include "ml/gradient_boosting.hpp"
 #include "ml/random_forest.hpp"
+#include "stats/rng.hpp"
 
 namespace ssdfail::ml {
 namespace {
@@ -350,13 +351,8 @@ std::vector<float> FlatForest::predict_proba(const Matrix& x,
 
 std::uint64_t FlatForest::structural_hash() const noexcept {
   // FNV-1a 64 over the compiled layout, field by field (no padding bytes).
-  std::uint64_t h = 1469598103934665603ull;
-  const auto mix = [&h](std::uint64_t v) noexcept {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xffu;
-      h *= 1099511628211ull;
-    }
-  };
+  std::uint64_t h = stats::kFnv1aInit;
+  const auto mix = [&h](std::uint64_t v) noexcept { h = stats::fnv1a_mix(h, v); };
   mix(static_cast<std::uint64_t>(kind_));
   mix(static_cast<std::uint64_t>(n_features_));
   mix(std::bit_cast<std::uint64_t>(bias_));

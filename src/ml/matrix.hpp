@@ -41,6 +41,13 @@ class Matrix {
   /// Append a row (must match cols; sets cols on the first append).
   void push_row(std::span<const float> values);
 
+  /// Drop every row but keep the width and the allocation, so a scratch
+  /// matrix refilled per batch stops allocating once it has seen its largest.
+  void clear() noexcept {
+    rows_ = 0;
+    data_.clear();
+  }
+
   /// Append all rows of another matrix (widths must match, or this empty).
   void append_rows(const Matrix& other);
 

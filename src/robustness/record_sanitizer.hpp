@@ -20,9 +20,10 @@
 //                 counters and never reach the model.
 //
 // The sanitizer never throws on data; accepted records are guaranteed to
-// arrive at the drive monitors in strictly increasing day order.  One
-// instance serves one FleetMonitor shard: it is NOT thread-safe, the
-// caller provides exclusion (the shard mutex).
+// reach the feature cursors in strictly increasing day order.  One
+// instance is the first stage of one core::ScoringShard (a FleetMonitor
+// or daemon shard): it is NOT thread-safe, the shard's owner provides
+// exclusion.
 
 #include <array>
 #include <cstdint>
@@ -43,7 +44,7 @@ struct SanitizerConfig {
   /// Registry to mirror counters into as process-wide families
   /// (`sanitizer_repaired_total{kind=...}` etc. — no per-shard labels;
   /// shards sharing a registry share children).  Null disables mirroring;
-  /// FleetMonitor fills this in with its own registry.
+  /// FleetMonitor and the daemon fill this in with their registry.
   obs::MetricsRegistry* registry = nullptr;
 };
 
@@ -67,8 +68,8 @@ struct DeadLetter {
   trace::DailyRecord record;
 };
 
-/// Mergeable point-in-time counters (one block per shard, summed by the
-/// FleetMonitor metrics snapshot).
+/// Mergeable point-in-time counters (one block per scoring shard, summed by
+/// the FleetMonitor metrics snapshot).
 struct SanitizerSnapshot {
   std::array<std::uint64_t, trace::kNumViolationKinds> repaired{};
   std::array<std::uint64_t, trace::kNumViolationKinds> quarantined{};

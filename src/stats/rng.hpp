@@ -39,6 +39,20 @@ inline constexpr std::uint64_t kHashKeysInit = 0x2545f4914f6cdd1dULL;
   return splitmix64(s);
 }
 
+/// FNV-1a 64 offset basis: the initial state of an fnv1a_mix chain.
+inline constexpr std::uint64_t kFnv1aInit = 1469598103934665603ULL;
+
+/// Fold the eight bytes of `v`, least significant first, into the FNV-1a 64
+/// hash `h`.  The state digests and FlatForest::structural_hash are chains
+/// of this step, so its output is part of their persisted values.
+[[nodiscard]] constexpr std::uint64_t fnv1a_mix(std::uint64_t h, std::uint64_t v) noexcept {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xFFu;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
 /// Hash an arbitrary list of 64-bit keys into a single stream seed.
 /// Order-sensitive, avalanching; used to derive per-entity substreams.
 [[nodiscard]] constexpr std::uint64_t hash_keys(std::initializer_list<std::uint64_t> keys) noexcept {

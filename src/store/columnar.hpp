@@ -162,7 +162,7 @@ struct DriveRef {
   std::size_t swap_count = 0;
 
   [[nodiscard]] std::uint64_t uid() const noexcept {
-    return (static_cast<std::uint64_t>(model) << 32) | drive_index;
+    return trace::drive_uid(model, drive_index);
   }
 };
 

@@ -46,7 +46,7 @@ struct DriveHistory {
 
   /// Globally unique drive id across models (model-tagged).
   [[nodiscard]] std::uint64_t uid() const noexcept {
-    return (static_cast<std::uint64_t>(model) << 32) | drive_index;
+    return drive_uid(model, drive_index);
   }
 
   /// Day of the last record, or deploy_day-1 if the drive never reported.

@@ -38,6 +38,14 @@ inline constexpr std::array<DriveModel, kNumMlcModels> kMlcModels = {
 
 [[nodiscard]] std::string_view model_name(DriveModel m) noexcept;
 
+/// Globally unique drive id across models: the model tag in the high 32
+/// bits, the per-model drive index in the low 32.  Every layer that keys
+/// per-drive state (traces, the store, the scoring paths, the WAL) uses it.
+[[nodiscard]] constexpr std::uint64_t drive_uid(DriveModel model,
+                                                std::uint32_t drive_index) noexcept {
+  return (static_cast<std::uint64_t>(model) << 32) | drive_index;
+}
+
 /// Coarse hardware class of a drive model.  Each class carries its own
 /// hazard shape and its own telemetry channels (the class-specific
 /// DailyRecord fields below).

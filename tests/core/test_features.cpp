@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
 namespace ssdfail::core {
 namespace {
 
@@ -111,6 +114,25 @@ TEST(FeatureExtractor, WrongSpanSizeThrows) {
   FeatureExtractor::State st;
   std::vector<float> too_small(3);
   EXPECT_THROW(FeatureExtractor::extract(d, r, st, too_small), std::invalid_argument);
+}
+
+TEST(DriveFeatureCursor, RejectsOutOfOrderRecords) {
+  // The streaming scorers sanitize first, so only a direct caller can trip
+  // the cursor's day-order check; a rejected record leaves state untouched.
+  DriveFeatureCursor cursor(trace::DriveModel::MlcB, 10);
+  std::vector<float> row(FeatureExtractor::count());
+  trace::DailyRecord rec;
+  rec.day = 12;
+  cursor.advance_and_extract(rec, row);
+  rec.day = 12;
+  EXPECT_THROW(cursor.advance_and_extract(rec, row), std::invalid_argument);
+  rec.day = 11;
+  EXPECT_THROW(cursor.advance_and_extract(rec, row), std::invalid_argument);
+  EXPECT_EQ(cursor.days_observed(), 1u);
+  EXPECT_EQ(cursor.last_day(), 12);
+  rec.day = 13;
+  EXPECT_NO_THROW(cursor.advance_and_extract(rec, row));
+  EXPECT_EQ(cursor.days_observed(), 2u);
 }
 
 }  // namespace

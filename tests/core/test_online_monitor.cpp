@@ -31,7 +31,7 @@ std::shared_ptr<const ml::Classifier> fitted_model() {
   return model;
 }
 
-TEST(OnlineDriveMonitor, ScoresMatchBatchPipeline) {
+TEST(FleetMonitor, ScoresMatchBatchPipeline) {
   // Streaming scores must equal what the batch feature extractor + model
   // produce for the same records.
   sim::FleetConfig cfg;
@@ -39,41 +39,32 @@ TEST(OnlineDriveMonitor, ScoresMatchBatchPipeline) {
   sim::FleetSimulator fleet(cfg);
   const trace::DriveHistory drive = fleet.simulate(5);
 
-  OnlineDriveMonitor monitor(*fitted_model(), 0.9, drive.model, drive.deploy_day);
+  FleetMonitor monitor(fitted_model(), 0.9, 1);
   FeatureExtractor::State state;
   ml::Matrix row(1, FeatureExtractor::count());
   for (const auto& rec : drive.records) {
-    const RiskAssessment streaming = monitor.observe(rec);
+    const RiskAssessment streaming =
+        monitor.observe(drive.model, drive.drive_index, drive.deploy_day, rec);
+    ASSERT_FALSE(streaming.dropped) << "day " << rec.day;
     FeatureExtractor::advance(state, rec);
     FeatureExtractor::extract(drive, rec, state, row.row(0));
     const float batch = fitted_model()->predict_proba(row)[0];
     ASSERT_FLOAT_EQ(streaming.risk, batch) << "day " << rec.day;
   }
-  EXPECT_EQ(monitor.days_observed(), drive.records.size());
+  EXPECT_EQ(monitor.metrics().records_scored, drive.records.size());
 }
 
-TEST(OnlineDriveMonitor, AlertRespectsThreshold) {
+TEST(FleetMonitor, AlertRespectsThreshold) {
   trace::DailyRecord rec;
   rec.day = 0;
   rec.reads = 100;
   rec.writes = 100;
-  OnlineDriveMonitor lenient(*fitted_model(), 0.0, trace::DriveModel::MlcA, 0);
-  EXPECT_TRUE(lenient.observe(rec).alert);  // threshold 0: everything alerts
-  OnlineDriveMonitor strict(*fitted_model(), 1.01, trace::DriveModel::MlcA, 0);
-  EXPECT_FALSE(strict.observe(rec).alert);  // threshold > 1: nothing alerts
-}
-
-TEST(OnlineDriveMonitor, RejectsOutOfOrderRecords) {
-  OnlineDriveMonitor monitor(*fitted_model(), 0.5, trace::DriveModel::MlcB, 10);
-  trace::DailyRecord rec;
-  rec.day = 12;
-  (void)monitor.observe(rec);
-  rec.day = 12;
-  EXPECT_THROW((void)monitor.observe(rec), std::invalid_argument);
-  rec.day = 11;
-  EXPECT_THROW((void)monitor.observe(rec), std::invalid_argument);
-  rec.day = 13;
-  EXPECT_NO_THROW((void)monitor.observe(rec));
+  // Threshold 0: everything alerts.
+  FleetMonitor lenient(fitted_model(), 0.0, 1);
+  EXPECT_TRUE(lenient.observe(trace::DriveModel::MlcA, 0, 0, rec).alert);
+  // Threshold > 1: nothing alerts.
+  FleetMonitor strict(fitted_model(), 1.01, 1);
+  EXPECT_FALSE(strict.observe(trace::DriveModel::MlcA, 0, 0, rec).alert);
 }
 
 TEST(FleetMonitor, TracksDrivesIndependently) {
@@ -286,15 +277,18 @@ TEST(FleetMonitor, ConcurrentObserveMatchesSequential) {
   }
   for (auto& thread : threads) thread.join();
 
+  FleetMonitor solo(fitted_model(), 0.9, 1);
   std::uint64_t total = 0;
   for (unsigned t = 0; t < kThreads; ++t) {
     std::size_t slot = 0;
     for (std::size_t d = t; d < fleet.drives.size(); d += kThreads, ++slot) {
       const auto& drive = fleet.drives[d];
-      OnlineDriveMonitor solo(*fitted_model(), 0.9, drive.model, drive.deploy_day);
       ASSERT_EQ(risks[t][slot].size(), drive.records.size());
       for (std::size_t r = 0; r < drive.records.size(); ++r) {
-        ASSERT_EQ(solo.observe(drive.records[r]).risk, risks[t][slot][r])
+        const float expected =
+            solo.observe(drive.model, drive.drive_index, drive.deploy_day, drive.records[r])
+                .risk;
+        ASSERT_EQ(expected, risks[t][slot][r])
             << "drive " << drive.uid() << " record " << r;
         ++total;
       }
@@ -342,6 +336,7 @@ TEST(FleetMonitor, RisingRiskBeforeFailure) {
   cfg.drives_per_model = 300;
   sim::FleetSimulator fleet(cfg);
 
+  FleetMonitor monitor(fitted_model(), 0.5, 1);
   double risk_at_failure = 0.0;
   double risk_before = 0.0;
   int counted = 0;
@@ -351,12 +346,12 @@ TEST(FleetMonitor, RisingRiskBeforeFailure) {
     if (timeline.failures.empty()) continue;
     const std::int32_t fail_day = timeline.failures[0].fail_day;
 
-    OnlineDriveMonitor monitor(*fitted_model(), 0.5, drive.model, drive.deploy_day);
     float at_fail = -1.0f;
     float before = -1.0f;
     for (const auto& rec : drive.records) {
       if (rec.day > fail_day) break;
-      const auto assessment = monitor.observe(rec);
+      const auto assessment =
+          monitor.observe(drive.model, drive.drive_index, drive.deploy_day, rec);
       if (rec.day == fail_day) at_fail = assessment.risk;
       if (rec.day <= fail_day - 30) before = assessment.risk;
     }

@@ -1,6 +1,6 @@
 // TelemetryDaemon tests: graceful drain accounting, WAL recovery
-// bit-identity, retire-through-the-WAL, degraded modes, backpressure
-// shedding, and the watchdog.
+// bit-identity, retire-through-the-WAL, degraded modes, the non-finite
+// score clamp, backpressure shedding, and the watchdog.
 
 #include "daemon/daemon.hpp"
 
@@ -8,8 +8,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <memory>
 #include <thread>
+#include <vector>
 
 #include "daemon_test_util.hpp"
 
@@ -192,6 +194,52 @@ TEST(TelemetryDaemon, DegradedDaemonStillIngestsAndWalsEverything) {
   EXPECT_FALSE(stats.degraded);
   EXPECT_EQ(stats.recovery.records_replayed, stream.size());
   EXPECT_EQ(stats.scored, stream.size());
+}
+
+/// A broken scorer: every score is NaN.
+class NanModel final : public ml::Classifier {
+ public:
+  void fit(const ml::Dataset&) override {}
+  [[nodiscard]] std::vector<float> predict_proba(const ml::Matrix& x) const override {
+    return std::vector<float>(x.rows(), std::numeric_limits<float>::quiet_NaN());
+  }
+  [[nodiscard]] std::string name() const override { return "nan_model"; }
+  [[nodiscard]] std::unique_ptr<ml::Classifier> clone() const override {
+    return std::make_unique<NanModel>();
+  }
+};
+
+TEST(TelemetryDaemon, NonFiniteScoresClampToAlertAndCount) {
+  // A broken model must page, not leave the fleet silently "healthy": each
+  // NaN score is clamped to 1.0, alerts, feeds the health machine as an
+  // alert strike, and is counted.
+  obs::MetricsRegistry registry;
+  DaemonConfig cfg = base_config("", &registry);
+  cfg.shards = 1;
+  std::vector<DriveAssessment> seen;  // one appender thread, read after stop()
+  cfg.on_assessment = [&seen](const DriveAssessment& a) { seen.push_back(a); };
+  TelemetryDaemon daemon(std::make_shared<NanModel>(), cfg);
+  daemon.start();
+  const auto stream = make_stream(8, 30);
+  for (const auto& obs : stream) ASSERT_EQ(daemon.push(obs), PushResult::kAccepted);
+  daemon.stop();
+
+  const DaemonStats stats = daemon.stats();
+  ASSERT_EQ(stats.scored, stream.size());
+  EXPECT_EQ(stats.alerts, stream.size());
+  ASSERT_EQ(seen.size(), stream.size());
+  const auto alert_day = static_cast<std::int32_t>(cfg.health.alert_days) - 1;
+  for (const DriveAssessment& a : seen) {
+    EXPECT_EQ(a.score, 1.0f) << "uid " << a.uid << " day " << a.day;
+    EXPECT_TRUE(a.alert);
+    EXPECT_EQ(a.health, a.day >= alert_day ? HealthState::kAlert : HealthState::kHealthy)
+        << "uid " << a.uid << " day " << a.day;
+  }
+  EXPECT_EQ(stats.health_counts[static_cast<std::size_t>(HealthState::kAlert)], 8u);
+  const obs::RegistrySnapshot metrics = registry.snapshot();
+  const obs::Sample* non_finite = metrics.find("daemon_non_finite_scores_total");
+  ASSERT_NE(non_finite, nullptr);
+  EXPECT_EQ(non_finite->value, static_cast<double>(stats.scored));
 }
 
 TEST(TelemetryDaemon, SetModelTogglesDegradedMode) {
