@@ -24,8 +24,8 @@
 // a fleet as a day-ordered stream through the sharded FleetMonitor,
 // printing the metrics snapshot — the always-on scoring service in
 // miniature.  `train` and `serve` accept `--fleet FILE` to use a recorded
-// binary fleet instead of simulating one; a v2 file feeds `train` through
-// the zero-copy chunk-parallel dataset build (store/columnar.hpp).
+// binary fleet instead of simulating one; a v2 or v3 file feeds `train`
+// through the chunk-parallel dataset build (store/columnar.hpp).
 //
 // `daemon` runs the crash-safe streaming service (src/daemon): multi-
 // threaded producers push the fleet into per-shard ingest rings, appender
@@ -339,22 +339,14 @@ int cmd_convert(const Args& args) {
   }
   try {
     const std::uint32_t from_version = trace::peek_binary_version(in);
-    const trace::FleetTrace fleet = trace::read_binary(in);
-    if (to_version == trace::kBinaryFormatVersion)
-      trace::write_binary(out, fleet);
-    else if (to_version == trace::kColumnarFormatVersion)
-      trace::write_binary_v2(out, fleet,
-                             static_cast<std::uint32_t>(args.get_long("chunk", 0)));
-    else
-      trace::write_binary_v3(out, fleet,
-                             static_cast<std::uint32_t>(args.get_long("chunk", 0)));
+    const std::size_t rows = trace::convert_binary(
+        in, out, to_version, static_cast<std::uint32_t>(args.get_long("chunk", 0)));
     out.flush();
     if (!out) {
       std::fprintf(stderr, "write failed for %s\n", out_path.c_str());
       return 1;
     }
     const auto bytes = std::filesystem::file_size(out_path);
-    const std::size_t rows = fleet.total_records();
     std::printf("converted %s (v%u, %zu drive-days) -> %s (%s, %llu bytes",
                 in_path.c_str(), from_version, rows, out_path.c_str(), to.c_str(),
                 static_cast<unsigned long long>(bytes));
@@ -550,11 +542,11 @@ int cmd_train(const Args& args) {
       const std::uint32_t version = trace::peek_binary_version(in);
       std::printf("building N=%d dataset from %s (v%u)...\n", opts.lookahead_days,
                   fleet_path.c_str(), version);
-      if (version == trace::kColumnarFormatVersion) {
-        // v2: chunk-parallel zero-copy build straight off the mapped file.
-        data = core::build_dataset(store::ColumnarFleetView::open(fleet_path), opts);
-      } else {
+      if (version == trace::kBinaryFormatVersion) {
         data = core::build_dataset(trace::read_binary(in), opts);
+      } else {
+        // v2/v3: chunk-parallel build straight off the mapped file.
+        data = core::build_dataset(store::ColumnarFleetView::open(fleet_path), opts);
       }
     } catch (const std::exception& e) {
       std::fprintf(stderr, "train: %s\n", e.what());

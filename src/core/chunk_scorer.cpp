@@ -21,7 +21,7 @@ FleetScores predict_chunk(const ml::FlatForest& engine,
   const std::size_t n_chunks = view.chunk_count();
   std::vector<std::size_t> offsets(n_chunks + 1, 0);
   for (std::size_t c = 0; c < n_chunks; ++c)
-    offsets[c + 1] = offsets[c] + view.chunk(c).day.size();
+    offsets[c + 1] = offsets[c] + view.zone_map(c).n_records;
 
   FleetScores out;
   out.uid.resize(offsets[n_chunks]);
@@ -34,15 +34,17 @@ FleetScores predict_chunk(const ml::FlatForest& engine,
         const store::ChunkView& chunk = view.chunk(c);
         const std::size_t n_features = FeatureExtractor::count();
         std::size_t cursor = offsets[c];
+        trace::DriveHistory header;  // deploy metadata for extract
         for (const store::DriveRef& ref : chunk.drives) {
+          header.deploy_day = ref.deploy_day;
           ml::Matrix rows(ref.row_count, n_features);
           FeatureExtractor::State state;
           for (std::size_t i = 0; i < ref.row_count; ++i) {
-            const std::size_t row = ref.row_begin + i;
-            FeatureExtractor::advance(state, chunk, row);
-            FeatureExtractor::extract(ref.deploy_day, chunk, row, state, rows.row(i));
+            const trace::DailyRecord rec = chunk.record(ref.row_begin + i);
+            FeatureExtractor::advance(state, rec);
+            FeatureExtractor::extract(header, rec, state, rows.row(i));
             out.uid[cursor + i] = ref.uid();
-            out.day[cursor + i] = chunk.day[row];
+            out.day[cursor + i] = rec.day;
           }
           engine.predict_into(rows, 0, ref.row_count, out.score.data() + cursor);
           cursor += ref.row_count;

@@ -1,15 +1,17 @@
 #pragma once
 
 // Columnar chunk scoring: drive the compiled flat-forest engine straight
-// over an SSDF2 ColumnarFleetView — features are read column-direct from
-// the mapped chunk spans (no per-row DailyRecord gather), rows are scored
-// in blocks through FlatForest::predict_into, and chunks run in parallel.
+// over an SSDF2 ColumnarFleetView — each row is gathered from the chunk
+// (ChunkView::record) into the one FeatureExtractor path, rows are scored
+// in blocks through FlatForest::predict_into, and chunks run in parallel
+// (v3 chunks decode on first touch inside the parallel loop).
 //
 // This is the offline/bulk sibling of the online scoring kernel
 // (core::ScoringShard, behind FleetMonitor and the telemetry daemon):
 // score an entire stored fleet (backfills, model evaluation sweeps, alert
-// replays) without materializing row structs or sanitizing.  Scores are bit-identical to
-// gathering each record and scoring it through the same engine (pinned by
+// replays) without materializing the fleet or sanitizing.  Scores are
+// bit-identical to scoring the source fleet's records one at a time through
+// the same engine, on v2 and v3 files (pinned by
 // tests/core/test_chunk_scorer.cpp).
 
 #include <cstdint>

@@ -100,55 +100,6 @@ void FeatureExtractor::extract(const trace::DriveHistory& drive,
   out[i++] = static_cast<float>(state.cum_throttle_events);
 }
 
-void FeatureExtractor::advance(State& state, const store::ChunkView& chunk,
-                               std::size_t row) noexcept {
-  state.cum.reads += chunk.reads[row];
-  state.cum.writes += chunk.writes[row];
-  state.cum.erases += chunk.erases[row];
-  for (std::size_t e = 0; e < trace::kNumErrorTypes; ++e)
-    state.cum.errors[e] += chunk.errors[e][row];
-  const std::uint32_t bad_blocks = chunk.bad_blocks[row];
-  state.cum_bad_blocks =
-      static_cast<std::uint64_t>(bad_blocks) + chunk.factory_bad_blocks[row];
-  state.new_bad_blocks_today =
-      bad_blocks >= state.prev_bad_blocks ? bad_blocks - state.prev_bad_blocks : 0;
-  state.prev_bad_blocks = bad_blocks;
-  state.cum_seek_errors += chunk.seek_errors[row];
-  state.cum_throttle_events += chunk.throttle_events[row];
-}
-
-void FeatureExtractor::extract(std::int32_t deploy_day, const store::ChunkView& chunk,
-                               std::size_t row, const State& state,
-                               std::span<float> out) {
-  if (out.size() != count()) throw std::invalid_argument("FeatureExtractor: bad span size");
-  std::size_t i = 0;
-  // Mirrors the record overload field for field (same casts, same order).
-  out[i++] = static_cast<float>(chunk.reads[row]);
-  out[i++] = static_cast<float>(chunk.writes[row]);
-  out[i++] = static_cast<float>(chunk.erases[row]);
-  for (std::size_t e = 0; e < trace::kNumErrorTypes; ++e)
-    out[i++] = static_cast<float>(chunk.errors[e][row]);
-  out[i++] = static_cast<float>(state.new_bad_blocks_today);
-  out[i++] = static_cast<float>(state.cum.reads);
-  out[i++] = static_cast<float>(state.cum.writes);
-  out[i++] = static_cast<float>(state.cum.erases);
-  for (trace::ErrorType e : trace::kAllErrorTypes)
-    out[i++] = static_cast<float>(state.cum.error(e));
-  out[i++] = static_cast<float>(state.cum_bad_blocks);
-  out[i++] = static_cast<float>(chunk.pe_cycles[row]);
-  out[i++] = static_cast<float>(chunk.day[row] - deploy_day);
-  out[i++] = (chunk.flags[row] & 0x1u) != 0 ? 1.0f : 0.0f;
-  const double corr = static_cast<double>(state.cum.error(trace::ErrorType::kCorrectable));
-  const double reads = static_cast<double>(state.cum.reads);
-  out[i++] = static_cast<float>(corr / std::max(reads, 1.0));
-  out[i++] = static_cast<float>(chunk.reallocated_sectors[row]);
-  out[i++] = static_cast<float>(chunk.seek_errors[row]);
-  out[i++] = static_cast<float>(state.cum_seek_errors);
-  out[i++] = static_cast<float>(chunk.media_wear[row]);
-  out[i++] = static_cast<float>(chunk.throttle_events[row]);
-  out[i++] = static_cast<float>(state.cum_throttle_events);
-}
-
 const std::vector<std::string>& RollingWindow::names() {
   static const std::vector<std::string> kNames = {
       "ue_7d",             // uncorrectable errors over the trailing window

@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "store/columnar.hpp"
 #include "trace/drive_history.hpp"
 
 namespace ssdfail::core {
@@ -47,14 +46,6 @@ class FeatureExtractor {
   /// state AFTER advance(state, rec).
   static void extract(const trace::DriveHistory& drive, const trace::DailyRecord& rec,
                       const State& state, std::span<float> out);
-
-  /// Column-direct variants reading one row straight from an SSDF2 chunk —
-  /// no DailyRecord gather.  Field-for-field identical to the record
-  /// overloads (pinned by tests/core/test_chunk_scorer.cpp).
-  static void advance(State& state, const store::ChunkView& chunk,
-                      std::size_t row) noexcept;
-  static void extract(std::int32_t deploy_day, const store::ChunkView& chunk,
-                      std::size_t row, const State& state, std::span<float> out);
 
   /// Index of the raw drive-age column (used by age-split experiments).
   [[nodiscard]] static std::size_t age_index();

@@ -4,18 +4,10 @@
 #include <bit>
 #include <cmath>
 
+#include "store/column_table.hpp"
 #include "store/sharded.hpp"
 
 namespace ssdfail::online {
-namespace {
-
-/// Flags column value, matching the store's serialized encoding
-/// (bit 0: read_only, bit 1: dead).
-std::int64_t flags_of(const trace::DailyRecord& rec) noexcept {
-  return (rec.read_only ? 1 : 0) | (rec.dead ? 2 : 0);
-}
-
-}  // namespace
 
 std::size_t MarginalSketch::bin_of(std::int64_t v) noexcept {
   if (v <= 0) return 0;
@@ -30,24 +22,8 @@ void MarginalSketch::merge(const MarginalSketch& other) noexcept {
 }
 
 void FeatureSketches::add_record(const trace::DailyRecord& rec) noexcept {
-  using store::ZoneColumn;
-  const auto col = [this](ZoneColumn c) -> MarginalSketch& {
-    return columns[static_cast<std::size_t>(c)];
-  };
-  col(ZoneColumn::kDay).add(rec.day);
-  col(ZoneColumn::kReads).add(rec.reads);
-  col(ZoneColumn::kWrites).add(rec.writes);
-  col(ZoneColumn::kErases).add(rec.erases);
-  col(ZoneColumn::kPeCycles).add(rec.pe_cycles);
-  col(ZoneColumn::kBadBlocks).add(rec.bad_blocks);
-  col(ZoneColumn::kFactoryBadBlocks).add(rec.factory_bad_blocks);
-  col(ZoneColumn::kFlags).add(flags_of(rec));
-  for (std::size_t e = 0; e < trace::kNumErrorTypes; ++e)
-    columns[static_cast<std::size_t>(ZoneColumn::kError0) + e].add(rec.errors[e]);
-  col(ZoneColumn::kReallocatedSectors).add(rec.reallocated_sectors);
-  col(ZoneColumn::kSeekErrors).add(rec.seek_errors);
-  col(ZoneColumn::kMediaWear).add(rec.media_wear);
-  col(ZoneColumn::kThrottleEvents).add(rec.throttle_events);
+  store::for_each_record_column(
+      [&](std::size_t c, auto column) { columns[c].add(column.get(rec)); });
   ++rows;
 }
 
@@ -62,55 +38,14 @@ void FeatureSketches::merge(const FeatureSketches& other) noexcept {
 }
 
 std::string zone_column_name(store::ZoneColumn column) {
-  using store::ZoneColumn;
-  switch (column) {
-    case ZoneColumn::kDay: return "day";
-    case ZoneColumn::kReads: return "reads";
-    case ZoneColumn::kWrites: return "writes";
-    case ZoneColumn::kErases: return "erases";
-    case ZoneColumn::kPeCycles: return "pe_cycles";
-    case ZoneColumn::kBadBlocks: return "bad_blocks";
-    case ZoneColumn::kFactoryBadBlocks: return "factory_bad_blocks";
-    case ZoneColumn::kFlags: return "flags";
-    case ZoneColumn::kReallocatedSectors: return "reallocated_sectors";
-    case ZoneColumn::kSeekErrors: return "seek_errors";
-    case ZoneColumn::kMediaWear: return "media_wear";
-    case ZoneColumn::kThrottleEvents: return "throttle_events";
-    case ZoneColumn::kSwapDay: return "swap_day";
-    default: break;
-  }
-  const std::size_t e =
-      static_cast<std::size_t>(column) - static_cast<std::size_t>(ZoneColumn::kError0);
-  return "err_" + std::string(trace::error_name(static_cast<trace::ErrorType>(e)));
+  return std::string(store::kColumnNames.at(static_cast<std::size_t>(column)));
 }
 
 FeatureSketches sketch_fleet(const store::ColumnarFleetView& view) {
   FeatureSketches out;
   for (std::size_t c = 0; c < view.chunk_count(); ++c) {
     const store::ChunkView& chunk = view.chunk(c);
-    const std::size_t n = chunk.day.size();
-    for (std::size_t i = 0; i < n; ++i) {
-      using store::ZoneColumn;
-      const auto col = [&out](ZoneColumn z) -> MarginalSketch& {
-        return out.columns[static_cast<std::size_t>(z)];
-      };
-      col(ZoneColumn::kDay).add(chunk.day[i]);
-      col(ZoneColumn::kReads).add(chunk.reads[i]);
-      col(ZoneColumn::kWrites).add(chunk.writes[i]);
-      col(ZoneColumn::kErases).add(chunk.erases[i]);
-      col(ZoneColumn::kPeCycles).add(chunk.pe_cycles[i]);
-      col(ZoneColumn::kBadBlocks).add(chunk.bad_blocks[i]);
-      col(ZoneColumn::kFactoryBadBlocks).add(chunk.factory_bad_blocks[i]);
-      col(ZoneColumn::kFlags).add(chunk.flags[i]);
-      for (std::size_t e = 0; e < trace::kNumErrorTypes; ++e)
-        out.columns[static_cast<std::size_t>(ZoneColumn::kError0) + e].add(
-            chunk.errors[e][i]);
-      col(ZoneColumn::kReallocatedSectors).add(chunk.reallocated_sectors[i]);
-      col(ZoneColumn::kSeekErrors).add(chunk.seek_errors[i]);
-      col(ZoneColumn::kMediaWear).add(chunk.media_wear[i]);
-      col(ZoneColumn::kThrottleEvents).add(chunk.throttle_events[i]);
-      ++out.rows;
-    }
+    for (std::size_t i = 0; i < chunk.day.size(); ++i) out.add_record(chunk.record(i));
     for (const std::int32_t d : chunk.swap_days) out.add_swap_day(d);
   }
   return out;

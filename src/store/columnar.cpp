@@ -14,6 +14,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace_span.hpp"
+#include "store/column_table.hpp"
 #include "store/crc32.hpp"
 #include "store/encoding.hpp"
 #include "store/mmap_file.hpp"
@@ -198,6 +199,7 @@ void write_columnar(std::ostream& out, const trace::FleetTrace& fleet,
   std::uint64_t total_swaps = 0;
 
   std::string chunk;
+  std::vector<std::uint64_t> values;  // one column of a chunk, widened
   for (std::size_t first = 0; first < fleet.drives.size(); first += chunk_drives) {
     const std::size_t last = std::min<std::size_t>(first + chunk_drives, fleet.drives.size());
     const auto n_drives = static_cast<std::uint32_t>(last - first);
@@ -238,107 +240,28 @@ void write_columnar(std::ostream& out, const trace::FleetTrace& fleet,
       swap += drive.swaps.size();
     }
 
-    const auto for_each_record = [&](auto&& emit) {
+    // One gather per column, in table order: v2 stores the values raw,
+    // v3 as an encoded frame — [align8] u32 encoding, u32 reserved, u64
+    // payload bytes, payload — whose min/max go into the zone map.
+    for_each_column([&](std::size_t c, auto column) {
+      using T = typename decltype(column)::value_type;
+      values.resize(column.count(n_records, n_swaps));
+      std::size_t i = 0;
       for (std::size_t d = first; d < last; ++d)
-        for (const trace::DailyRecord& r : fleet.drives[d].records) emit(r);
-    };
-    if (version == kColumnarVersion) {
+        for (const auto& r : column.rows(fleet.drives[d]))
+          values[i++] = static_cast<std::uint64_t>(static_cast<std::int64_t>(column.get(r)));
       pad8(chunk);
-      for_each_record([&](const trace::DailyRecord& r) { put<std::int32_t>(chunk, r.day); });
-      pad8(chunk);
-      for_each_record([&](const trace::DailyRecord& r) { put<std::uint32_t>(chunk, r.reads); });
-      pad8(chunk);
-      for_each_record([&](const trace::DailyRecord& r) { put<std::uint32_t>(chunk, r.writes); });
-      pad8(chunk);
-      for_each_record([&](const trace::DailyRecord& r) { put<std::uint32_t>(chunk, r.erases); });
-      pad8(chunk);
-      for_each_record(
-          [&](const trace::DailyRecord& r) { put<std::uint32_t>(chunk, r.pe_cycles); });
-      pad8(chunk);
-      for_each_record(
-          [&](const trace::DailyRecord& r) { put<std::uint32_t>(chunk, r.bad_blocks); });
-      pad8(chunk);
-      for_each_record(
-          [&](const trace::DailyRecord& r) { put<std::uint16_t>(chunk, r.factory_bad_blocks); });
-      pad8(chunk);
-      for_each_record([&](const trace::DailyRecord& r) {
-        put<std::uint8_t>(chunk, static_cast<std::uint8_t>((r.read_only ? 1 : 0) |
-                                                           (r.dead ? 2 : 0)));
-      });
-      for (std::size_t e = 0; e < trace::kNumErrorTypes; ++e) {
-        pad8(chunk);
-        for_each_record(
-            [&](const trace::DailyRecord& r) { put<std::uint32_t>(chunk, r.errors[e]); });
+      if (version == kColumnarVersion) {
+        for (const std::uint64_t v : values) put<T>(chunk, static_cast<T>(v));
+        return;
       }
-      for (const trace::RecordCounterField& f : trace::kExtCounterFields) {
-        pad8(chunk);
-        for_each_record(
-            [&](const trace::DailyRecord& r) { put<std::uint32_t>(chunk, r.*f.field); });
-      }
-      pad8(chunk);
-      for (std::size_t d = first; d < last; ++d)
-        for (const trace::SwapEvent& s : fleet.drives[d].swaps)
-          put<std::int32_t>(chunk, s.day);
-    } else {
-      // v3: every column travels as an encoded frame — [align8] u32
-      // encoding, u32 reserved, u64 payload bytes, payload — emitted in
-      // ZoneColumn order, with the column's min/max recorded in the
-      // directory zone map as a side effect of the same pass.
-      std::vector<std::uint64_t> scratch;
-      scratch.reserve(static_cast<std::size_t>(n_records));
-      const auto emit_frame = [&](std::size_t elem_bytes, ZoneColumn zc) {
-        zone.columns[static_cast<std::size_t>(zc)] = stats_of(scratch);
-        zone.stats_valid = true;
-        pad8(chunk);
-        const EncodedColumn enc = encode_column(scratch, elem_bytes);
-        put<std::uint32_t>(chunk, static_cast<std::uint32_t>(enc.encoding));
-        put<std::uint32_t>(chunk, 0);
-        put<std::uint64_t>(chunk, enc.payload.size());
-        chunk.append(enc.payload.data(), enc.payload.size());
-      };
-      const auto gather = [&](auto&& get) {
-        scratch.clear();
-        for_each_record([&](const trace::DailyRecord& r) { scratch.push_back(get(r)); });
-      };
-      const auto widen_i32 = [](std::int32_t v) {
-        return static_cast<std::uint64_t>(static_cast<std::int64_t>(v));
-      };
-      gather([&](const trace::DailyRecord& r) { return widen_i32(r.day); });
-      emit_frame(4, ZoneColumn::kDay);
-      gather([](const trace::DailyRecord& r) { return std::uint64_t{r.reads}; });
-      emit_frame(4, ZoneColumn::kReads);
-      gather([](const trace::DailyRecord& r) { return std::uint64_t{r.writes}; });
-      emit_frame(4, ZoneColumn::kWrites);
-      gather([](const trace::DailyRecord& r) { return std::uint64_t{r.erases}; });
-      emit_frame(4, ZoneColumn::kErases);
-      gather([](const trace::DailyRecord& r) { return std::uint64_t{r.pe_cycles}; });
-      emit_frame(4, ZoneColumn::kPeCycles);
-      gather([](const trace::DailyRecord& r) { return std::uint64_t{r.bad_blocks}; });
-      emit_frame(4, ZoneColumn::kBadBlocks);
-      gather([](const trace::DailyRecord& r) { return std::uint64_t{r.factory_bad_blocks}; });
-      emit_frame(2, ZoneColumn::kFactoryBadBlocks);
-      gather([](const trace::DailyRecord& r) {
-        return std::uint64_t{static_cast<std::uint8_t>((r.read_only ? 1 : 0) |
-                                                       (r.dead ? 2 : 0))};
-      });
-      emit_frame(1, ZoneColumn::kFlags);
-      for (std::size_t e = 0; e < trace::kNumErrorTypes; ++e) {
-        gather([&](const trace::DailyRecord& r) { return std::uint64_t{r.errors[e]}; });
-        emit_frame(4, static_cast<ZoneColumn>(
-                          static_cast<std::size_t>(ZoneColumn::kError0) + e));
-      }
-      for (std::size_t x = 0; x < trace::kNumExtCounterFields; ++x) {
-        const trace::RecordCounterField& f = trace::kExtCounterFields[x];
-        gather([&](const trace::DailyRecord& r) { return std::uint64_t{r.*f.field}; });
-        emit_frame(4, static_cast<ZoneColumn>(
-                          static_cast<std::size_t>(ZoneColumn::kReallocatedSectors) + x));
-      }
-      scratch.clear();
-      for (std::size_t d = first; d < last; ++d)
-        for (const trace::SwapEvent& s : fleet.drives[d].swaps)
-          scratch.push_back(widen_i32(s.day));
-      emit_frame(4, ZoneColumn::kSwapDay);
-    }
+      zone.columns[c] = stats_of(values);
+      const EncodedColumn enc = encode_column(values, sizeof(T));
+      put<std::uint32_t>(chunk, static_cast<std::uint32_t>(enc.encoding));
+      put<std::uint32_t>(chunk, 0);
+      put<std::uint64_t>(chunk, enc.payload.size());
+      chunk.append(enc.payload.data(), enc.payload.size());
+    });
     // Trailing pad is part of the chunk's recorded length (and CRC), so
     // every byte between header and footer is covered by some checksum.
     pad8(chunk);
@@ -395,21 +318,8 @@ void write_columnar_file(const std::string& path, const trace::FleetTrace& fleet
 
 trace::DailyRecord ChunkView::record(std::size_t row) const {
   trace::DailyRecord r;
-  r.day = day[row];
-  r.reads = reads[row];
-  r.writes = writes[row];
-  r.erases = erases[row];
-  r.pe_cycles = pe_cycles[row];
-  r.bad_blocks = bad_blocks[row];
-  r.factory_bad_blocks = factory_bad_blocks[row];
-  const std::uint8_t f = flags[row];
-  r.read_only = (f & 1) != 0;
-  r.dead = (f & 2) != 0;
-  for (std::size_t e = 0; e < trace::kNumErrorTypes; ++e) r.errors[e] = errors[e][row];
-  r.reallocated_sectors = reallocated_sectors[row];
-  r.seek_errors = seek_errors[row];
-  r.media_wear = media_wear[row];
-  r.throttle_events = throttle_events[row];
+  for_each_record_column(
+      [&](std::size_t, auto column) { column.set(r, column.span(*this)[row]); });
   return r;
 }
 
@@ -419,43 +329,21 @@ void ChunkView::gather_drive(const DriveRef& ref, trace::DriveHistory& out) cons
   out.deploy_day = ref.deploy_day;
   out.truth.reset();
   out.records.resize(ref.row_count);
-  trace::DailyRecord* recs = out.records.data();
-  const std::size_t rb = ref.row_begin;
+  out.swaps.resize(ref.swap_count);
   // Column-at-a-time gather: each pass is a contiguous scan of one mapped
   // column, which is what makes rebuilding a drive cheaper than parsing
   // the equivalent v1 byte stream.
-  for (std::size_t i = 0; i < ref.row_count; ++i) recs[i].day = day[rb + i];
-  for (std::size_t i = 0; i < ref.row_count; ++i) recs[i].reads = reads[rb + i];
-  for (std::size_t i = 0; i < ref.row_count; ++i) recs[i].writes = writes[rb + i];
-  for (std::size_t i = 0; i < ref.row_count; ++i) recs[i].erases = erases[rb + i];
-  for (std::size_t i = 0; i < ref.row_count; ++i) recs[i].pe_cycles = pe_cycles[rb + i];
-  for (std::size_t i = 0; i < ref.row_count; ++i) recs[i].bad_blocks = bad_blocks[rb + i];
-  for (std::size_t i = 0; i < ref.row_count; ++i)
-    recs[i].factory_bad_blocks = factory_bad_blocks[rb + i];
-  for (std::size_t i = 0; i < ref.row_count; ++i) {
-    const std::uint8_t f = flags[rb + i];
-    recs[i].read_only = (f & 1) != 0;
-    recs[i].dead = (f & 2) != 0;
-  }
-  for (std::size_t e = 0; e < trace::kNumErrorTypes; ++e)
-    for (std::size_t i = 0; i < ref.row_count; ++i)
-      recs[i].errors[e] = errors[e][rb + i];
-  for (std::size_t i = 0; i < ref.row_count; ++i)
-    recs[i].reallocated_sectors = reallocated_sectors[rb + i];
-  for (std::size_t i = 0; i < ref.row_count; ++i)
-    recs[i].seek_errors = seek_errors[rb + i];
-  for (std::size_t i = 0; i < ref.row_count; ++i)
-    recs[i].media_wear = media_wear[rb + i];
-  for (std::size_t i = 0; i < ref.row_count; ++i)
-    recs[i].throttle_events = throttle_events[rb + i];
-  out.swaps.resize(ref.swap_count);
-  for (std::size_t i = 0; i < ref.swap_count; ++i)
-    out.swaps[i].day = swap_days[ref.swap_begin + i];
+  for_each_column([&](std::size_t, auto column) {
+    auto& rows = column.rows(out);
+    const auto values = column.span(*this).subspan(
+        column.count(ref.row_begin, ref.swap_begin), rows.size());
+    for (std::size_t i = 0; i < values.size(); ++i) column.set(rows[i], values[i]);
+  });
 }
 
 /// Per-chunk lazy decode state for v3 files.  Column frames stay untouched
-/// in the backing bytes until the chunk is first accessed; decode fills the
-/// typed vectors below and points the ChunkView spans at them.  once_flag
+/// in the backing bytes until the chunk is first accessed; decode fills
+/// `columns` and points the ChunkView spans into it.  once_flag
 /// makes first-touch safe under chunk-parallel dataset builds.
 struct LazyChunk {
   std::once_flag once;
@@ -464,13 +352,8 @@ struct LazyChunk {
   std::uint64_t n_records = 0;
   std::uint64_t n_swaps = 0;
 
-  std::vector<std::int32_t> day;
-  std::vector<std::uint32_t> reads, writes, erases, pe_cycles, bad_blocks;
-  std::vector<std::uint16_t> factory_bad_blocks;
-  std::vector<std::uint8_t> flags;
-  std::array<std::vector<std::uint32_t>, trace::kNumErrorTypes> errors;
-  std::array<std::vector<std::uint32_t>, trace::kNumExtCounterFields> ext;
-  std::vector<std::int32_t> swap_days;
+  /// One decoded column per table entry; the ChunkView spans point into them.
+  std::array<std::unique_ptr<std::byte[]>, kNumZoneColumns> columns;
 };
 
 struct ColumnarFleetView::Impl {
@@ -523,58 +406,20 @@ void ColumnarFleetView::Impl::ensure_decoded(std::size_t index) const {
       decode_column(static_cast<ColumnEncoding>(encoding), payload, n, elem_bytes,
                     is_signed, decoded);
     };
-    const auto narrow = [&](auto& out) {
-      using T = typename std::remove_reference_t<decltype(out)>::value_type;
-      out.resize(decoded.size());
-      for (std::size_t i = 0; i < decoded.size(); ++i)
+    ChunkView& view = chunks[index];
+    for_each_column([&](std::size_t c, auto column) {
+      using T = typename decltype(column)::value_type;
+      const std::size_t n = column.count(static_cast<std::size_t>(lc.n_records),
+                                         static_cast<std::size_t>(lc.n_swaps));
+      read_frame(n, sizeof(T), std::is_signed_v<T>);
+      lc.columns[c] = std::make_unique_for_overwrite<std::byte[]>(n * sizeof(T));
+      T* out = reinterpret_cast<T*>(lc.columns[c].get());
+      for (std::size_t i = 0; i < n; ++i)
         out[i] = static_cast<T>(decoded[i]);  // range-checked by decode_column
-    };
-    const auto n = static_cast<std::size_t>(lc.n_records);
-    read_frame(n, 4, true);
-    narrow(lc.day);
-    read_frame(n, 4, false);
-    narrow(lc.reads);
-    read_frame(n, 4, false);
-    narrow(lc.writes);
-    read_frame(n, 4, false);
-    narrow(lc.erases);
-    read_frame(n, 4, false);
-    narrow(lc.pe_cycles);
-    read_frame(n, 4, false);
-    narrow(lc.bad_blocks);
-    read_frame(n, 2, false);
-    narrow(lc.factory_bad_blocks);
-    read_frame(n, 1, false);
-    narrow(lc.flags);
-    for (std::size_t e = 0; e < trace::kNumErrorTypes; ++e) {
-      read_frame(n, 4, false);
-      narrow(lc.errors[e]);
-    }
-    for (std::size_t x = 0; x < trace::kNumExtCounterFields; ++x) {
-      read_frame(n, 4, false);
-      narrow(lc.ext[x]);
-    }
-    read_frame(static_cast<std::size_t>(lc.n_swaps), 4, true);
-    narrow(lc.swap_days);
+      column.span(view) = {out, n};
+    });
     cur.align8();
     if (cur.pos() != lc.frames_end) fail("chunk has trailing garbage");
-
-    ChunkView& view = chunks[index];
-    view.day = lc.day;
-    view.reads = lc.reads;
-    view.writes = lc.writes;
-    view.erases = lc.erases;
-    view.pe_cycles = lc.pe_cycles;
-    view.bad_blocks = lc.bad_blocks;
-    view.factory_bad_blocks = lc.factory_bad_blocks;
-    view.flags = lc.flags;
-    for (std::size_t e = 0; e < trace::kNumErrorTypes; ++e)
-      view.errors[e] = lc.errors[e];
-    view.reallocated_sectors = lc.ext[0];
-    view.seek_errors = lc.ext[1];
-    view.media_wear = lc.ext[2];
-    view.throttle_events = lc.ext[3];
-    view.swap_days = lc.swap_days;
     chunks_read_counter().inc();
   });
 }
@@ -723,21 +568,11 @@ void ColumnarFleetView::Impl::parse(const OpenOptions& options) {
     ChunkView view;
     const auto n = static_cast<std::size_t>(n_records);
     if (file_version == kColumnarVersion) {
-      view.day = cur.column<std::int32_t>(n);
-      view.reads = cur.column<std::uint32_t>(n);
-      view.writes = cur.column<std::uint32_t>(n);
-      view.erases = cur.column<std::uint32_t>(n);
-      view.pe_cycles = cur.column<std::uint32_t>(n);
-      view.bad_blocks = cur.column<std::uint32_t>(n);
-      view.factory_bad_blocks = cur.column<std::uint16_t>(n);
-      view.flags = cur.column<std::uint8_t>(n);
-      for (std::size_t err = 0; err < trace::kNumErrorTypes; ++err)
-        view.errors[err] = cur.column<std::uint32_t>(n);
-      view.reallocated_sectors = cur.column<std::uint32_t>(n);
-      view.seek_errors = cur.column<std::uint32_t>(n);
-      view.media_wear = cur.column<std::uint32_t>(n);
-      view.throttle_events = cur.column<std::uint32_t>(n);
-      view.swap_days = cur.column<std::int32_t>(static_cast<std::size_t>(n_swaps));
+      for_each_column([&](std::size_t, auto column) {
+        using T = typename decltype(column)::value_type;
+        column.span(view) =
+            cur.column<T>(column.count(n, static_cast<std::size_t>(n_swaps)));
+      });
       if (end - cur.pos() >= 8) fail("chunk has trailing garbage");
       chunks_read_counter().inc();
     } else {

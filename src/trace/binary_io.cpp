@@ -216,8 +216,8 @@ std::uint32_t peek_binary_version(std::istream& in) {
   return version;
 }
 
-void convert_binary(std::istream& in, std::ostream& out, std::uint32_t to_version,
-                    std::uint32_t chunk_drives) {
+std::size_t convert_binary(std::istream& in, std::ostream& out, std::uint32_t to_version,
+                           std::uint32_t chunk_drives) {
   const FleetTrace fleet = read_binary(in);
   if (to_version == kBinaryFormatVersion) {
     write_binary(out, fleet);
@@ -229,6 +229,7 @@ void convert_binary(std::istream& in, std::ostream& out, std::uint32_t to_versio
     throw std::runtime_error("binary_io: unsupported format version " +
                              std::to_string(to_version));
   }
+  return fleet.total_records();
 }
 
 }  // namespace ssdfail::trace

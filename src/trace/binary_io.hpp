@@ -61,10 +61,10 @@ void write_binary_v3(std::ostream& out, const FleetTrace& fleet,
 /// stream (requires a seekable stream; throws on bad magic/truncation).
 [[nodiscard]] std::uint32_t peek_binary_version(std::istream& in);
 
-/// Re-encode a binary trace (any version in) as `to_version` (1, 2 or 3).
-/// `chunk_drives` applies to columnar output only; 0 means the store
-/// default.
-void convert_binary(std::istream& in, std::ostream& out, std::uint32_t to_version,
-                    std::uint32_t chunk_drives = 0);
+/// Re-encode a binary trace (any version in) as `to_version` (1, 2 or 3)
+/// and return the number of drive-days converted.  `chunk_drives` applies
+/// to columnar output only; 0 means the store default.
+std::size_t convert_binary(std::istream& in, std::ostream& out, std::uint32_t to_version,
+                           std::uint32_t chunk_drives = 0);
 
 }  // namespace ssdfail::trace

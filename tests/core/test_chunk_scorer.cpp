@@ -1,6 +1,6 @@
-// Columnar chunk scoring: the column-direct feature path and the compiled
-// engine must reproduce the record-at-a-time gather path bit for bit, at
-// any chunk size and any pool width — and the monitor must score
+// Columnar chunk scoring: scoring a stored fleet chunk by chunk must
+// reproduce the record-at-a-time gather path bit for bit, on v2 and v3
+// files, at any chunk size and any pool width — and the monitor must score
 // identically on either inference engine.
 
 #include "core/chunk_scorer.hpp"
@@ -14,7 +14,6 @@
 #include "core/online_monitor.hpp"
 #include "ml/random_forest.hpp"
 #include "sim/fleet_simulator.hpp"
-#include "trace/binary_io.hpp"
 
 namespace ssdfail::core {
 namespace {
@@ -46,84 +45,60 @@ const ml::RandomForest& test_forest() {
   return forest;
 }
 
-store::ColumnarFleetView columnar_view(std::uint32_t chunk_drives) {
+store::ColumnarFleetView columnar_view(std::uint32_t chunk_drives, std::uint32_t version) {
   std::ostringstream out(std::ios::binary);
-  trace::write_binary_v2(out, test_fleet(), chunk_drives);
+  store::write_columnar(out, test_fleet(), {chunk_drives, version});
   const std::string bytes = out.str();
   return store::ColumnarFleetView::from_buffer({bytes.begin(), bytes.end()});
 }
 
+constexpr std::uint32_t kVersions[] = {store::kColumnarVersion, store::kColumnarVersionV3};
+
 TEST(ChunkScorer, MatchesRecordGatherPathAtAnyChunkSize) {
   const ml::FlatForest engine = ml::FlatForest::compile(test_forest());
-  for (const std::uint32_t chunk_drives : {1u, 4u, 256u}) {
-    const auto view = columnar_view(chunk_drives);
-    const FleetScores scores = predict_chunk(engine, view);
-    ASSERT_EQ(scores.size(), view.total_records()) << "chunk_drives " << chunk_drives;
+  const trace::FleetTrace& fleet = test_fleet();
+  for (const std::uint32_t version : kVersions) {
+    for (const std::uint32_t chunk_drives : {1u, 4u, 256u}) {
+      const auto view = columnar_view(chunk_drives, version);
+      const FleetScores scores = predict_chunk(engine, view);
+      ASSERT_EQ(scores.size(), view.total_records())
+          << "v" << version << " chunk_drives " << chunk_drives;
 
-    // Reference: gather every record back into a DailyRecord, run the
-    // record-overload feature path, score one row at a time.
-    std::vector<float> row(FeatureExtractor::count());
-    std::size_t cursor = 0;
-    for (std::size_t c = 0; c < view.chunk_count(); ++c) {
-      const store::ChunkView& chunk = view.chunk(c);
-      for (const store::DriveRef& ref : chunk.drives) {
-        trace::DriveHistory header;
-        header.model = ref.model;
-        header.deploy_day = ref.deploy_day;
+      // Reference: the source fleet's records in storage order, through
+      // the record feature path, scored one row at a time.
+      std::vector<float> row(FeatureExtractor::count());
+      std::size_t cursor = 0;
+      for (const trace::DriveHistory& drive : fleet.drives) {
         FeatureExtractor::State state;
-        for (std::size_t i = 0; i < ref.row_count; ++i) {
-          const trace::DailyRecord rec = chunk.record(ref.row_begin + i);
+        for (const trace::DailyRecord& rec : drive.records) {
           FeatureExtractor::advance(state, rec);
-          FeatureExtractor::extract(header, rec, state, row);
-          ASSERT_EQ(scores.uid[cursor], ref.uid());
+          FeatureExtractor::extract(drive, rec, state, row);
+          ASSERT_EQ(scores.uid[cursor], drive.uid());
           ASSERT_EQ(scores.day[cursor], rec.day);
           ASSERT_EQ(scores.score[cursor], engine.predict_row(row))
-              << "record " << cursor << " chunk_drives " << chunk_drives;
+              << "record " << cursor << " v" << version << " chunk_drives "
+              << chunk_drives;
           ++cursor;
         }
       }
-    }
-    EXPECT_EQ(cursor, scores.size());
-  }
-}
-
-TEST(ChunkScorer, ColumnDirectFeaturesMatchRecordFeatures) {
-  const auto view = columnar_view(4);
-  std::vector<float> via_record(FeatureExtractor::count());
-  std::vector<float> via_column(FeatureExtractor::count());
-  for (std::size_t c = 0; c < view.chunk_count(); ++c) {
-    const store::ChunkView& chunk = view.chunk(c);
-    for (const store::DriveRef& ref : chunk.drives) {
-      trace::DriveHistory header;
-      header.model = ref.model;
-      header.deploy_day = ref.deploy_day;
-      FeatureExtractor::State record_state;
-      FeatureExtractor::State column_state;
-      for (std::size_t i = 0; i < ref.row_count; ++i) {
-        const std::size_t row = ref.row_begin + i;
-        const trace::DailyRecord rec = chunk.record(row);
-        FeatureExtractor::advance(record_state, rec);
-        FeatureExtractor::extract(header, rec, record_state, via_record);
-        FeatureExtractor::advance(column_state, chunk, row);
-        FeatureExtractor::extract(ref.deploy_day, chunk, row, column_state, via_column);
-        for (std::size_t f = 0; f < via_record.size(); ++f)
-          ASSERT_EQ(via_record[f], via_column[f])
-              << "feature " << FeatureExtractor::names()[f];
-      }
+      EXPECT_EQ(cursor, scores.size());
     }
   }
 }
 
 TEST(ChunkScorer, PoolWidthDoesNotMoveScores) {
   const ml::FlatForest engine = ml::FlatForest::compile(test_forest());
-  const auto view = columnar_view(1);  // many chunks: real parallel split
   parallel::ThreadPool pool1(1);
   parallel::ThreadPool pool4(4);
-  const FleetScores a = predict_chunk(engine, view, pool1);
-  const FleetScores b = predict_chunk(engine, view, pool4);
-  EXPECT_EQ(a.uid, b.uid);
-  EXPECT_EQ(a.day, b.day);
-  EXPECT_EQ(a.score, b.score);
+  for (const std::uint32_t version : kVersions) {
+    // Many chunks: a real parallel split.  Each view is fresh, so its v3
+    // chunks are first decoded inside the parallel loop.
+    const FleetScores a = predict_chunk(engine, columnar_view(1, version), pool1);
+    const FleetScores b = predict_chunk(engine, columnar_view(1, version), pool4);
+    EXPECT_EQ(a.uid, b.uid) << "v" << version;
+    EXPECT_EQ(a.day, b.day) << "v" << version;
+    EXPECT_EQ(a.score, b.score) << "v" << version;
+  }
 }
 
 /// Restores the process-wide engine selection on scope exit.

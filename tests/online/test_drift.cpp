@@ -9,11 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <sstream>
 #include <vector>
 
 #include "obs/metrics.hpp"
 #include "sim/drifting_fleet.hpp"
 #include "sim/fleet_simulator.hpp"
+#include "store/columnar.hpp"
 #include "trace/drive_history.hpp"
 
 namespace ssdfail::online {
@@ -107,6 +109,37 @@ TEST(FeatureSketches, AddRecordFillsEveryColumnExceptSwapDay) {
   s.add_swap_day(42);
   EXPECT_EQ(s.columns[kSwapCol].n, 1u);
   EXPECT_EQ(s.rows, 1u) << "swap days are not rows";
+}
+
+// The column-side sketch of a stored fleet equals folding its records
+// one by one, on both columnar versions.
+TEST(FeatureSketches, SketchFleetMatchesAddRecordOverMaterializedFleet) {
+  sim::FleetConfig cfg;
+  cfg.drives_per_model = 6;
+  cfg.window_days = 500;
+  cfg.seed = 31;
+  const trace::FleetTrace fleet = sim::FleetSimulator(cfg.mixed()).generate_all();
+  for (const std::uint32_t version : {store::kColumnarVersion, store::kColumnarVersionV3}) {
+    std::ostringstream out(std::ios::binary);
+    store::write_columnar(out, fleet, {4, version});
+    const std::string bytes = out.str();
+    const auto view = store::ColumnarFleetView::from_buffer({bytes.begin(), bytes.end()});
+
+    FeatureSketches expected;
+    for (const trace::DriveHistory& drive : store::materialize(view).drives) {
+      for (const trace::DailyRecord& rec : drive.records) expected.add_record(rec);
+      for (const trace::SwapEvent& swap : drive.swaps) expected.add_swap_day(swap.day);
+    }
+    const FeatureSketches got = sketch_fleet(view);
+    ASSERT_GT(got.rows, 0u);
+    EXPECT_EQ(got.rows, expected.rows) << "v" << version;
+    for (std::size_t c = 0; c < store::kNumZoneColumns; ++c) {
+      EXPECT_EQ(got.columns[c].n, expected.columns[c].n)
+          << "v" << version << " column " << c;
+      EXPECT_EQ(got.columns[c].bins, expected.columns[c].bins)
+          << "v" << version << " column " << c;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -11,6 +13,8 @@
 
 #include "obs/metrics.hpp"
 #include "sim/fleet_simulator.hpp"
+#include "stats/rng.hpp"
+#include "store/column_table.hpp"
 #include "store/crc32.hpp"
 
 namespace ssdfail::store {
@@ -77,6 +81,18 @@ void expect_fleets_equal(const trace::FleetTrace& a, const trace::FleetTrace& b)
   }
 }
 
+/// FNV-1a digest of a file image: the bytes folded eight at a time
+/// (zero-padded tail), then the length.
+std::uint64_t image_digest(const std::string& bytes) {
+  std::uint64_t h = stats::kFnv1aInit;
+  for (std::size_t pos = 0; pos < bytes.size(); pos += 8) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, bytes.data() + pos, std::min<std::size_t>(8, bytes.size() - pos));
+    h = stats::fnv1a_mix(h, word);
+  }
+  return stats::fnv1a_mix(h, bytes.size());
+}
+
 std::string temp_path(const std::string& name) {
   return ::testing::TempDir() + "ssdf2_" + name + ".bin";
 }
@@ -88,6 +104,52 @@ TEST(ColumnarStore, RoundTripsSimulatedFleet) {
   EXPECT_EQ(view.total_records(), fleet.total_records());
   EXPECT_EQ(view.total_swaps(), fleet.total_swaps());
   expect_fleets_equal(fleet, materialize(view));
+}
+
+// The exact bytes both writers emit, pinned: any change to the column
+// order, widths, padding, codec choice or zone maps moves a digest.
+TEST(ColumnarStore, EncodingBytesArePinned) {
+  // A mixed-class fleet (so the HDD/NVMe columns carry data) plus the
+  // hand-built edge shapes (empty drives, flags, swaps).
+  sim::FleetConfig cfg;
+  cfg.drives_per_model = 8;
+  cfg.window_days = 400;
+  cfg.seed = 2024;
+  trace::FleetTrace fleet = sim::FleetSimulator(cfg.mixed()).generate_all();
+  for (trace::DriveHistory& drive : tiny_fleet().drives)
+    fleet.drives.push_back(std::move(drive));
+
+  struct Pin {
+    std::uint32_t version;
+    std::uint32_t chunk_drives;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {
+      {kColumnarVersion, 1, 0x13f555739b051056ull},
+      {kColumnarVersion, 3, 0x7c9f22a927802d97ull},
+      {kColumnarVersion, 256, 0xe240da48640b768eull},
+      {kColumnarVersionV3, 1, 0x430ea2ffaf33c1f4ull},
+      {kColumnarVersionV3, 3, 0x4488ab65cfee6bafull},
+      {kColumnarVersionV3, 256, 0x7a531c4b742ce85aull},
+  };
+  for (const Pin& pin : pins) {
+    std::ostringstream out(std::ios::binary);
+    write_columnar(out, fleet, {pin.chunk_drives, pin.version});
+    EXPECT_EQ(image_digest(out.str()), pin.digest)
+        << "v" << pin.version << " chunk_drives " << pin.chunk_drives << " digest 0x"
+        << std::hex << image_digest(out.str());
+  }
+}
+
+// The column table's names follow the trace schema it stores.
+TEST(ColumnarStore, ColumnTableNamesFollowTheTraceSchema) {
+  for (std::size_t e = 0; e < trace::kNumErrorTypes; ++e)
+    EXPECT_EQ(kColumnNames[static_cast<std::size_t>(ZoneColumn::kError0) + e],
+              "err_" + std::string(trace::error_name(static_cast<trace::ErrorType>(e))));
+  for (std::size_t x = 0; x < trace::kNumExtCounterFields; ++x)
+    EXPECT_EQ(kColumnNames[static_cast<std::size_t>(ZoneColumn::kReallocatedSectors) + x],
+              trace::kExtCounterFields[x].name);
+  EXPECT_EQ(kColumnNames[static_cast<std::size_t>(ZoneColumn::kSwapDay)], "swap_day");
 }
 
 TEST(ColumnarStore, RoundTripsTinyFleetAtEveryChunkSize) {
