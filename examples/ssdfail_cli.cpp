@@ -1,15 +1,10 @@
 // ssdfail_cli — command-line front end for the library.
 //
-//   ssdfail_cli simulate   --drives N --seed S --out PREFIX [--binary|--columnar]
-//   ssdfail_cli analyze    --in PREFIX [--binary]
-//   ssdfail_cli convert    --in FILE --out FILE [--to v1|v2|v3] [--chunk N]
-//   ssdfail_cli compact    --wal-dir DIR --store-dir DIR
-//   ssdfail_cli benchmark  --drives N [--lookahead N]
-//   ssdfail_cli transfer   [--drives N | --fleet FILE] [--gate] ...
-//   ssdfail_cli train      --out MODEL.bin [--model forest|logistic] ...
-//   ssdfail_cli serve      --model-file MODEL.bin [--shards K] ...
-//   ssdfail_cli daemon     --wal-dir DIR [--model-file MODEL.bin] ...
-//   ssdfail_cli metrics    [--out FILE] [--drives N]
+// Run it with no arguments for every subcommand and the flags it takes:
+// usage() prints them from the command table at the bottom of this file,
+// and that table is also what each subcommand accepts — any other flag,
+// a non-numeric or negative count, or a value outside an enumerated set
+// prints the usage and exits 2 before any work runs.
 //
 // `simulate` writes a fleet as PREFIX_daily.csv + PREFIX_swaps.csv (or
 // PREFIX.bin with --binary for the v1 row format, --columnar for the v2
@@ -17,9 +12,10 @@
 // characterization (binary reads auto-detect the version); `convert`
 // re-encodes a binary fleet between v1, v2 and v3 (compressed columnar)
 // and reports bytes/row; `compact` folds the daemon's sealed WAL segments
-// into v3 shards of a sharded store (daemon/compactor.hpp); `benchmark`
-// trains the
-// paper's random forest and reports cross-validated AUC.  `train` fits a
+// into v3 shards of a sharded store (daemon/compactor.hpp); `drift`
+// compares two stored fleets column by column (online/drift.hpp).
+// `benchmark` trains the paper's random forest and reports cross-validated
+// AUC; `transfer` crosses device classes (core/transfer.hpp).  `train` fits a
 // model once and persists it (ml/serialize); `serve` loads it and replays
 // a fleet as a day-ordered stream through the sharded FleetMonitor,
 // printing the metrics snapshot — the always-on scoring service in
@@ -46,18 +42,22 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <limits>
 #include <map>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -94,147 +94,167 @@ namespace {
 
 using namespace ssdfail;
 
+/// A malformed invocation: main() prints the reason and the usage, exit 2.
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+/// `--name value` / `--name` pairs with typed getters that reject what
+/// they cannot parse, so a typo fails loudly instead of running a default.
 struct Args {
   std::map<std::string, std::string> named;
-  bool flag(const std::string& name) const { return named.count("--" + name) > 0; }
-  std::string get(const std::string& name, const std::string& fallback) const {
+
+  const std::string* find(const std::string& name) const {
     const auto it = named.find("--" + name);
-    return it == named.end() ? fallback : it->second;
+    return it == named.end() ? nullptr : &it->second;
   }
-  long get_long(const std::string& name, long fallback) const {
-    const auto it = named.find("--" + name);
-    return it == named.end() ? fallback : std::strtol(it->second.c_str(), nullptr, 10);
+  bool flag(const std::string& name) const { return find(name) != nullptr; }
+  std::string get(const std::string& name, const std::string& fallback) const {
+    const std::string* value = find(name);
+    return value == nullptr ? fallback : *value;
+  }
+  std::string required(const std::string& name) const {
+    const std::string value = get(name, "");
+    if (value.empty()) throw UsageError("--" + name + " is required");
+    return value;
+  }
+  double real(const std::string& name, double fallback) const {
+    const std::string* value = find(name);
+    if (value == nullptr) return fallback;
+    char* end = nullptr;
+    const double x = std::strtod(value->c_str(), &end);
+    if (value->empty() || *end != '\0')
+      throw UsageError("--" + name + " takes a number, not '" + *value + "'");
+    return x;
+  }
+  /// A non-negative integer that fits T: signs, fractions, exponents and
+  /// trailing characters are rejected.
+  template <typename T>
+  T count(const std::string& name, T fallback) const {
+    const std::string* value = find(name);
+    if (value == nullptr) return fallback;
+    std::uint64_t x = 0;
+    const char* last = value->data() + value->size();
+    const auto [end, ec] = std::from_chars(value->data(), last, x);
+    if (ec != std::errc() || end != last ||
+        x > static_cast<std::uint64_t>(std::numeric_limits<T>::max()))
+      throw UsageError("--" + name + " takes a count, not '" + *value + "'");
+    return static_cast<T>(x);
+  }
+  std::string choice(const std::string& name, const std::string& fallback,
+                     std::initializer_list<std::string_view> options) const {
+    const std::string value = get(name, fallback);
+    std::string listed;
+    for (const std::string_view option : options) {
+      if (option == value) return value;
+      listed.append(listed.empty() ? "" : "|").append(option);
+    }
+    throw UsageError("--" + name + " must be " + listed + ", not '" + value + "'");
   }
 };
 
-Args parse(int argc, char** argv, int first) {
-  Args args;
-  for (int i = first; i < argc; ++i) {
-    std::string key = argv[i];
-    if (key.rfind("--", 0) != 0) continue;
-    if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-      args.named[key] = argv[i + 1];
-      ++i;
-    } else {
-      args.named[key] = "1";
-    }
-  }
-  return args;
-}
-
-int usage() {
-  std::fprintf(
-      stderr,
-      "usage:\n"
-      "  ssdfail_cli simulate  --drives N [--days N] [--seed S] --out PREFIX\n"
-      "                        [--device-class mlc|hdd|nvme|mixed]\n"
-      "                        [--binary | --columnar [--chunk N]]\n"
-      "  ssdfail_cli analyze   --in PREFIX [--binary]\n"
-      "  ssdfail_cli convert   --in FILE --out FILE [--to v1|v2|v3] [--chunk N]\n"
-      "  ssdfail_cli compact   --wal-dir DIR --store-dir DIR [--chunk N] [--keep-wal]\n"
-      "  ssdfail_cli benchmark [--drives N] [--lookahead N] [--seed S]\n"
-      "  ssdfail_cli transfer  [--drives N | --fleet FILE] [--days N] [--seed S]\n"
-      "                        [--lookahead N] [--label failure|uncorrectable]\n"
-      "                        [--neg-keep P] [--train-frac F] [--train-ratio R]\n"
-      "                        [--split-seed S] [--model forest|logistic] [--gate]\n"
-      "                        (3x3 train-class x test-class AUC matrix;\n"
-      "                        --gate: exit 3 unless the diagonal dominates)\n"
-      "  ssdfail_cli train     --out MODEL.bin [--model forest|logistic]\n"
-      "                        [--drives N | --fleet FILE] [--seed S]\n"
-      "                        [--lookahead N] [--threads K] [--metrics-out FILE]\n"
-      "  ssdfail_cli serve     --model-file MODEL.bin [--drives N | --fleet FILE]\n"
-      "                        [--seed S] [--threshold T] [--shards K]\n"
-      "                        [--engine flat|walker] [--sequential]\n"
-      "                        [--chaos PCT] [--metrics-out FILE]\n"
-      "                        [--metrics-stream FILE]\n"
-      "  ssdfail_cli daemon    --wal-dir DIR [--model-file MODEL.bin]\n"
-      "                        [--drives N | --fleet FILE] [--days N] [--seed S]\n"
-      "                        [--producers P] [--shards K] [--ring N]\n"
-      "                        [--backpressure block|shed] [--fsync every|never]\n"
-      "                        [--wal-rotate BYTES]\n"
-      "                        [--threshold T] [--chaos PCT] [--recover-only]\n"
-      "                        [--state-digest-out FILE] [--metrics-out FILE]\n"
-      "                        [--online --store-dir DIR [--promote-out FILE]\n"
-      "                         --online-step-days K --online-lookahead N\n"
-      "                         --online-min-samples N --online-min-positives N\n"
-      "                         --promote-margin M --drift-psi T --drift-ks T\n"
-      "                         --drift-min-rows N\n"
-      "                         --retrain-always --drift-day D --drift-frac F\n"
-      "                         --drift-hazard M --drift-errors M\n"
-      "                         --drift-bad-blocks M]\n"
-      "  ssdfail_cli drift     --reference PATH --current PATH [--psi T] [--ks T]\n"
-      "                        [--min-rows N]   (PATH: .ssdf2 file or store dir;\n"
-      "                        exit 3 when drift exceeds thresholds)\n"
-      "  ssdfail_cli metrics   [--out FILE] [--drives N] [--seed S]\n");
-  return 2;
-}
-
-/// Publish the trace aggregates into the global registry and dump it as
-/// Prometheus text to `path` plus JSON lines to `path`.jsonl.  Returns
-/// false (with a logged reason) on I/O failure.
-bool write_metrics_out(const std::string& path) {
+/// Publish the trace aggregates into the global registry, snapshot it, and
+/// write it as Prometheus text to `path` (stdout when empty).  nullopt,
+/// with a logged reason, on I/O failure.
+std::optional<obs::RegistrySnapshot> dump_prometheus(const std::string& path) {
   obs::TraceCollector::global().publish(obs::MetricsRegistry::global());
-  const obs::RegistrySnapshot snapshot = obs::MetricsRegistry::global().snapshot();
-  std::ofstream prom(path);
-  if (!prom) {
+  obs::RegistrySnapshot snapshot = obs::MetricsRegistry::global().snapshot();
+  std::ofstream file;
+  if (!path.empty()) file.open(path);
+  if (!path.empty() && !file) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return false;
+    return std::nullopt;
   }
-  obs::write_prometheus(prom, snapshot);
+  obs::write_prometheus(path.empty() ? std::cout : file, snapshot);
+  return snapshot;
+}
+
+/// `--metrics-out FILE`: the Prometheus dump plus JSON lines in FILE.jsonl.
+/// Returns false (with a logged reason) on I/O failure.
+bool write_metrics_out(const Args& args) {
+  const std::string path = args.get("metrics-out", "");
+  if (path.empty()) return true;
+  const auto snapshot = dump_prometheus(path);
+  if (!snapshot) return false;
   const std::string jsonl_path = path + ".jsonl";
   std::ofstream jsonl(jsonl_path);
   if (!jsonl) {
     std::fprintf(stderr, "cannot write %s\n", jsonl_path.c_str());
     return false;
   }
-  obs::write_json_lines(jsonl, snapshot);
-  std::printf("wrote %s (%zu samples) + %s\n", path.c_str(), snapshot.samples.size(),
+  obs::write_json_lines(jsonl, *snapshot);
+  std::printf("wrote %s (%zu samples) + %s\n", path.c_str(), snapshot->samples.size(),
               jsonl_path.c_str());
   return true;
 }
 
-/// Resolve `--device-class mlc|hdd|nvme|mixed` into the fleet's model list.
-/// Default "mlc" keeps every pre-existing CLI invocation bit-identical.
-bool apply_device_class(sim::FleetConfig& cfg, const Args& args) {
-  const std::string klass = args.get("device-class", "mlc");
-  if (klass == "mlc") {
-    // FleetConfig default: the paper's three MLC models.
-  } else if (klass == "hdd") {
-    cfg = cfg.for_class(trace::DeviceClass::kHdd);
-  } else if (klass == "nvme") {
-    cfg = cfg.for_class(trace::DeviceClass::kNvmeSsd);
-  } else if (klass == "mixed") {
-    cfg = cfg.mixed();
-  } else {
-    std::fprintf(stderr, "--device-class must be 'mlc', 'hdd', 'nvme' or 'mixed'\n");
-    return false;
-  }
-  return true;
+/// `--state-digest-out FILE`: the daemon's state digest as hex.  Returns
+/// false (with a logged reason) on I/O failure.
+bool write_digest(const Args& args, std::uint64_t digest) {
+  const std::string path = args.get("state-digest-out", "");
+  if (path.empty()) return true;
+  std::ofstream out(path);
+  out << std::hex << digest << "\n";
+  if (out) return true;
+  std::fprintf(stderr, "cannot write %s\n", path.c_str());
+  return false;
 }
 
-sim::FleetConfig config_from(const Args& args) {
+/// The seeded fault injector behind `--chaos PCT` and `metrics`.
+robustness::FaultInjector chaos_injector(std::uint64_t seed, double rate) {
+  return {seed ^ 0x9e3779b97f4a7c15ull, robustness::FaultRates::uniform(rate)};
+}
+
+/// The simulated fleet behind --drives/--seed/--days, with `drives` as the
+/// command's default drives per model.
+sim::FleetConfig config_from(const Args& args, std::uint32_t drives) {
   sim::FleetConfig cfg;
-  cfg.drives_per_model = static_cast<std::uint32_t>(args.get_long("drives", 500));
-  cfg.seed = static_cast<std::uint64_t>(args.get_long("seed", 2019));
-  cfg.window_days =
-      static_cast<std::int32_t>(args.get_long("days", cfg.window_days));
+  cfg.drives_per_model = args.count<std::uint32_t>("drives", drives);
+  cfg.seed = args.count<std::uint64_t>("seed", 2019);
+  cfg.window_days = args.count<std::int32_t>("days", cfg.window_days);
   cfg.keep_ground_truth = false;  // CLI emits observable data only
   return cfg;
 }
 
+/// The fleet a replaying command runs on: `--fleet FILE` (any binary
+/// version; read_binary materializes v2/v3 as row structs) or a simulation
+/// of `cfg`.  nullopt, with a logged reason, when FILE cannot be read.
+std::optional<trace::FleetTrace> load_fleet(const Args& args, const char* command,
+                                            const sim::FleetConfig& cfg,
+                                            bool announce = true) {
+  const std::string path = args.get("fleet", "");
+  if (path.empty()) return sim::FleetSimulator(cfg).generate_all();
+  try {
+    std::ifstream in(path, std::ios::binary);
+    if (!in) throw std::runtime_error("cannot open " + path);
+    trace::FleetTrace fleet = trace::read_binary(in);
+    if (announce)
+      std::printf("loaded %zu drives (%zu drive-days) from %s\n", fleet.drives.size(),
+                  fleet.total_records(), path.c_str());
+    return fleet;
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s: %s\n", command, e.what());
+    return std::nullopt;
+  }
+}
+
 int cmd_simulate(const Args& args) {
-  const std::string prefix = args.get("out", "");
-  if (prefix.empty()) return usage();
-  sim::FleetConfig cfg = config_from(args);
-  if (!apply_device_class(cfg, args)) return 2;
+  const std::string prefix = args.required("out");
+  sim::FleetConfig cfg = config_from(args, 500);
+  // --device-class: the default keeps the paper's three MLC models, so
+  // every pre-existing invocation stays bit-identical.
+  const std::string klass = args.choice("device-class", "mlc", {"mlc", "hdd", "nvme", "mixed"});
+  if (klass == "hdd") cfg = cfg.for_class(trace::DeviceClass::kHdd);
+  if (klass == "nvme") cfg = cfg.for_class(trace::DeviceClass::kNvmeSsd);
+  if (klass == "mixed") cfg = cfg.mixed();
+  const auto chunk = args.count<std::uint32_t>("chunk", 0);
   std::printf("simulating %u drives/model x %zu models (seed %llu)...\n",
               cfg.drives_per_model, cfg.models.size(),
               static_cast<unsigned long long>(cfg.seed));
   const trace::FleetTrace fleet = sim::FleetSimulator(cfg).generate_all();
   if (args.flag("columnar")) {
     std::ofstream out(prefix + ".bin", std::ios::binary);
-    trace::write_binary_v2(out, fleet,
-                           static_cast<std::uint32_t>(args.get_long("chunk", 0)));
+    trace::write_binary_v2(out, fleet, chunk);
     std::printf("wrote %s.bin (columnar v2, %zu drive-days)\n", prefix.c_str(),
                 fleet.total_records());
   } else if (args.flag("binary")) {
@@ -254,8 +274,7 @@ int cmd_simulate(const Args& args) {
 }
 
 int cmd_analyze(const Args& args) {
-  const std::string prefix = args.get("in", "");
-  if (prefix.empty()) return usage();
+  const std::string prefix = args.required("in");
   trace::FleetTrace fleet;
   if (args.flag("binary")) {
     std::ifstream in(prefix + ".bin", std::ios::binary);
@@ -315,18 +334,13 @@ int cmd_analyze(const Args& args) {
 }
 
 int cmd_convert(const Args& args) {
-  const std::string in_path = args.get("in", "");
-  const std::string out_path = args.get("out", "");
-  if (in_path.empty() || out_path.empty()) return usage();
-  const std::string to = args.get("to", "v2");
-  std::uint32_t to_version = 0;
-  if (to == "v1") to_version = trace::kBinaryFormatVersion;
-  else if (to == "v2") to_version = trace::kColumnarFormatVersion;
-  else if (to == "v3") to_version = trace::kColumnarV3FormatVersion;
-  else {
-    std::fprintf(stderr, "convert: --to must be 'v1', 'v2' or 'v3'\n");
-    return 2;
-  }
+  const std::string in_path = args.required("in");
+  const std::string out_path = args.required("out");
+  const std::string to = args.choice("to", "v2", {"v1", "v2", "v3"});
+  const std::uint32_t to_version = to == "v1"   ? trace::kBinaryFormatVersion
+                                   : to == "v2" ? trace::kColumnarFormatVersion
+                                                : trace::kColumnarV3FormatVersion;
+  const auto chunk = args.count<std::uint32_t>("chunk", 0);
   std::ifstream in(in_path, std::ios::binary);
   if (!in) {
     std::fprintf(stderr, "cannot open %s\n", in_path.c_str());
@@ -339,8 +353,7 @@ int cmd_convert(const Args& args) {
   }
   try {
     const std::uint32_t from_version = trace::peek_binary_version(in);
-    const std::size_t rows = trace::convert_binary(
-        in, out, to_version, static_cast<std::uint32_t>(args.get_long("chunk", 0)));
+    const std::size_t rows = trace::convert_binary(in, out, to_version, chunk);
     out.flush();
     if (!out) {
       std::fprintf(stderr, "write failed for %s\n", out_path.c_str());
@@ -362,13 +375,12 @@ int cmd_convert(const Args& args) {
 }
 
 int cmd_compact(const Args& args) {
-  const std::string wal_dir = args.get("wal-dir", "");
-  const std::string store_dir = args.get("store-dir", "");
-  if (wal_dir.empty() || store_dir.empty()) return usage();
+  const std::string wal_dir = args.required("wal-dir");
+  const std::string store_dir = args.required("store-dir");
   daemon::CompactorOptions options;
   options.keep_wal = args.flag("keep-wal");
-  const long chunk = args.get_long("chunk", 0);
-  if (chunk > 0) options.store.chunk_drives = static_cast<std::uint32_t>(chunk);
+  if (const auto chunk = args.count<std::uint32_t>("chunk", 0); chunk > 0)
+    options.store.chunk_drives = chunk;
   try {
     const daemon::CompactionResult result =
         daemon::compact_sealed_wals(wal_dir, store_dir, options);
@@ -397,11 +409,11 @@ int cmd_compact(const Args& args) {
 }
 
 int cmd_benchmark(const Args& args) {
-  sim::FleetConfig cfg = config_from(args);
+  sim::FleetConfig cfg = config_from(args, 500);
   cfg.keep_ground_truth = true;
-  const sim::FleetSimulator fleet(cfg);
   core::DatasetBuildOptions opts;
-  opts.lookahead_days = static_cast<int>(args.get_long("lookahead", 1));
+  opts.lookahead_days = args.count<int>("lookahead", 1);
+  const sim::FleetSimulator fleet(cfg);
   opts.negative_keep_prob = 0.01;
   std::printf("building N=%d dataset from %zu drives...\n", opts.lookahead_days,
               fleet.drive_count());
@@ -419,68 +431,43 @@ int cmd_benchmark(const Args& args) {
 /// pairs.  --gate turns the expected structure — diagonal dominance — into
 /// an exit code for CI.
 int cmd_transfer(const Args& args) {
-  sim::FleetConfig cfg = config_from(args);
   // Defaults are the gate configuration: large enough that every class's
   // train half holds a stable positive count (NVMe failures are the
   // scarcest) and the column structure is well clear of split noise.
-  cfg.drives_per_model = static_cast<std::uint32_t>(args.get_long("drives", 800));
+  sim::FleetConfig cfg = config_from(args, 800);
   cfg.keep_ground_truth = true;
   cfg = cfg.mixed();  // transfer needs every class present
 
-  trace::FleetTrace fleet;
-  const std::string fleet_path = args.get("fleet", "");
-  if (!fleet_path.empty()) {
-    try {
-      std::ifstream in(fleet_path, std::ios::binary);
-      if (!in) throw std::runtime_error("cannot open " + fleet_path);
-      fleet = trace::read_binary(in);
-      std::printf("loaded %zu drives (%zu drive-days) from %s\n", fleet.drives.size(),
-                  fleet.total_records(), fleet_path.c_str());
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "transfer: %s\n", e.what());
-      return 1;
-    }
-  } else {
-    std::printf("simulating mixed fleet: %u drives/model x %zu models (seed %llu)...\n",
-                cfg.drives_per_model, cfg.models.size(),
-                static_cast<unsigned long long>(cfg.seed));
-    fleet = sim::FleetSimulator(cfg).generate_all();
-  }
-
   core::TransferOptions opts;
-  opts.build.lookahead_days = static_cast<int>(args.get_long("lookahead", 10));
-  opts.build.negative_keep_prob =
-      std::strtod(args.get("neg-keep", "0.05").c_str(), nullptr);
-  const std::string label = args.get("label", "failure");
-  if (label == "uncorrectable") {
+  opts.build.lookahead_days = args.count<int>("lookahead", 10);
+  opts.build.negative_keep_prob = args.real("neg-keep", 0.05);
+  if (args.choice("label", "failure", {"failure", "uncorrectable"}) == "uncorrectable") {
     // Error-occurrence label (Table 8 style): positives are dense, but the
     // UE process is mechanically similar across classes so cross-class
     // transfer works WELL under this label — useful as a contrast run, not
     // expected to show diagonal dominance.
     opts.build.error_label = trace::ErrorType::kUncorrectable;
     opts.build.positive_keep_prob = 0.5;
-  } else if (label != "failure") {
-    std::fprintf(stderr, "transfer: --label must be 'failure' or 'uncorrectable'\n");
-    return 2;
   }
-  opts.train_fraction = std::strtod(args.get("train-frac", "0.5").c_str(), nullptr);
+  opts.train_fraction = args.real("train-frac", 0.5);
   // Keep several negatives per positive: classes with few positives (NVMe
   // failures are infant-heavy and scarce) need the extra rows for a stable
   // forest, and plentiful classes are unaffected in ranking terms.
-  opts.protocol.train_downsample_ratio =
-      std::strtod(args.get("train-ratio", "4").c_str(), nullptr);
-  opts.split_seed = static_cast<std::uint64_t>(args.get_long("split-seed", 77));
-  const std::string kind = args.get("model", "forest");
-  if (kind == "logistic") {
+  opts.protocol.train_downsample_ratio = args.real("train-ratio", 4);
+  opts.split_seed = args.count<std::uint64_t>("split-seed", 77);
+  if (args.choice("model", "forest", {"forest", "logistic"}) == "logistic")
     opts.model = ml::ModelKind::kLogisticRegression;
-  } else if (kind != "forest") {
-    std::fprintf(stderr, "transfer: --model must be 'forest' or 'logistic'\n");
-    return 2;
-  }
+
+  if (!args.flag("fleet"))
+    std::printf("simulating mixed fleet: %u drives/model x %zu models (seed %llu)...\n",
+                cfg.drives_per_model, cfg.models.size(),
+                static_cast<unsigned long long>(cfg.seed));
+  const auto fleet = load_fleet(args, "transfer", cfg);
+  if (!fleet) return 1;
 
   core::TransferMatrix matrix;
   try {
-    matrix = core::cross_class_transfer(fleet, opts);
+    matrix = core::cross_class_transfer(*fleet, opts);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "transfer: %s\n", e.what());
     return 1;
@@ -520,18 +507,12 @@ int cmd_transfer(const Args& args) {
 }
 
 int cmd_train(const Args& args) {
-  const std::string out_path = args.get("out", "");
-  if (out_path.empty()) return usage();
-  const std::string kind = args.get("model", "forest");
-  if (kind != "forest" && kind != "logistic") {
-    std::fprintf(stderr, "train: --model must be 'forest' or 'logistic'\n");
-    return 2;
-  }
-
-  sim::FleetConfig cfg = config_from(args);
+  const std::string out_path = args.required("out");
+  const std::string kind = args.choice("model", "forest", {"forest", "logistic"});
+  sim::FleetConfig cfg = config_from(args, 500);
   cfg.keep_ground_truth = true;
   core::DatasetBuildOptions opts;
-  opts.lookahead_days = static_cast<int>(args.get_long("lookahead", 1));
+  opts.lookahead_days = args.count<int>("lookahead", 1);
   opts.negative_keep_prob = 0.02;
   const std::string fleet_path = args.get("fleet", "");
   ml::Dataset data;
@@ -581,9 +562,7 @@ int cmd_train(const Args& args) {
   }
   const double secs = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   std::printf("trained %s in %.1fs, wrote %s\n", kind.c_str(), secs, out_path.c_str());
-  const std::string metrics_path = args.get("metrics-out", "");
-  if (!metrics_path.empty() && !write_metrics_out(metrics_path)) return 1;
-  return 0;
+  return write_metrics_out(args) ? 0 : 1;
 }
 
 /// Try to load the serving model; returns nullptr (with a logged reason)
@@ -617,21 +596,17 @@ std::shared_ptr<const ml::Classifier> fallback_model(std::uint64_t seed) {
 }
 
 int cmd_serve(const Args& args) {
-  const std::string model_path = args.get("model-file", "");
-  if (model_path.empty()) return usage();
-
-  const std::string engine_name =
-      args.get("engine", std::string(ml::inference_engine_name(ml::inference_engine())));
-  const auto engine = ml::parse_inference_engine(engine_name);
-  if (!engine) {
-    std::fprintf(stderr, "serve: unknown engine '%s' (flat|walker)\n",
-                 engine_name.c_str());
-    return usage();
-  }
-  ml::set_inference_engine(*engine);
-
-  sim::FleetConfig cfg = config_from(args);
-  cfg.drives_per_model = static_cast<std::uint32_t>(args.get_long("drives", 200));
+  const std::string model_path = args.required("model-file");
+  const std::string engine_name = args.choice(
+      "engine", std::string(ml::inference_engine_name(ml::inference_engine())),
+      {"flat", "walker"});
+  const sim::FleetConfig cfg = config_from(args, 200);
+  const double threshold = args.real("threshold", 0.9);
+  const auto shards = args.count<std::size_t>("shards", 8);
+  const auto chaos_pct = args.count<unsigned>("chaos", 0);
+  const std::string stream_path = args.get("metrics-stream", "");
+  const bool sequential = args.flag("sequential");
+  ml::set_inference_engine(*ml::parse_inference_engine(engine_name));
 
   std::shared_ptr<const ml::Classifier> model = try_load_model(model_path);
   bool degraded = model == nullptr;
@@ -643,34 +618,14 @@ int cmd_serve(const Args& args) {
                 model_path.c_str(), engine_name.c_str());
   }
 
-  trace::FleetTrace fleet;
-  const std::string fleet_path = args.get("fleet", "");
-  if (!fleet_path.empty()) {
-    try {
-      // read_binary auto-detects v1/v2; the replay loop needs row structs
-      // either way, so a v2 file is materialized on load.
-      std::ifstream in(fleet_path, std::ios::binary);
-      if (!in) throw std::runtime_error("cannot open " + fleet_path);
-      fleet = trace::read_binary(in);
-      std::printf("loaded %zu drives (%zu drive-days) from %s\n", fleet.drives.size(),
-                  fleet.total_records(), fleet_path.c_str());
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "serve: %s\n", e.what());
-      return 1;
-    }
-  } else {
-    fleet = sim::FleetSimulator(cfg).generate_all();
-  }
-
-  const double threshold = std::strtod(args.get("threshold", "0.9").c_str(), nullptr);
-  const auto shards = static_cast<std::size_t>(args.get_long("shards", 8));
+  const auto fleet = load_fleet(args, "serve", cfg);
+  if (!fleet) return 1;
   core::FleetMonitor monitor(model, threshold, shards);
   monitor.set_degraded(degraded);
 
   // Optional per-replay-day metric stream: one JSON line per changed
   // sample, diffed by a manually ticked Snapshotter (the replay day is the
   // service's clock, so cadence 0 + force gives one capture per day).
-  const std::string stream_path = args.get("metrics-stream", "");
   std::ofstream stream_out;
   std::optional<obs::Snapshotter> snapshotter;
   if (!stream_path.empty()) {
@@ -685,10 +640,7 @@ int cmd_serve(const Args& args) {
 
   // Optional chaos: corrupt the replay stream with a seeded injector so the
   // sanitizer's repairs/quarantines show up in the final report.
-  const long chaos_pct = args.get_long("chaos", 0);
-  robustness::FaultInjector injector(
-      cfg.seed ^ 0x9e3779b97f4a7c15ull,
-      robustness::FaultRates::uniform(static_cast<double>(chaos_pct) / 100.0));
+  robustness::FaultInjector injector = chaos_injector(cfg.seed, chaos_pct / 100.0);
 
   // Bounded reload-with-backoff while degraded, measured in replay days
   // (the replay clock is the service's wall clock).
@@ -697,18 +649,17 @@ int cmd_serve(const Args& args) {
 
   // Replay the fleet as the live stream a data-center operator would feed
   // the service: one batch per calendar day, all drives reporting that day.
-  std::int32_t first_day = 0;
-  std::int32_t last_day = 0;
-  for (const auto& d : fleet.drives) {
-    if (d.records.empty()) continue;
-    first_day = std::min(first_day, d.records.front().day);
-    last_day = std::max(last_day, d.records.back().day);
-  }
+  // A drive whose history ends (its slot was swapped out) retires after
+  // its last day.
+  const std::vector<core::FleetObservation> stream = core::day_ordered_stream(*fleet);
+  std::unordered_map<std::uint64_t, std::int32_t> final_day;
+  for (const core::FleetObservation& obs : stream) final_day[obs.uid()] = obs.record.day;
+  const std::int32_t first_day = std::min(0, stream.empty() ? 0 : stream.front().record.day);
+  const std::int32_t last_day = std::max(0, stream.empty() ? 0 : stream.back().record.day);
   std::int32_t next_retry_day = first_day + backoff_days;
-  std::vector<std::size_t> cursor(fleet.drives.size(), 0);
-  const bool sequential = args.flag("sequential");
   const auto t0 = std::chrono::steady_clock::now();
   std::vector<core::FleetObservation> day_batch;
+  auto run_end = stream.begin();
   for (std::int32_t day = first_day; day <= last_day; ++day) {
     if (degraded && day >= next_retry_day) {
       if (auto reloaded = try_load_model(model_path)) {
@@ -723,19 +674,12 @@ int cmd_serve(const Args& args) {
         next_retry_day = day + backoff_days;
       }
     }
-    day_batch.clear();
-    for (std::size_t d = 0; d < fleet.drives.size(); ++d) {
-      const auto& drive = fleet.drives[d];
-      if (cursor[d] >= drive.records.size() || drive.records[cursor[d]].day != day)
-        continue;
-      day_batch.push_back({drive.model, drive.drive_index, drive.deploy_day,
-                           drive.records[cursor[d]]});
-      ++cursor[d];
-    }
-    if (day_batch.empty()) continue;
+    const auto run_begin = run_end;
+    while (run_end != stream.end() && run_end->record.day == day) ++run_end;
+    if (run_begin == run_end) continue;
+    day_batch.assign(run_begin, run_end);
     if (chaos_pct > 0) {
-      const auto corrupted = injector.corrupt(day_batch);
-      day_batch = corrupted.observations;
+      day_batch = injector.corrupt(day_batch).observations;
       if (day_batch.empty()) continue;
     }
     if (sequential) {
@@ -745,13 +689,8 @@ int cmd_serve(const Args& args) {
     } else {
       (void)monitor.observe_batch(day_batch);
     }
-    // Retire drives whose history ended (their slot was swapped out).
-    for (std::size_t d = 0; d < fleet.drives.size(); ++d) {
-      const auto& drive = fleet.drives[d];
-      if (cursor[d] == drive.records.size() && !drive.records.empty() &&
-          drive.records.back().day == day)
-        monitor.retire(drive.model, drive.drive_index);
-    }
+    for (auto it = run_begin; it != run_end; ++it)
+      if (final_day.at(it->uid()) == day) monitor.retire(it->drive_model, it->drive_index);
     if (snapshotter) {
       if (auto deltas = snapshotter->tick(obs::Snapshotter::Clock::now(), true)) {
         for (const auto& d : *deltas) {
@@ -771,9 +710,7 @@ int cmd_serve(const Args& args) {
   std::fputs(snapshot.to_text().c_str(), stdout);
   if (!stream_path.empty())
     std::printf("streamed per-day metric deltas to %s\n", stream_path.c_str());
-  const std::string metrics_path = args.get("metrics-out", "");
-  if (!metrics_path.empty() && !write_metrics_out(metrics_path)) return 1;
-  return 0;
+  return write_metrics_out(args) ? 0 : 1;
 }
 
 /// SIGTERM/SIGINT flag for the daemon's graceful drain.  sig_atomic_t and
@@ -783,74 +720,70 @@ volatile std::sig_atomic_t g_daemon_stop = 0;
 extern "C" void daemon_signal_handler(int) { g_daemon_stop = 1; }
 
 int cmd_daemon(const Args& args) {
-  const std::string wal_dir = args.get("wal-dir", "");
-  if (wal_dir.empty()) return usage();
+  daemon::DaemonConfig cfg;
+  cfg.wal_dir = args.required("wal-dir");
+  cfg.shards = args.count<std::size_t>("shards", 4);
+  cfg.ring_capacity = args.count<std::size_t>("ring", 1024);
+  cfg.threshold = args.real("threshold", 0.9);
+  if (args.choice("backpressure", "block", {"block", "shed"}) == "shed")
+    cfg.backpressure = daemon::Backpressure::kShed;
+  if (args.choice("fsync", "every", {"every", "never"}) == "never")
+    cfg.fsync = daemon::FsyncPolicy::kNever;
+  cfg.wal_rotate_bytes = args.count<std::uint64_t>("wal-rotate", 0);
+  const auto producers = std::max<std::size_t>(1, args.count<std::size_t>("producers", 2));
+  const auto chaos_pct = args.count<unsigned>("chaos", 0);
+
+  // --online: the online-learning loop (src/online) as the daemon's batch
+  // observer.  It needs a scoring champion (shadow AUC is meaningless
+  // without champion scores) and WAL rotation (the retrainer reads the
+  // store compacted from SEALED segments only).
+  const bool online = args.flag("online");
+  if (online && cfg.wal_rotate_bytes == 0) cfg.wal_rotate_bytes = 64 * 1024;
+  online::OnlineConfig ocfg;
+  ocfg.wal_dir = cfg.wal_dir;
+  ocfg.store_dir = args.get("store-dir", cfg.wal_dir + "/store");
+  ocfg.model_path = args.get("promote-out", cfg.wal_dir + "/champion.bin");
+  ocfg.drift.psi_alert = args.real("drift-psi", 0.25);
+  ocfg.drift.ks_alert = args.real("drift-ks", 0.35);
+  ocfg.drift.min_window_rows = args.count<std::uint64_t>("drift-min-rows", 512);
+  ocfg.arena.lookahead_days = args.count<int>("online-lookahead", 7);
+  ocfg.arena.min_samples = args.count<std::size_t>("online-min-samples", 256);
+  ocfg.arena.min_positives = args.count<std::size_t>("online-min-positives", 8);
+  ocfg.arena.promote_margin = args.real("promote-margin", 0.01);
+  ocfg.retrainer.lookahead_days = ocfg.arena.lookahead_days;
+  ocfg.retrainer.negative_keep_prob = args.real("retrain-neg-keep", 0.1);
+  ocfg.retrain_on_alert_only = !args.flag("retrain-always");
+  const auto step_days =
+      std::max<std::int64_t>(1, args.count<std::int64_t>("online-step-days", 15));
+
+  // The stream: --fleet FILE, or a simulated fleet — with --drift-day D, a
+  // drifting-regime fleet whose post-drift cohort has shifted workload,
+  // error, and hazard characteristics (sim/drifting_fleet.hpp), the
+  // drift-gate scenario for --online.
+  sim::DriftingFleetConfig dcfg;
+  dcfg.base = config_from(args, 100);
+  dcfg.drift.drift_day = args.count<std::int32_t>("drift-day", 0);
+  dcfg.drift.drifted_fraction = args.real("drift-frac", 0.4);
+  dcfg.drift.hazard_mult = args.real("drift-hazard", dcfg.drift.hazard_mult);
+  dcfg.drift.error_rate_mult = args.real("drift-errors", dcfg.drift.error_rate_mult);
+  dcfg.drift.bad_block_mult = args.real("drift-bad-blocks", dcfg.drift.bad_block_mult);
+
   {
     // Best-effort: a dir we cannot create degrades the WAL, not the run.
     std::error_code ec;
-    std::filesystem::create_directories(wal_dir, ec);
+    std::filesystem::create_directories(cfg.wal_dir, ec);
   }
-
-  daemon::DaemonConfig cfg;
-  cfg.wal_dir = wal_dir;
-  cfg.shards = static_cast<std::size_t>(args.get_long("shards", 4));
-  cfg.ring_capacity = static_cast<std::size_t>(args.get_long("ring", 1024));
-  cfg.threshold = std::strtod(args.get("threshold", "0.9").c_str(), nullptr);
-  const std::string bp = args.get("backpressure", "block");
-  if (bp == "shed") {
-    cfg.backpressure = daemon::Backpressure::kShed;
-  } else if (bp != "block") {
-    std::fprintf(stderr, "daemon: --backpressure must be 'block' or 'shed'\n");
-    return 2;
-  }
-  const std::string fsync = args.get("fsync", "every");
-  if (fsync == "never") {
-    cfg.fsync = daemon::FsyncPolicy::kNever;
-  } else if (fsync != "every") {
-    std::fprintf(stderr, "daemon: --fsync must be 'every' or 'never'\n");
-    return 2;
-  }
-  cfg.wal_rotate_bytes =
-      static_cast<std::uint64_t>(args.get_long("wal-rotate", 0));
-
   const std::string model_path = args.get("model-file", "");
   std::shared_ptr<const ml::Classifier> model;
   if (!model_path.empty()) model = try_load_model(model_path);
   if (model == nullptr)
     std::fprintf(stderr, "daemon: DEGRADED — ingesting and WAL-ing without scores\n");
-
-  // --online: attach the online-learning loop (src/online) as the daemon's
-  // batch observer.  Needs a scoring champion (shadow AUC is meaningless
-  // without champion scores) and WAL rotation (the retrainer reads the
-  // store compacted from SEALED segments only).
-  const bool online = args.flag("online");
   std::unique_ptr<online::OnlineLearner> learner;
   if (online) {
     if (model == nullptr) {
       std::fprintf(stderr, "daemon: --online requires a loadable --model-file\n");
       return 2;
     }
-    if (cfg.wal_rotate_bytes == 0) cfg.wal_rotate_bytes = 64 * 1024;
-    online::OnlineConfig ocfg;
-    ocfg.wal_dir = wal_dir;
-    ocfg.store_dir = args.get("store-dir", wal_dir + "/store");
-    ocfg.model_path = args.get("promote-out", wal_dir + "/champion.bin");
-    ocfg.drift.psi_alert = std::strtod(args.get("drift-psi", "0.25").c_str(), nullptr);
-    ocfg.drift.ks_alert = std::strtod(args.get("drift-ks", "0.35").c_str(), nullptr);
-    ocfg.drift.min_window_rows =
-        static_cast<std::uint64_t>(args.get_long("drift-min-rows", 512));
-    ocfg.arena.lookahead_days =
-        static_cast<int>(args.get_long("online-lookahead", 7));
-    ocfg.arena.min_samples =
-        static_cast<std::size_t>(args.get_long("online-min-samples", 256));
-    ocfg.arena.min_positives =
-        static_cast<std::size_t>(args.get_long("online-min-positives", 8));
-    ocfg.arena.promote_margin =
-        std::strtod(args.get("promote-margin", "0.01").c_str(), nullptr);
-    ocfg.retrainer.lookahead_days = ocfg.arena.lookahead_days;
-    ocfg.retrainer.negative_keep_prob =
-        std::strtod(args.get("retrain-neg-keep", "0.1").c_str(), nullptr);
-    ocfg.retrain_on_alert_only = !args.flag("retrain-always");
     learner = std::make_unique<online::OnlineLearner>(nullptr, std::move(ocfg));
     cfg.batch_observer = learner.get();
   }
@@ -876,72 +809,19 @@ int cmd_daemon(const Args& args) {
     std::printf("recovered state: %zu drives tracked, digest %016llx\n",
                 after_recovery.drives_tracked,
                 static_cast<unsigned long long>(digest));
-    const std::string digest_path = args.get("state-digest-out", "");
-    if (!digest_path.empty()) {
-      std::ofstream out(digest_path);
-      out << std::hex << digest << "\n";
-      if (!out) {
-        std::fprintf(stderr, "cannot write %s\n", digest_path.c_str());
-        return 1;
-      }
-    }
-    return 0;
+    return write_digest(args, digest) ? 0 : 1;
   }
 
-  // Build the stream: one observation per drive-day, day-ordered, with
-  // optional seeded pre-corruption (single-threaded so the fault sequence
-  // is reproducible regardless of --producers).
-  sim::FleetConfig fleet_cfg = config_from(args);
-  fleet_cfg.drives_per_model = static_cast<std::uint32_t>(args.get_long("drives", 100));
-  trace::FleetTrace fleet;
-  const std::string fleet_path = args.get("fleet", "");
-  if (!fleet_path.empty()) {
-    try {
-      std::ifstream in(fleet_path, std::ios::binary);
-      if (!in) throw std::runtime_error("cannot open " + fleet_path);
-      fleet = trace::read_binary(in);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "daemon: %s\n", e.what());
-      return 1;
-    }
-  } else if (const long drift_day = args.get_long("drift-day", -1); drift_day >= 0) {
-    // Drifting-regime fleet: a post-drift cohort with shifted workload,
-    // error, and hazard characteristics (sim/drifting_fleet.hpp) — the
-    // drift-gate scenario for --online.
-    sim::DriftingFleetConfig dcfg;
-    dcfg.base = fleet_cfg;
-    dcfg.drift.drift_day = static_cast<std::int32_t>(drift_day);
-    dcfg.drift.drifted_fraction =
-        std::strtod(args.get("drift-frac", "0.4").c_str(), nullptr);
-    dcfg.drift.hazard_mult = std::strtod(
-        args.get("drift-hazard", std::to_string(dcfg.drift.hazard_mult)).c_str(),
-        nullptr);
-    dcfg.drift.error_rate_mult = std::strtod(
-        args.get("drift-errors", std::to_string(dcfg.drift.error_rate_mult)).c_str(),
-        nullptr);
-    dcfg.drift.bad_block_mult = std::strtod(
-        args.get("drift-bad-blocks", std::to_string(dcfg.drift.bad_block_mult))
-            .c_str(),
-        nullptr);
-    fleet = sim::DriftingFleetSimulator(dcfg).generate_all();
-  } else {
-    fleet = sim::FleetSimulator(fleet_cfg).generate_all();
-  }
-  std::vector<core::FleetObservation> stream;
-  for (const auto& d : fleet.drives)
-    for (const auto& r : d.records)
-      stream.push_back({d.model, d.drive_index, d.deploy_day, r});
-  std::stable_sort(stream.begin(), stream.end(),
-                   [](const core::FleetObservation& a, const core::FleetObservation& b) {
-                     return a.record.day < b.record.day;
-                   });
-  const long chaos_pct = args.get_long("chaos", 0);
-  if (chaos_pct > 0) {
-    robustness::FaultInjector injector(
-        fleet_cfg.seed ^ 0x9e3779b97f4a7c15ull,
-        robustness::FaultRates::uniform(static_cast<double>(chaos_pct) / 100.0));
-    stream = injector.corrupt(stream).observations;
-  }
+  // One observation per drive-day, day-ordered, with optional seeded
+  // pre-corruption (single-threaded so the fault sequence is reproducible
+  // regardless of --producers).
+  const auto fleet = args.flag("drift-day") && !args.flag("fleet")
+                         ? sim::DriftingFleetSimulator(dcfg).generate_all()
+                         : load_fleet(args, "daemon", dcfg.base, /*announce=*/false);
+  if (!fleet) return 1;
+  std::vector<core::FleetObservation> stream = core::day_ordered_stream(*fleet);
+  if (chaos_pct > 0)
+    stream = chaos_injector(dcfg.base.seed, chaos_pct / 100.0).corrupt(stream).observations;
 
   std::signal(SIGTERM, daemon_signal_handler);
   std::signal(SIGINT, daemon_signal_handler);
@@ -964,7 +844,7 @@ int cmd_daemon(const Args& args) {
     // tracker, and a retire pinned at the post-repair tail would mislabel
     // the early failure anyway.
     std::unordered_map<std::uint64_t, std::size_t> last_index_of_retired;
-    for (const auto& d : fleet.drives) {
+    for (const auto& d : fleet->drives) {
       const bool dead_flagged =
           std::any_of(d.records.begin(), d.records.end(),
                       [](const trace::DailyRecord& r) { return r.dead; });
@@ -980,7 +860,6 @@ int cmd_daemon(const Args& args) {
       const daemon::DaemonStats s = daemon.stats();
       return s.scored + s.quarantined + s.duplicates_dropped + s.shed >= s.ingested;
     };
-    const long step_days = std::max(1L, args.get_long("online-step-days", 15));
     std::int64_t last_step_day = std::numeric_limits<std::int64_t>::min() / 2;
     std::size_t i = 0;
     while (i < stream.size() && g_daemon_stop == 0) {
@@ -1009,8 +888,6 @@ int cmd_daemon(const Args& args) {
   } else {
     // Producers partition the stream BY DRIVE (uid mod producers) so each
     // drive's records are pushed in day order by exactly one thread.
-    const auto producers = std::max<std::size_t>(
-        1, static_cast<std::size_t>(args.get_long("producers", 2)));
     std::vector<std::thread> threads;
     threads.reserve(producers);
     for (std::size_t p = 0; p < producers; ++p) {
@@ -1062,18 +939,7 @@ int cmd_daemon(const Args& args) {
   }
   const std::uint64_t digest = daemon.state_digest();
   std::printf("state digest: %016llx\n", static_cast<unsigned long long>(digest));
-  const std::string digest_path = args.get("state-digest-out", "");
-  if (!digest_path.empty()) {
-    std::ofstream out(digest_path);
-    out << std::hex << digest << "\n";
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", digest_path.c_str());
-      return 1;
-    }
-  }
-  const std::string metrics_path = args.get("metrics-out", "");
-  if (!metrics_path.empty() && !write_metrics_out(metrics_path)) return 1;
-  return 0;
+  return write_digest(args, digest) && write_metrics_out(args) ? 0 : 1;
 }
 
 /// Sketch one fleet for the drift report: a sharded store directory
@@ -1093,17 +959,15 @@ std::optional<online::FeatureSketches> sketch_path(const std::string& path) {
 /// and binned KS between a reference fleet and a current one.  Exit 0 when
 /// quiet, 3 when drift exceeds the thresholds — scriptable as a CI gate.
 int cmd_drift(const Args& args) {
-  const std::string ref_path = args.get("reference", "");
-  const std::string cur_path = args.get("current", "");
-  if (ref_path.empty() || cur_path.empty()) return usage();
+  const std::string ref_path = args.required("reference");
+  const std::string cur_path = args.required("current");
+  online::DriftConfig config;
+  config.psi_alert = args.real("psi", 0.25);
+  config.ks_alert = args.real("ks", 0.35);
+  config.min_window_rows = args.count<std::uint64_t>("min-rows", 1);
   const auto reference = sketch_path(ref_path);
   const auto current = sketch_path(cur_path);
   if (!reference || !current) return 1;
-
-  online::DriftConfig config;
-  config.psi_alert = std::strtod(args.get("psi", "0.25").c_str(), nullptr);
-  config.ks_alert = std::strtod(args.get("ks", "0.35").c_str(), nullptr);
-  config.min_window_rows = static_cast<std::uint64_t>(args.get_long("min-rows", 1));
   const online::DriftReport report =
       online::compare_fleets(*reference, *current, config);
 
@@ -1133,9 +997,9 @@ int cmd_drift(const Args& args) {
 /// sanitizer (via chaos) — then prints the Prometheus exposition.  CI's
 /// metrics-lint step validates this output (scripts/metrics_lint.py).
 int cmd_metrics(const Args& args) {
-  sim::FleetConfig cfg = config_from(args);
-  cfg.drives_per_model = static_cast<std::uint32_t>(args.get_long("drives", 30));
+  sim::FleetConfig cfg = config_from(args, 30);
   cfg.keep_ground_truth = true;
+  const std::string out_path = args.get("out", "");
   const sim::FleetSimulator sim_fleet(cfg);
 
   // Trace I/O byte counters: binary round-trip through a string stream.
@@ -1160,58 +1024,130 @@ int cmd_metrics(const Args& args) {
   scorer->fit(ml::downsample_negatives(data, 1.0, cfg.seed));
   core::FleetMonitor monitor(std::shared_ptr<const ml::Classifier>(std::move(scorer)),
                              0.9, 4);
-  robustness::FaultInjector injector(cfg.seed ^ 0x9e3779b97f4a7c15ull,
-                                     robustness::FaultRates::uniform(0.10));
-  std::vector<core::FleetObservation> batch;
-  for (const auto& d : fleet.drives)
-    for (const auto& r : d.records)
-      batch.push_back({d.model, d.drive_index, d.deploy_day, r});
-  std::stable_sort(batch.begin(), batch.end(),
-                   [](const core::FleetObservation& a, const core::FleetObservation& b) {
-                     return a.record.day < b.record.day;
-                   });
-  const auto corrupted = injector.corrupt(batch);
-  (void)monitor.observe_batch(corrupted.observations);
+  (void)monitor.observe_batch(
+      chaos_injector(cfg.seed, 0.10).corrupt(core::day_ordered_stream(fleet)).observations);
 
-  obs::TraceCollector::global().publish(obs::MetricsRegistry::global());
-  const obs::RegistrySnapshot snapshot = obs::MetricsRegistry::global().snapshot();
-  const std::string out_path = args.get("out", "");
-  if (out_path.empty()) {
-    obs::write_prometheus(std::cout, snapshot);
-    return 0;
-  }
-  std::ofstream out(out_path);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  obs::write_prometheus(out, snapshot);
-  std::fprintf(stderr, "wrote %s (%zu samples)\n", out_path.c_str(),
-               snapshot.samples.size());
+  const auto snapshot = dump_prometheus(out_path);
+  if (!snapshot) return 1;
+  if (!out_path.empty())
+    std::fprintf(stderr, "wrote %s (%zu samples)\n", out_path.c_str(),
+                 snapshot->samples.size());
   return 0;
+}
+
+/// One subcommand: its name, its handler, and its usage synopsis.  The
+/// synopsis is also the flag list: a command takes exactly the `--name`
+/// tokens it shows, plus the global --threads.  '\n' continues the
+/// synopsis on an indented line.
+struct Command {
+  const char* name;
+  int (*run)(const Args&);
+  const char* synopsis;
+};
+
+const Command kCommands[] = {
+    {"simulate", cmd_simulate,
+     "--drives N [--days N] [--seed S] --out PREFIX\n"
+     "[--device-class mlc|hdd|nvme|mixed]\n"
+     "[--binary | --columnar [--chunk N]]"},
+    {"analyze", cmd_analyze, "--in PREFIX [--binary]"},
+    {"convert", cmd_convert, "--in FILE --out FILE [--to v1|v2|v3] [--chunk N]"},
+    {"compact", cmd_compact, "--wal-dir DIR --store-dir DIR [--chunk N] [--keep-wal]"},
+    {"benchmark", cmd_benchmark, "[--drives N] [--days N] [--lookahead N] [--seed S]"},
+    {"transfer", cmd_transfer,
+     "[--drives N | --fleet FILE] [--days N] [--seed S]\n"
+     "[--lookahead N] [--label failure|uncorrectable]\n"
+     "[--neg-keep P] [--train-frac F] [--train-ratio R]\n"
+     "[--split-seed S] [--model forest|logistic] [--gate]\n"
+     "(3x3 train-class x test-class AUC matrix;\n"
+     "--gate: exit 3 unless the diagonal dominates)"},
+    {"train", cmd_train,
+     "--out MODEL.bin [--model forest|logistic]\n"
+     "[--drives N | --fleet FILE] [--days N] [--seed S]\n"
+     "[--lookahead N] [--metrics-out FILE]"},
+    {"serve", cmd_serve,
+     "--model-file MODEL.bin [--drives N | --fleet FILE]\n"
+     "[--days N] [--seed S] [--threshold T] [--shards K]\n"
+     "[--engine flat|walker] [--sequential]\n"
+     "[--chaos PCT] [--metrics-out FILE]\n"
+     "[--metrics-stream FILE]"},
+    {"daemon", cmd_daemon,
+     "--wal-dir DIR [--model-file MODEL.bin]\n"
+     "[--drives N | --fleet FILE] [--days N] [--seed S]\n"
+     "[--producers P] [--shards K] [--ring N]\n"
+     "[--backpressure block|shed] [--fsync every|never]\n"
+     "[--wal-rotate BYTES]\n"
+     "[--threshold T] [--chaos PCT] [--recover-only]\n"
+     "[--state-digest-out FILE] [--metrics-out FILE]\n"
+     "[--online --store-dir DIR [--promote-out FILE]\n"
+     " --online-step-days K --online-lookahead N\n"
+     " --online-min-samples N --online-min-positives N\n"
+     " --promote-margin M --drift-psi T --drift-ks T\n"
+     " --drift-min-rows N --retrain-neg-keep P\n"
+     " --retrain-always --drift-day D --drift-frac F\n"
+     " --drift-hazard M --drift-errors M\n"
+     " --drift-bad-blocks M]"},
+    {"drift", cmd_drift,
+     "--reference PATH --current PATH [--psi T] [--ks T]\n"
+     "[--min-rows N]   (PATH: .ssdf2 file or store dir;\n"
+     "exit 3 when drift exceeds thresholds)"},
+    {"metrics", cmd_metrics, "[--out FILE] [--drives N] [--days N] [--seed S]"},
+};
+
+int usage() {
+  std::string text = "usage:\n";
+  for (const Command& c : kCommands) {
+    text += "  ssdfail_cli " + std::string(c.name) + std::string(10 - std::strlen(c.name), ' ');
+    for (const char* p = c.synopsis; *p != '\0'; ++p)
+      text += *p == '\n' ? "\n" + std::string(24, ' ') : std::string(1, *p);
+    text += '\n';
+  }
+  std::fprintf(stderr, "%s  every subcommand also takes [--threads K] (worker-thread cap)\n",
+               text.c_str());
+  return 2;
+}
+
+/// Whether `command` takes `key`: one of the `--name` tokens of its
+/// synopsis, or the global --threads.
+bool takes(const Command& command, std::string_view key) {
+  const std::string_view synopsis = command.synopsis;
+  for (auto at = synopsis.find("--"); at != std::string_view::npos;
+       at = synopsis.find("--", at + 2)) {
+    const auto end = synopsis.find_first_not_of("abcdefghijklmnopqrstuvwxyz0123456789-", at + 2);
+    if (synopsis.substr(at, end - at) == key) return true;
+  }
+  return key == "--threads";
+}
+
+/// `--name [value]` pairs (a flag followed by another flag, or last, is
+/// "1").  Throws UsageError on anything `command` does not take.
+Args parse(const Command& command, int argc, char** argv) {
+  Args args;
+  for (int i = 2; i < argc; ++i) {
+    const std::string key = argv[i];
+    if (!takes(command, key)) throw UsageError("does not take '" + key + "'");
+    const bool valued = i + 1 < argc && std::string_view(argv[i + 1]).rfind("--", 0) != 0;
+    args.named[key] = valued ? argv[++i] : "1";
+  }
+  return args;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) return usage();
-  const std::string command = argv[1];
-  const Args args = parse(argc, argv, 2);
-  // Cap worker threads before the first pool use (beats SSDFAIL_THREADS).
-  // Results are identical at any thread count; only wall time changes.
-  const long threads = args.get_long("threads", 0);
-  if (threads > 0)
-    parallel::set_default_thread_count(static_cast<unsigned>(threads));
-  if (command == "simulate") return cmd_simulate(args);
-  if (command == "analyze") return cmd_analyze(args);
-  if (command == "convert") return cmd_convert(args);
-  if (command == "compact") return cmd_compact(args);
-  if (command == "benchmark") return cmd_benchmark(args);
-  if (command == "transfer") return cmd_transfer(args);
-  if (command == "train") return cmd_train(args);
-  if (command == "serve") return cmd_serve(args);
-  if (command == "daemon") return cmd_daemon(args);
-  if (command == "drift") return cmd_drift(args);
-  if (command == "metrics") return cmd_metrics(args);
-  return usage();
+  const Command* command = nullptr;
+  for (const Command& c : kCommands)
+    if (argc >= 2 && std::string_view(argv[1]) == c.name) command = &c;
+  if (command == nullptr) return usage();
+  try {
+    const Args args = parse(*command, argc, argv);
+    // Cap worker threads before the first pool use (beats SSDFAIL_THREADS).
+    // Results are identical at any thread count; only wall time changes.
+    if (const auto threads = args.count<unsigned>("threads", 0); threads > 0)
+      parallel::set_default_thread_count(threads);
+    return command->run(args);
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "ssdfail_cli %s: %s\n", command->name, e.what());
+    return usage();
+  }
 }

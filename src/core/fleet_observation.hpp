@@ -4,10 +4,14 @@
 // infrastructure for its Section 5 models), factored out of
 // online_monitor.hpp so stream-level tooling (robustness::FaultInjector,
 // replay drivers) can consume the type without depending on the monitor
-// itself.
+// itself.  day_ordered_stream() is the one builder of a replay stream from
+// a materialized fleet.
 
+#include <algorithm>
 #include <cstdint>
+#include <vector>
 
+#include "trace/drive_history.hpp"
 #include "trace/schema.hpp"
 
 namespace ssdfail::core {
@@ -26,5 +30,20 @@ struct FleetObservation {
     return trace::drive_uid(drive_model, drive_index);
   }
 };
+
+/// Every record of `fleet` as one replay stream, in the order a live fleet
+/// reports: day-major, and in fleet order within a day.
+inline std::vector<FleetObservation> day_ordered_stream(const trace::FleetTrace& fleet) {
+  std::vector<FleetObservation> stream;
+  stream.reserve(fleet.total_records());
+  for (const trace::DriveHistory& d : fleet.drives)
+    for (const trace::DailyRecord& r : d.records)
+      stream.push_back({d.model, d.drive_index, d.deploy_day, r});
+  std::stable_sort(stream.begin(), stream.end(),
+                   [](const FleetObservation& a, const FleetObservation& b) {
+                     return a.record.day < b.record.day;
+                   });
+  return stream;
+}
 
 }  // namespace ssdfail::core

@@ -275,34 +275,29 @@ void TelemetryDaemon::process_records(Shard& shard,
       recovering_.load(std::memory_order_relaxed) ? nullptr : config_.batch_observer;
   const core::ScoredBatch& scored = shard.scoring.score(batch, model.get());
 
-  // Quarantine strikes first, then the accepted records in input order:
-  // the health sequence every existing WAL and state digest was built
-  // with, so recovering an older WAL lands on the same state.
+  // Each record's health event lands at its position in the input: a
+  // quarantine strike and a scored record for one drive reach its
+  // HealthTracker in stream order, so the streaks (and the state digest)
+  // do not depend on where the ring happened to cut the batches.
+  std::vector<DriveAssessment> assessments;  // retained only when a tap listens
+  if (observer != nullptr) assessments.reserve(scored.accepted());
+  std::size_t row = 0;
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    switch (scored.records[i].action) {
+    const core::ScoredRecord& r = scored.records[i];
+    switch (r.action) {
       case robustness::SanitizeAction::kQuarantined:
         quarantined_.fetch_add(1, std::memory_order_relaxed);
         // Irreparable telemetry is itself a symptom: a ramp-tier strike,
         // but never a swap (a corrupt record's dead flag is not trusted).
         shard.health.observe(batch[i].uid(), 0.0, /*suspect=*/true, /*dead=*/false);
-        break;
+        continue;
       case robustness::SanitizeAction::kDuplicateDropped:
         duplicates_.fetch_add(1, std::memory_order_relaxed);
-        break;
+        continue;
       case robustness::SanitizeAction::kClean:
       case robustness::SanitizeAction::kRepaired:
         break;
     }
-  }
-  const std::size_t accepted = scored.accepted();
-  if (accepted == 0) return;
-
-  std::vector<DriveAssessment> assessments;  // retained only when a tap listens
-  if (observer != nullptr) assessments.reserve(accepted);
-  std::size_t row = 0;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const core::ScoredRecord& r = scored.records[i];
-    if (!r.accepted()) continue;
     const trace::DailyRecord& record = scored.sanitized[row++];
     DriveAssessment assessment;
     assessment.uid = batch[i].uid();
@@ -317,6 +312,8 @@ void TelemetryDaemon::process_records(Shard& shard,
     if (config_.on_assessment) config_.on_assessment(assessment);
     if (observer != nullptr) assessments.push_back(assessment);
   }
+  const std::size_t accepted = row;
+  if (accepted == 0) return;
   if (observer != nullptr) observer->on_batch(scored.features, scored.sanitized, assessments);
   if (model != nullptr) {
     scored_.fetch_add(accepted, std::memory_order_relaxed);

@@ -8,7 +8,6 @@
 
 #include <cmath>
 #include <limits>
-#include <map>
 #include <vector>
 
 #include "core/dataset_builder.hpp"
@@ -42,16 +41,8 @@ std::vector<FleetObservation> replay_stream(std::uint32_t drives_per_model) {
   sim::FleetConfig cfg;
   cfg.drives_per_model = drives_per_model;
   cfg.seed = 77;
-  const trace::FleetTrace fleet = sim::FleetSimulator(cfg).generate_all();
   // Order by day, then by drive — the shape `serve` feeds the monitor.
-  std::map<std::int32_t, std::vector<FleetObservation>> by_day;
-  for (const auto& drive : fleet.drives)
-    for (const auto& rec : drive.records)
-      by_day[rec.day].push_back({drive.model, drive.drive_index, drive.deploy_day, rec});
-  std::vector<FleetObservation> stream;
-  for (auto& [day, obs] : by_day)
-    stream.insert(stream.end(), obs.begin(), obs.end());
-  return stream;
+  return day_ordered_stream(sim::FleetSimulator(cfg).generate_all());
 }
 
 /// The acceptance invariant: replay a ~10%-corrupted stream, require zero

@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
 #include <thread>
+#include <utility>
 
 #include "core/dataset_builder.hpp"
 #include "core/failure_timeline.hpp"
@@ -203,15 +203,48 @@ TEST(FleetMonitor, AlertCounterIsMonotone) {
   EXPECT_EQ(fleet_monitor.metrics().alerts_raised, 20u);
 }
 
-/// Day-ordered replay stream for a small simulated fleet.
+TEST(DayOrderedStream, DayMajorAndFleetOrderWithinADay) {
+  trace::FleetTrace fleet;
+  fleet.drives.resize(3);
+  const std::vector<std::vector<std::int32_t>> days{{0, 2, 3}, {1, 2}, {0, 3}};
+  for (std::uint32_t d = 0; d < 3; ++d) {
+    fleet.drives[d].model = trace::DriveModel::MlcB;
+    fleet.drives[d].drive_index = 10 + d;
+    fleet.drives[d].deploy_day = -static_cast<std::int32_t>(d);
+    for (const std::int32_t day : days[d]) {
+      trace::DailyRecord rec;
+      rec.day = day;
+      fleet.drives[d].records.push_back(rec);
+    }
+  }
+  const std::vector<FleetObservation> stream = day_ordered_stream(fleet);
+  // (day, drive index) in stream order: days ascend, ties keep fleet order.
+  const std::vector<std::pair<std::int32_t, std::uint32_t>> expected{
+      {0, 10}, {0, 12}, {1, 11}, {2, 10}, {2, 11}, {3, 10}, {3, 12}};
+  ASSERT_EQ(stream.size(), expected.size());
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    EXPECT_EQ(stream[i].record.day, expected[i].first) << "position " << i;
+    EXPECT_EQ(stream[i].drive_index, expected[i].second) << "position " << i;
+    EXPECT_EQ(stream[i].drive_model, trace::DriveModel::MlcB);
+    EXPECT_EQ(stream[i].deploy_day, 10 - static_cast<std::int32_t>(expected[i].second));
+  }
+}
+
+TEST(DayOrderedStream, EmptyFleetGivesAnEmptyStream) {
+  EXPECT_TRUE(day_ordered_stream(trace::FleetTrace{}).empty());
+  trace::FleetTrace recordless;
+  recordless.drives.resize(2);
+  EXPECT_TRUE(day_ordered_stream(recordless).empty());
+}
+
+/// The day-ordered replay stream cut into one batch per day.
 std::vector<std::vector<FleetObservation>> day_batches(const trace::FleetTrace& fleet) {
-  std::map<std::int32_t, std::vector<FleetObservation>> by_day;
-  for (const auto& drive : fleet.drives)
-    for (const auto& rec : drive.records)
-      by_day[rec.day].push_back({drive.model, drive.drive_index, drive.deploy_day, rec});
   std::vector<std::vector<FleetObservation>> batches;
-  batches.reserve(by_day.size());
-  for (auto& [day, batch] : by_day) batches.push_back(std::move(batch));
+  const std::vector<FleetObservation> stream = day_ordered_stream(fleet);
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    if (i == 0 || stream[i].record.day != stream[i - 1].record.day) batches.emplace_back();
+    batches.back().push_back(stream[i]);
+  }
   return batches;
 }
 

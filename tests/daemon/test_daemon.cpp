@@ -1,6 +1,7 @@
 // TelemetryDaemon tests: graceful drain accounting, WAL recovery
 // bit-identity, retire-through-the-WAL, degraded modes, the non-finite
-// score clamp, backpressure shedding, and the watchdog.
+// score clamp, backpressure shedding, the watchdog, and health state that
+// does not depend on how the rings batch a corrupted stream.
 
 #include "daemon/daemon.hpp"
 
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "daemon_test_util.hpp"
+#include "robustness/fault_injector.hpp"
 
 namespace ssdfail::daemon {
 namespace {
@@ -336,6 +338,34 @@ TEST(TelemetryDaemon, WatchdogCountsAStalledAppender) {
   EXPECT_GE(daemon.stats().watchdog_stalls, 1u);
   release.store(true, std::memory_order_release);
   daemon.stop();
+}
+
+TEST(TelemetryDaemon, HealthStateDoesNotDependOnBatchBoundaries) {
+  // A corrupted stream interleaves quarantine strikes with scored records
+  // of the same drive.  Each must reach the drive's HealthTracker in stream
+  // order whether the appenders drain one record per batch or hold until
+  // every record is queued and drain it as one large batch.
+  robustness::FaultInjector injector(11, robustness::FaultRates::uniform(0.10));
+  const auto stream = injector.corrupt(make_stream(8, 60)).observations;
+  const auto digest_with = [&](std::size_t max_batch, bool hold_until_queued) {
+    obs::MetricsRegistry registry;
+    auto cfg = base_config("", &registry);
+    cfg.ring_capacity = 2 * stream.size();
+    cfg.max_batch = max_batch;
+    std::atomic<bool> queued{!hold_until_queued};
+    cfg.appender_hook = [&](std::uint32_t) {
+      while (!queued.load(std::memory_order_acquire))
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    };
+    TelemetryDaemon daemon(std::make_shared<StubModel>(), cfg);
+    daemon.start();
+    for (const auto& obs : stream) EXPECT_EQ(daemon.push(obs), PushResult::kAccepted);
+    queued.store(true, std::memory_order_release);
+    daemon.stop();
+    EXPECT_GT(daemon.stats().quarantined, 0u);
+    return daemon.state_digest();
+  };
+  EXPECT_EQ(digest_with(1, false), digest_with(stream.size(), true));
 }
 
 }  // namespace

@@ -12,7 +12,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -37,20 +36,6 @@ namespace {
 
 using daemon::testing::StubModel;
 using daemon::testing::TempDir;
-
-/// Day-ordered observation stream for a materialized fleet.
-std::vector<core::FleetObservation> make_stream(const trace::FleetTrace& fleet) {
-  std::vector<core::FleetObservation> stream;
-  stream.reserve(fleet.total_records());
-  for (const auto& d : fleet.drives)
-    for (const auto& r : d.records)
-      stream.push_back({d.model, d.drive_index, d.deploy_day, r});
-  std::stable_sort(stream.begin(), stream.end(),
-                   [](const core::FleetObservation& a, const core::FleetObservation& b) {
-                     return a.record.day < b.record.day;
-                   });
-  return stream;
-}
 
 daemon::DaemonConfig loop_daemon_config(const std::string& wal_dir,
                                         obs::MetricsRegistry* registry) {
@@ -136,7 +121,8 @@ TEST(OnlineE2E, DriftingFleetFiresTheDetectorAndPromotesARetrainedChallenger) {
   fleet_cfg.drift.hazard_mult = 8.0;
   fleet_cfg.drift.error_rate_mult = 4.0;
   fleet_cfg.drift.bad_block_mult = 4.0;
-  const auto stream = make_stream(sim::DriftingFleetSimulator(fleet_cfg).generate_all());
+  const auto stream =
+      core::day_ordered_stream(sim::DriftingFleetSimulator(fleet_cfg).generate_all());
   ASSERT_GT(stream.size(), 10'000u);
 
   OnlineLearner learner(nullptr, loop_online_config(dir.path(), &registry));
@@ -182,7 +168,7 @@ TEST(OnlineE2E, DriftFreeRunNeverPromotesAndLeavesScoringUntouched) {
   fleet_cfg.drives_per_model = 10;
   fleet_cfg.window_days = 500;
   fleet_cfg.seed = 31337;
-  const auto stream = make_stream(sim::FleetSimulator(fleet_cfg).generate_all());
+  const auto stream = core::day_ordered_stream(sim::FleetSimulator(fleet_cfg).generate_all());
 
   OnlineConfig ocfg = loop_online_config(dir.path(), &registry);
   // No drift: thresholds the stream cannot cross, so the alert-gated loop
