@@ -401,6 +401,9 @@ int cmd_compact(const Args& args) {
         static_cast<unsigned long long>(result.shard_bytes_out),
         static_cast<double>(result.shard_bytes_out) /
             static_cast<double>(std::max<std::uint64_t>(result.records, 1)));
+    if (result.bad_model_dropped > 0)
+      std::printf("  %llu record(s) with an unknown drive model dropped\n",
+                  static_cast<unsigned long long>(result.bad_model_dropped));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "compact: %s\n", e.what());
     return 1;

@@ -61,6 +61,14 @@ CompactionResult compact_sealed_wals(const std::string& wal_dir,
   const auto fold = [&](const WalSegment& segment) {
     if (segment.type == SegmentType::kRecords) {
       for (const core::FleetObservation& obs : segment.records) {
+        // A CRC-valid frame can still carry a model id no store reader
+        // accepts; one such drive would make every later open of the store
+        // fail, so it never reaches the shard.
+        if (std::ranges::find(trace::kAllModels, obs.drive_model) ==
+            trace::kAllModels.end()) {
+          ++result.bad_model_dropped;
+          continue;
+        }
         trace::DriveHistory& drive = drives[obs.uid()];
         if (drive.records.empty() && drive.swaps.empty()) {
           drive.model = obs.drive_model;

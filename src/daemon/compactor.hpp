@@ -22,8 +22,9 @@
 // Ordering contract: drives are emitted sorted by uid, each drive's
 // records in replay (seq) order with non-advancing days dropped (the
 // store requires day-ordered histories; the daemon's sanitizer enforces
-// the same invariant on the serving path).  A kRetires entry becomes a
-// SwapEvent on the drive's last replayed day.
+// the same invariant on the serving path).  Records whose model id is not
+// a trace::kAllModels entry are dropped and counted.  A kRetires entry
+// becomes a SwapEvent on the drive's last replayed day.
 
 #include <cstdint>
 #include <string>
@@ -47,6 +48,7 @@ struct CompactionResult {
   std::uint64_t records = 0;             ///< observations folded in
   std::uint64_t retires = 0;             ///< swap events folded in
   std::uint64_t out_of_order_dropped = 0;///< non-advancing days discarded
+  std::uint64_t bad_model_dropped = 0;   ///< records with an unknown model id
   std::size_t drives = 0;                ///< distinct drives in the new shard
   std::size_t shards_written = 0;        ///< 0 or 1 (0: nothing to compact)
   std::uint64_t shard_bytes_out = 0;     ///< bytes of the new v3 shard

@@ -163,42 +163,30 @@ void WalReplayStats::merge(const WalReplayStats& other) noexcept {
 
 void append_record_payload(std::vector<char>& out, const core::FleetObservation& obs) {
   out.push_back(static_cast<char>(obs.drive_model));
-  out.push_back(static_cast<char>((obs.record.read_only ? 1 : 0) |
-                                  (obs.record.dead ? 2 : 0)));
+  out.push_back(static_cast<char>(store::FlagsField::get(obs.record)));
   put_u16(out, obs.record.factory_bad_blocks);
   put_u32(out, obs.drive_index);
   put_u32(out, static_cast<std::uint32_t>(obs.deploy_day));
-  put_u32(out, static_cast<std::uint32_t>(obs.record.day));
-  put_u32(out, obs.record.reads);
-  put_u32(out, obs.record.writes);
-  put_u32(out, obs.record.erases);
-  put_u32(out, obs.record.pe_cycles);
-  put_u32(out, obs.record.bad_blocks);
-  for (std::uint32_t e : obs.record.errors) put_u32(out, e);
-  for (const trace::RecordCounterField& f : trace::kExtCounterFields)
-    put_u32(out, obs.record.*f.field);
+  store::for_each_record_column([&](std::size_t, auto column) {
+    if constexpr (column.width == 4)
+      put_u32(out, static_cast<std::uint32_t>(column.get(obs.record)));
+  });
 }
 
 core::FleetObservation parse_record_payload(const char* p) {
   core::FleetObservation obs;
   obs.drive_model = static_cast<trace::DriveModel>(static_cast<unsigned char>(p[0]));
-  const auto flags = static_cast<unsigned char>(p[1]);
-  obs.record.read_only = (flags & 1) != 0;
-  obs.record.dead = (flags & 2) != 0;
+  store::FlagsField::set(obs.record, static_cast<std::uint8_t>(p[1]));
   obs.record.factory_bad_blocks = get_u16(p + 2);
   obs.drive_index = get_u32(p + 4);
   obs.deploy_day = static_cast<std::int32_t>(get_u32(p + 8));
-  obs.record.day = static_cast<std::int32_t>(get_u32(p + 12));
-  obs.record.reads = get_u32(p + 16);
-  obs.record.writes = get_u32(p + 20);
-  obs.record.erases = get_u32(p + 24);
-  obs.record.pe_cycles = get_u32(p + 28);
-  obs.record.bad_blocks = get_u32(p + 32);
-  for (std::size_t e = 0; e < trace::kNumErrorTypes; ++e)
-    obs.record.errors[e] = get_u32(p + 36 + e * 4);
-  for (std::size_t x = 0; x < trace::kNumExtCounterFields; ++x)
-    obs.record.*trace::kExtCounterFields[x].field =
-        get_u32(p + 36 + trace::kNumErrorTypes * 4 + x * 4);
+  p += kWalObservationHeaderSize;
+  store::for_each_record_column([&](std::size_t, auto column) {
+    if constexpr (column.width == 4) {
+      column.set(obs.record, static_cast<typename decltype(column)::value_type>(get_u32(p)));
+      p += 4;
+    }
+  });
   return obs;
 }
 

@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "core/fleet_observation.hpp"
+#include "store/column_table.hpp"
 
 namespace ssdfail::daemon {
 
@@ -46,9 +47,14 @@ inline constexpr std::uint32_t kWalVersion = 1;
 inline constexpr std::uint32_t kSegmentMarker = 0x5347E57A;
 
 /// Serialized size of one FleetObservation in a records payload: the
-/// original 76 bytes plus one u32 per class-specific extension counter.
+/// observation header (model u8, flags u8, factory_bad_blocks u16,
+/// drive_index u32, deploy_day u32), then every 4-byte record column of
+/// store::kColumnTable in table order.
+inline constexpr std::size_t kWalObservationHeaderSize = 12;
 inline constexpr std::size_t kWalRecordSize =
-    76 + 4 * trace::kNumExtCounterFields;
+    kWalObservationHeaderSize +
+    store::sum_record_columns([](auto column) { return column.width == 4 ? 4 : 0; });
+static_assert(kWalRecordSize == 92);
 inline constexpr std::size_t kWalFileHeaderSize = 16;
 inline constexpr std::size_t kWalSegmentHeaderSize = 28;
 /// Upper bound accepted for a segment payload; anything larger is treated

@@ -3,10 +3,12 @@
 // The SSDF2 column table: every stored column, in ZoneColumn order (the
 // order of v2 columns, v3 frames and zone-map entries on disk), with its
 // name, element type (which fixes width and signedness) and the row field
-// it carries.  It is the one statement of which columns exist
-// (docs/DATA_FORMAT.md): both writers, both readers, ChunkView::record,
-// ChunkView::gather_drive and the drift sketches walk it at compile time,
-// so each per-value access inlines to a direct member load or store.
+// it carries.  It is the one statement of which columns exist and of how a
+// DailyRecord is laid out (docs/DATA_FORMAT.md): both SSDF2 writers and
+// readers, ChunkView::record, ChunkView::gather_drive, the drift sketches,
+// the v1 row codec, the WAL observation payload and the CSV daily log walk
+// it at compile time, so each per-value access inlines to a direct member
+// load or store.
 
 #include <array>
 #include <cstddef>
@@ -23,6 +25,8 @@ namespace ssdfail::store {
 /// The flags byte, packed and unpacked here only: bit 0 read_only, bit 1
 /// dead.
 struct FlagsField {
+  /// Bit b's name is kBitNames[b] (the CSV daily log's 0/1 columns).
+  static constexpr std::array<std::string_view, 2> kBitNames = {"read_only", "dead"};
   [[nodiscard]] static std::uint8_t get(const trace::DailyRecord& r) noexcept {
     return static_cast<std::uint8_t>((r.read_only ? 1 : 0) | (r.dead ? 2 : 0));
   }
@@ -41,6 +45,10 @@ inline constexpr std::size_t kWholeMember = static_cast<std::size_t>(-1);
 template <typename T, auto Field, auto View, std::size_t Index = kWholeMember>
 struct Column {
   using value_type = T;
+  static constexpr std::size_t width = sizeof(T);
+  /// The packed read_only/dead flags byte (FlagsField).
+  static constexpr bool is_flags =
+      std::is_same_v<std::remove_cv_t<decltype(Field)>, FlagsField>;
   /// Swap-day values come from DriveHistory::swaps, all others from records.
   static constexpr bool is_record =
       !std::is_same_v<decltype(Field), std::int32_t trace::SwapEvent::*>;
@@ -144,6 +152,15 @@ void for_each_record_column(F&& f) {
   for_each_column([&](std::size_t c, auto column) {
     if constexpr (decltype(column)::is_record) f(c, column);
   });
+}
+
+/// Sum of f(column) over the DailyRecord columns (all but swap_day), at
+/// compile time: e.g. their packed width, the size of a v1 row.
+template <typename F>
+constexpr std::size_t sum_record_columns(F f) {
+  return std::apply(
+      [&](auto... c) { return ((decltype(c)::is_record ? f(c) : 0) + ... + std::size_t{0}); },
+      kColumnTable);
 }
 
 /// Column names in ZoneColumn order ("reads", "err_uncorrectable", ...).

@@ -9,6 +9,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace_span.hpp"
+#include "store/column_table.hpp"
 #include "store/columnar.hpp"
 #include "trace/io_metrics.hpp"
 
@@ -54,43 +55,10 @@ T load(const char*& p) {
   return value;
 }
 
-void put_record(std::ostream& out, const DailyRecord& r) {
-  put<std::int32_t>(out, r.day);
-  put<std::uint32_t>(out, r.reads);
-  put<std::uint32_t>(out, r.writes);
-  put<std::uint32_t>(out, r.erases);
-  put<std::uint32_t>(out, r.pe_cycles);
-  put<std::uint32_t>(out, r.bad_blocks);
-  put<std::uint16_t>(out, r.factory_bad_blocks);
-  put<std::uint8_t>(out, static_cast<std::uint8_t>((r.read_only ? 1 : 0) |
-                                                   (r.dead ? 2 : 0)));
-  for (std::uint32_t e : r.errors) put<std::uint32_t>(out, e);
-  for (const RecordCounterField& f : kExtCounterFields)
-    put<std::uint32_t>(out, r.*f.field);
-}
-
-DailyRecord decode_record(const char*& p) {
-  DailyRecord r;
-  r.day = load<std::int32_t>(p);
-  r.reads = load<std::uint32_t>(p);
-  r.writes = load<std::uint32_t>(p);
-  r.erases = load<std::uint32_t>(p);
-  r.pe_cycles = load<std::uint32_t>(p);
-  r.bad_blocks = load<std::uint32_t>(p);
-  r.factory_bad_blocks = load<std::uint16_t>(p);
-  const auto flags = load<std::uint8_t>(p);
-  r.read_only = (flags & 1) != 0;
-  r.dead = (flags & 2) != 0;
-  for (std::uint32_t& e : r.errors) e = load<std::uint32_t>(p);
-  for (const RecordCounterField& f : kExtCounterFields)
-    r.*f.field = load<std::uint32_t>(p);
-  return r;
-}
-
 /// v1 body decoder: the magic and version have already been consumed.
 /// Records and swaps are read in large blocks rather than one stream read
 /// per field — the stream is touched O(n_records / kRecordsPerBlock) times
-/// per drive instead of 17 times per record.
+/// per drive instead of once per column per record.
 FleetTrace read_binary_v1_body(std::istream& in) {
   const auto n_drives = get<std::uint64_t>(in);
   // Defensive cap: a 64-bit count from a corrupt stream must not OOM us.
@@ -115,7 +83,12 @@ FleetTrace read_binary_v1_body(std::istream& in) {
       const std::size_t count = std::min(kRecordsPerBlock, n - start);
       read_block(in, buf, count * kRecordWireBytes);
       const char* p = buf.data();
-      for (std::size_t r = 0; r < count; ++r) drive.records.push_back(decode_record(p));
+      for (std::size_t r = 0; r < count; ++r) {
+        DailyRecord& rec = drive.records.emplace_back();
+        store::for_each_record_column([&](std::size_t, auto column) {
+          column.set(rec, load<typename decltype(column)::value_type>(p));
+        });
+      }
     }
     const auto n_swaps = get<std::uint64_t>(in);
     if (n_swaps > (1ull << 20)) throw std::runtime_error("binary_io: bad swap count");
@@ -164,7 +137,8 @@ void write_binary(std::ostream& out, const FleetTrace& fleet) {
     put<std::uint32_t>(out, d.drive_index);
     put<std::int32_t>(out, d.deploy_day);
     put<std::uint64_t>(out, d.records.size());
-    for (const DailyRecord& r : d.records) put_record(out, r);
+    for (const DailyRecord& r : d.records)
+      store::for_each_record_column([&](std::size_t, auto column) { put(out, column.get(r)); });
     put<std::uint64_t>(out, d.swaps.size());
     for (const SwapEvent& s : d.swaps) put<std::int32_t>(out, s.day);
   }

@@ -22,6 +22,7 @@
 
 #include <iosfwd>
 
+#include "store/column_table.hpp"
 #include "trace/drive_history.hpp"
 
 namespace ssdfail::trace {
@@ -29,9 +30,11 @@ namespace ssdfail::trace {
 /// Row (v1) binary format version.
 inline constexpr std::uint32_t kBinaryFormatVersion = 1;
 
-/// Serialized size of one v1 DailyRecord: the 67-byte core plus one u32
-/// per class-specific extension counter (kExtCounterFields).
-inline constexpr std::size_t kRecordWireBytes = 67 + 4 * kNumExtCounterFields;
+/// Serialized size of one v1 DailyRecord: every record column of
+/// store::kColumnTable, packed in table order.
+inline constexpr std::size_t kRecordWireBytes =
+    store::sum_record_columns([](auto column) { return column.width; });
+static_assert(kRecordWireBytes == 83);
 
 /// Columnar (v2) binary format version; mirrors store::kColumnarVersion.
 inline constexpr std::uint32_t kColumnarFormatVersion = 2;

@@ -188,8 +188,8 @@ inline constexpr std::array<RecordCounterField, 9> kRecordCounterFields = {{
 }};
 
 /// The class-specific extension fields (the tail of kRecordCounterFields),
-/// in serialization order — the order the store's ZoneColumns, the WAL
-/// payload, and the v1 row format append them in.
+/// in the order store::kColumnTable lists them, which every record format
+/// follows.
 inline constexpr std::size_t kNumExtCounterFields = 4;
 inline constexpr std::array<RecordCounterField, kNumExtCounterFields>
     kExtCounterFields = {{

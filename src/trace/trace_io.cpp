@@ -5,9 +5,11 @@
 #include <ostream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "io/csv.hpp"
 #include "obs/trace_span.hpp"
+#include "store/column_table.hpp"
 #include "trace/io_metrics.hpp"
 
 namespace ssdfail::trace {
@@ -28,15 +30,29 @@ DriveModel parse_model(const std::string& s) {
   throw std::runtime_error("trace_io: unknown model '" + s + "'");
 }
 
+/// A daily-log row is the drive's uid, model, index and deploy day, then
+/// the record columns of store::kColumnTable in table order, with the flags
+/// byte written as one 0/1 column per bit (read_only,dead).  Logs written
+/// before the class-specific counters existed end after the error columns.
+using Flags = store::FlagsField;
+constexpr std::size_t kDriveCols = 4;
+constexpr std::size_t kDailyCols = kDriveCols + store::sum_record_columns([](auto column) {
+  return column.is_flags ? Flags::kBitNames.size() : 1;
+});
+constexpr std::size_t kLegacyDailyCols = kDailyCols - kNumExtCounterFields;
+
 }  // namespace
 
 std::string daily_log_header() {
-  std::string h = "drive_uid,model,drive_index,deploy_day,day,reads,writes,erases,"
-                  "pe_cycles,bad_blocks,factory_bad_blocks,read_only,dead";
-  for (ErrorType e : kAllErrorTypes) {
-    h += ',';
-    h += std::string(error_name(e)) + "_errors";
-  }
+  std::string h = "drive_uid,model,drive_index,deploy_day";
+  store::for_each_record_column([&](std::size_t, auto column) {
+    if constexpr (column.is_flags)
+      for (std::string_view bit : Flags::kBitNames) h.append(",").append(bit);
+    else if (column.name.starts_with("err_"))  // spelled <type>_errors in the log
+      h.append(",").append(column.name.substr(4)).append("_errors");
+    else
+      h.append(",").append(column.name);
+  });
   return h;
 }
 
@@ -48,11 +64,15 @@ void write_daily_log(std::ostream& out, const FleetTrace& fleet) {
   for (const auto& d : fleet.drives) {
     for (const auto& r : d.records) {
       out << d.uid() << ',' << model_name(d.model) << ',' << d.drive_index << ','
-          << d.deploy_day << ',' << r.day << ',' << r.reads << ',' << r.writes << ','
-          << r.erases << ',' << r.pe_cycles << ',' << r.bad_blocks << ','
-          << r.factory_bad_blocks << ',' << (r.read_only ? 1 : 0) << ','
-          << (r.dead ? 1 : 0);
-      for (std::uint32_t e : r.errors) out << ',' << e;
+          << d.deploy_day;
+      store::for_each_record_column([&](std::size_t, auto column) {
+        const auto value = column.get(r);
+        if constexpr (column.is_flags)
+          for (std::size_t bit = 0; bit < Flags::kBitNames.size(); ++bit)
+            out << ',' << (value >> bit & 1);
+        else
+          out << ',' << value;
+      });
       out << '\n';
     }
   }
@@ -80,10 +100,9 @@ FleetTrace read_fleet(std::istream& daily_log, std::istream& swap_log) {
   std::map<std::uint64_t, std::size_t> index;
   FleetTrace fleet;
 
-  constexpr std::size_t kFixedCols = 13;
   for (std::size_t row = 1; row < daily_rows.size(); ++row) {
     const auto& f = daily_rows[row];
-    if (f.size() != kFixedCols + kNumErrorTypes)
+    if (f.size() != kDailyCols && f.size() != kLegacyDailyCols)
       throw std::runtime_error("trace_io: wrong daily-log column count");
     const auto uid = parse_number<std::uint64_t>(f[0]);
     auto [it, inserted] = index.try_emplace(uid, fleet.drives.size());
@@ -94,20 +113,19 @@ FleetTrace read_fleet(std::istream& daily_log, std::istream& swap_log) {
       d.deploy_day = parse_number<std::int32_t>(f[3]);
       fleet.drives.push_back(std::move(d));
     }
-    DriveHistory& d = fleet.drives[it->second];
-    DailyRecord r;
-    r.day = parse_number<std::int32_t>(f[4]);
-    r.reads = parse_number<std::uint32_t>(f[5]);
-    r.writes = parse_number<std::uint32_t>(f[6]);
-    r.erases = parse_number<std::uint32_t>(f[7]);
-    r.pe_cycles = parse_number<std::uint32_t>(f[8]);
-    r.bad_blocks = parse_number<std::uint32_t>(f[9]);
-    r.factory_bad_blocks = parse_number<std::uint16_t>(f[10]);
-    r.read_only = parse_number<int>(f[11]) != 0;
-    r.dead = parse_number<int>(f[12]) != 0;
-    for (std::size_t e = 0; e < kNumErrorTypes; ++e)
-      r.errors[e] = parse_number<std::uint32_t>(f[kFixedCols + e]);
-    d.records.push_back(r);
+    DailyRecord& r = fleet.drives[it->second].records.emplace_back();
+    std::size_t at = kDriveCols;
+    store::for_each_record_column([&](std::size_t, auto column) {
+      if (at == f.size()) return;  // legacy row: the class counters stay 0
+      if constexpr (column.is_flags) {
+        std::uint8_t flags = 0;
+        for (std::size_t bit = 0; bit < Flags::kBitNames.size(); ++bit)
+          flags |= static_cast<std::uint8_t>((parse_number<int>(f[at++]) != 0) << bit);
+        column.set(r, flags);
+      } else {
+        column.set(r, parse_number<typename decltype(column)::value_type>(f[at++]));
+      }
+    });
   }
 
   for (std::size_t row = 1; row < swap_rows.size(); ++row) {

@@ -234,6 +234,26 @@ TEST(Compactor, OutOfOrderRecordsAreDroppedNotStored) {
   EXPECT_EQ(view.total_records(), 3u);
 }
 
+TEST(Compactor, UnknownModelRecordsAreDroppedNotStored) {
+  // A CRC-valid segment can still carry a model id outside kAllModels; it
+  // must not reach the shard, or every later open of the store fails.
+  TempDir wal("bad_model_wal");
+  TempDir store("bad_model_store");
+  auto stream = make_stream(2, 3);
+  stream[1].drive_model = static_cast<trace::DriveModel>(trace::kNumModels);
+
+  WalWriter w(wal_path(wal.path(), 0), 0, FsyncPolicy::kNever);
+  w.append(stream);
+  w.seal(sealed_wal_path(wal.path(), 0, w.next_seq() - 1));
+
+  const CompactionResult result = compact_sealed_wals(wal.path(), store.path());
+  EXPECT_EQ(result.bad_model_dropped, 1u);
+  EXPECT_EQ(result.records, 5u);
+  EXPECT_EQ(result.drives, 2u);
+  const auto view = store::ShardedFleetView::open(store.path());
+  EXPECT_EQ(view.total_records(), 5u);
+}
+
 TEST(Compactor, KeepWalLeavesSealedFilesInPlace) {
   TempDir wal("keep_wal");
   TempDir store("keep_store");

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 namespace ssdfail::trace {
 namespace {
@@ -103,6 +104,40 @@ TEST(TraceIo, HeaderColumnCountMatchesRows) {
     return std::count(s.begin(), s.end(), ',');
   };
   EXPECT_EQ(count(header_line), count(first_row));
+}
+
+TEST(TraceIo, ReadsLogsWrittenBeforeTheClassCounters) {
+  // A 23-column log (no class-specific counters) still reads, with those
+  // counters 0; the first 23 header names are the ones it was written with.
+  FleetTrace fleet = make_small_fleet();
+  fleet.drives[0].records[0].seek_errors = 4;
+  fleet.drives[1].records[0].media_wear = 9;
+  std::ostringstream daily;
+  write_daily_log(daily, fleet);
+  const std::string legacy_header =
+      "drive_uid,model,drive_index,deploy_day,day,reads,writes,erases,pe_cycles,"
+      "bad_blocks,factory_bad_blocks,read_only,dead,correctable_errors,erase_errors,"
+      "final_read_errors,final_write_errors,meta_errors,read_errors,response_errors,"
+      "timeout_errors,uncorrectable_errors,write_errors";
+  EXPECT_EQ(daily_log_header(),
+            legacy_header + ",reallocated_sectors,seek_errors,media_wear,throttle_events");
+
+  std::istringstream full(daily.str());
+  std::string legacy;
+  for (std::string line; std::getline(full, line);) {
+    for (std::size_t n = 0; n < kNumExtCounterFields; ++n) line.erase(line.rfind(','));
+    legacy += line + '\n';
+  }
+
+  std::istringstream daily_in(legacy);
+  std::istringstream swaps_in("drive_uid,model,drive_index,day\n");
+  const FleetTrace back = read_fleet(daily_in, swaps_in);
+  ASSERT_EQ(back.drives.size(), fleet.drives.size());
+  for (DriveHistory& d : fleet.drives)
+    for (DailyRecord& r : d.records)
+      for (const RecordCounterField& f : kExtCounterFields) r.*f.field = 0;
+  for (std::size_t d = 0; d < back.drives.size(); ++d)
+    EXPECT_EQ(back.drives[d].records, fleet.drives[d].records) << "drive " << d;
 }
 
 TEST(TraceIo, RejectsMalformedInput) {
