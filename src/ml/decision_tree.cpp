@@ -1,29 +1,11 @@
 #include "ml/decision_tree.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <numeric>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
-#include "parallel/thread_pool.hpp"
-
 namespace ssdfail::ml {
-namespace {
-
-/// Gini impurity of a node with `pos` positives out of `n`.
-double gini(double pos, double n) noexcept {
-  if (n <= 0.0) return 0.0;
-  const double p = pos / n;
-  return 2.0 * p * (1.0 - p);
-}
-
-/// Minimum rows*candidates at a node before the candidate-split scan fans
-/// out across the pool.  Below this the sort is cheaper than the dispatch.
-constexpr std::size_t kMinParallelSplitWork = 1u << 15;
-
-}  // namespace
 
 void DecisionTree::fit(const Dataset& train) {
   std::vector<std::size_t> idx(train.size());
@@ -37,138 +19,14 @@ void DecisionTree::fit_on(const Dataset& train, std::vector<std::size_t> row_ind
   nodes_.clear();
   n_features_ = train.x.cols();
   importance_.assign(n_features_, 0.0);
-  stats::Rng rng(params_.seed);
-  build(train, row_indices, 0, row_indices.size(), 0, rng);
-}
-
-std::int32_t DecisionTree::build(const Dataset& train, std::vector<std::size_t>& idx,
-                                 std::size_t begin, std::size_t end, std::size_t depth,
-                                 stats::Rng& rng) {
-  const std::size_t n = end - begin;
-  double pos = 0.0;
-  for (std::size_t i = begin; i < end; ++i)
-    if (train.y[idx[i]] > 0.5f) pos += 1.0;
-
-  const double node_gini = gini(pos, static_cast<double>(n));
-  const auto make_leaf = [&] {
-    Node leaf;
-    leaf.score = static_cast<float>(pos / static_cast<double>(n));
-    nodes_.push_back(leaf);
-    return static_cast<std::int32_t>(nodes_.size() - 1);
-  };
-
-  if (depth >= params_.max_depth || n < params_.min_samples_split ||
-      node_gini == 0.0)
-    return make_leaf();
-
-  // Candidate feature set: all, or a fresh random subset (forest mode).
-  std::vector<std::size_t> features(n_features_);
-  std::iota(features.begin(), features.end(), std::size_t{0});
-  std::size_t n_candidates = n_features_;
-  if (params_.max_features > 0 && params_.max_features < n_features_) {
-    // Partial Fisher-Yates: first max_features entries become the sample.
-    for (std::size_t i = 0; i < params_.max_features; ++i) {
-      const auto j = i + static_cast<std::size_t>(rng.uniform_index(n_features_ - i));
-      std::swap(features[i], features[j]);
-    }
-    n_candidates = params_.max_features;
-  }
-
-  // Best split search: sort rows by feature value, sweep boundaries.
-  // Candidate features are scanned in parallel at big nodes; each scan is
-  // a pure function of (train, idx range, feature), partials merge in
-  // candidate order with a strictly-greater comparison, so the winner is
-  // the same feature the serial first-wins loop picks — bit-identical at
-  // any thread count.
-  struct Best {
-    double gain = 0.0;
-    std::size_t feature = 0;
-    float threshold = 0.0f;
-  };
-
-  const auto scan_feature = [&](Best& best, std::vector<std::pair<float, float>>& vals,
-                                std::size_t feat) {
-    vals.clear();
-    for (std::size_t i = begin; i < end; ++i)
-      vals.emplace_back(train.x(idx[i], feat), train.y[idx[i]]);
-    std::sort(vals.begin(), vals.end());
-    if (vals.front().first == vals.back().first) return;  // constant
-
-    double left_pos = 0.0;
-    for (std::size_t i = 0; i + 1 < n; ++i) {
-      if (vals[i].second > 0.5f) left_pos += 1.0;
-      if (vals[i].first == vals[i + 1].first) continue;  // not a boundary
-      const double nl = static_cast<double>(i + 1);
-      const double nr = static_cast<double>(n) - nl;
-      if (nl < params_.min_samples_leaf || nr < params_.min_samples_leaf) continue;
-      const double child_gini = (nl * gini(left_pos, nl) +
-                                 nr * gini(pos - left_pos, nr)) /
-                                static_cast<double>(n);
-      const double gain = node_gini - child_gini;
-      if (gain > best.gain) {
-        best.gain = gain;
-        best.feature = feat;
-        best.threshold = 0.5f * (vals[i].first + vals[i + 1].first);
-      }
-    }
-  };
-
-  Best best;
-  parallel::ThreadPool& pool = parallel::ThreadPool::current();
-  if (n * n_candidates >= kMinParallelSplitWork && pool.size() > 1 &&
-      !pool.on_worker_thread()) {
-    struct Scan {
-      Best best;
-      std::vector<std::pair<float, float>> vals;  // (value, label), reused
-    };
-    best = parallel::parallel_reduce(
-               n_candidates, [] { return Scan{}; },
-               [&](Scan& acc, std::size_t j) { scan_feature(acc.best, acc.vals, features[j]); },
-               [](Scan& dst, const Scan& src) {
-                 if (src.best.gain > dst.best.gain) dst.best = src.best;
-               },
-               pool)
-               .best;
-  } else {
-    std::vector<std::pair<float, float>> vals;
-    vals.reserve(n);
-    for (std::size_t f = 0; f < n_candidates; ++f) scan_feature(best, vals, features[f]);
-  }
-
-  if (best.gain <= 1e-12) return make_leaf();
-
-  // Partition in place: rows with value <= threshold go left.
-  const auto mid_it = std::partition(
-      idx.begin() + static_cast<std::ptrdiff_t>(begin),
-      idx.begin() + static_cast<std::ptrdiff_t>(end),
-      [&](std::size_t row) { return train.x(row, best.feature) <= best.threshold; });
-  const auto mid = static_cast<std::size_t>(mid_it - idx.begin());
-  if (mid == begin || mid == end) return make_leaf();  // numeric edge case
-
-  importance_[best.feature] += best.gain * static_cast<double>(n);
-
-  const auto node_id = static_cast<std::int32_t>(nodes_.size());
-  nodes_.emplace_back();
-  nodes_[node_id].feature = static_cast<std::int32_t>(best.feature);
-  nodes_[node_id].threshold = best.threshold;
-  const std::int32_t left = build(train, idx, begin, mid, depth + 1, rng);
-  const std::int32_t right = build(train, idx, mid, end, depth + 1, rng);
-  nodes_[node_id].left = left;
-  nodes_[node_id].right = right;
-  return node_id;
+  const GrowLimits limits{params_.max_depth, params_.min_samples_split,
+                          params_.min_samples_leaf, params_.max_features, params_.seed};
+  grow(train.x, Gini{train.y}, limits, row_indices, nodes_, importance_);
 }
 
 float DecisionTree::predict_row(std::span<const float> row) const {
   if (nodes_.empty()) throw std::logic_error("DecisionTree: predict before fit");
-  std::int32_t cur = 0;
-  while (nodes_[cur].left != -1) {
-    const Node& node = nodes_[cur];
-    // NaN fails `<=` and routes right — the frozen contract
-    // (kNanRoutesRight); the flat engine replicates this exactly.
-    cur = row[static_cast<std::size_t>(node.feature)] <= node.threshold ? node.left
-                                                                        : node.right;
-  }
-  return nodes_[cur].score;
+  return walk(nodes_, row);
 }
 
 std::vector<float> DecisionTree::predict_proba(const Matrix& x) const {

@@ -4,28 +4,15 @@
 // the "CART" row of Table 6, and the base learner behind the paper's
 // headline random forest.  Supports per-node random feature subsetting so
 // RandomForest can reuse the same builder.  Leaf scores are positive-class
-// fractions.
-//
-// Candidate-split evaluation parallelizes across features at large nodes
-// (chunk-ordered strictly-greater merge == the serial first-wins loop, so
-// the fitted tree is bit-identical at any thread count; pinned by
-// tests/ml/test_parallel_training.cpp).
+// fractions.  Grown by the shared tree kernel (ml/tree_kernel.hpp) with the
+// Gini criterion.
 
 #include <cstdint>
 
 #include "ml/classifier.hpp"
-#include "stats/rng.hpp"
+#include "ml/tree_kernel.hpp"
 
 namespace ssdfail::ml {
-
-/// NaN feature routing is part of the model's frozen semantics: every
-/// split evaluates `value <= threshold ? left : right`, and every ordered
-/// comparison against NaN is false, so a NaN feature ALWAYS routes to the
-/// RIGHT child — during training partition and during prediction, in both
-/// the pointer-walk and compiled flat engines.  Pinned by
-/// tests/ml/test_flat_forest.cpp (NaN rows score identically to +Inf rows,
-/// which take the same all-right path).
-inline constexpr bool kNanRoutesRight = true;
 
 class DecisionTree final : public Classifier {
  public:
@@ -62,25 +49,11 @@ class DecisionTree final : public Classifier {
   [[nodiscard]] std::size_t node_count() const noexcept { return nodes_.size(); }
 
  private:
-  struct Node {
-    // Internal node: feature/threshold valid, children set.
-    // Leaf: left == -1, score valid.
-    std::int32_t feature = -1;
-    float threshold = 0.0f;
-    std::int32_t left = -1;
-    std::int32_t right = -1;
-    float score = 0.0f;
-  };
-
   friend struct ModelSerializer;     // binary save/load (ml/serialize.hpp)
   friend struct FlatForestCompiler;  // compiled engine (ml/flat_forest.hpp)
 
-  std::int32_t build(const Dataset& train, std::vector<std::size_t>& idx,
-                     std::size_t begin, std::size_t end, std::size_t depth,
-                     stats::Rng& rng);
-
   Params params_{};
-  std::vector<Node> nodes_;
+  std::vector<TreeNode<float>> nodes_;
   std::vector<double> importance_;
   std::size_t n_features_ = 0;
 };

@@ -68,13 +68,12 @@ std::optional<InferenceEngine> parse_inference_engine(std::string_view name) noe
 /// Friend of the walker models: reads the private node arrays the public
 /// APIs deliberately do not expose.
 struct FlatForestCompiler {
-  /// Append one walker tree in level order.  `is_leaf` / `leaf_value`
-  /// adapt the two walker node layouts; `scale` folds the boosting
+  /// Append one walker tree in level order.  `scale` folds the boosting
   /// learning rate into the stored leaf payload (exact: double * double,
   /// the same product the walker computes per row).
-  template <typename Nodes, typename IsLeaf, typename LeafValue>
-  static void append_tree(FlatForest& ff, const Nodes& src, IsLeaf is_leaf,
-                          LeafValue leaf_value, double scale) {
+  template <typename Leaf>
+  static void append_tree(FlatForest& ff, const std::vector<TreeNode<Leaf>>& src,
+                          double scale) {
     if (src.empty())
       throw std::runtime_error("FlatForest: malformed tree (no nodes)");
     // Byte offsets (id << kNodeShift) must stay in int32: cap node ids.
@@ -92,7 +91,7 @@ struct FlatForestCompiler {
     std::uint32_t max_depth = 0;
     for (std::size_t head = 0; head < order.size(); ++head) {
       const auto w = static_cast<std::size_t>(order[head]);
-      if (is_leaf(src[w])) continue;
+      if (src[w].left == -1) continue;  // leaf
       // Trees may come from a deserialized stream: reject out-of-range
       // children, shared children, and back-edges before dereferencing.
       const std::int32_t li = src[w].left;
@@ -119,14 +118,14 @@ struct FlatForestCompiler {
       const auto w = static_cast<std::size_t>(w_id);
       const std::int32_t f = flat_of[w];
       FlatNode& node = ff.nodes_[static_cast<std::size_t>(f)];
-      if (is_leaf(src[w])) {
+      if (src[w].left == -1) {
         // Self-parking: the NaN threshold fails every comparison, so the
         // step always lands on left + one node == the leaf itself.  f >= 1
         // always (the sentinel owns slot 0), so f - 1 stays in-array.
         node.threshold = std::numeric_limits<float>::quiet_NaN();
         node.feature = 0;
         node.left = (f - 1) << kNodeShift;
-        ff.values_[static_cast<std::size_t>(f)] = leaf_value(src[w]) * scale;
+        ff.values_[static_cast<std::size_t>(f)] = static_cast<double>(src[w].value) * scale;
       } else {
         node.threshold = src[w].threshold;
         node.feature = src[w].feature;
@@ -143,59 +142,49 @@ struct FlatForestCompiler {
     ff.max_depth_ = std::max(ff.max_depth_, max_depth);
   }
 
-  /// Slot 0 is a parked sentinel so every real node id is >= 1 — a leaf at
-  /// id f then always has a valid in-array `left = f - 1`.  The sentinel
-  /// is never a root or a child, so it is never visited; its self-parking
-  /// link (-1 node) is for uniformity only.
-  static void push_sentinel(FlatForest& ff) {
+  /// An empty engine sized for `trees` trees of `total_nodes` nodes.  Slot
+  /// 0 is a parked sentinel so every real node id is >= 1 — a leaf at id f
+  /// then always has a valid in-array `left = f - 1`.  The sentinel is
+  /// never a root or a child, so it is never visited; its self-parking link
+  /// (-1 node) is for uniformity only.
+  static FlatForest start(FlatForest::Kind kind, double bias, std::size_t n_features,
+                          std::size_t trees, std::size_t total_nodes) {
+    FlatForest ff;
+    ff.kind_ = kind;
+    ff.bias_ = bias;
+    ff.n_features_ = n_features;
+    ff.nodes_.reserve(total_nodes + 1);
+    ff.values_.reserve(total_nodes + 1);
+    ff.roots_.reserve(trees);
+    ff.depths_.reserve(trees);
     FlatNode sentinel;
     sentinel.threshold = std::numeric_limits<float>::quiet_NaN();
     sentinel.left = std::int32_t{-1} << kNodeShift;
     ff.nodes_.push_back(sentinel);
     ff.values_.push_back(0.0);
+    return ff;
   }
 
   static FlatForest compile(const RandomForest& forest) {
     if (forest.trees_.empty())
       throw std::logic_error("FlatForest: compile before fit (RandomForest)");
-    FlatForest ff;
-    ff.kind_ = FlatForest::Kind::kAverage;
-    ff.bias_ = 0.0;
-    ff.n_features_ = forest.n_features_;
-    push_sentinel(ff);
     std::size_t total = 0;
     for (const DecisionTree& t : forest.trees_) total += t.nodes_.size();
-    ff.nodes_.reserve(total);
-    ff.values_.reserve(total);
-    ff.roots_.reserve(forest.trees_.size());
-    ff.depths_.reserve(forest.trees_.size());
-    for (const DecisionTree& t : forest.trees_)
-      append_tree(
-          ff, t.nodes_, [](const DecisionTree::Node& n) { return n.left == -1; },
-          [](const DecisionTree::Node& n) { return static_cast<double>(n.score); },
-          1.0);
+    FlatForest ff = start(FlatForest::Kind::kAverage, 0.0, forest.n_features_,
+                          forest.trees_.size(), total);
+    for (const DecisionTree& t : forest.trees_) append_tree(ff, t.nodes_, 1.0);
     return ff;
   }
 
   static FlatForest compile(const GradientBoosting& model) {
     if (model.trees_.empty())
       throw std::logic_error("FlatForest: compile before fit (GradientBoosting)");
-    FlatForest ff;
-    ff.kind_ = FlatForest::Kind::kLogitSum;
-    ff.bias_ = model.prior_;
-    ff.n_features_ = model.n_features_;
-    push_sentinel(ff);
     std::size_t total = 0;
-    for (const GradientBoosting::Tree& t : model.trees_) total += t.nodes.size();
-    ff.nodes_.reserve(total);
-    ff.values_.reserve(total);
-    ff.roots_.reserve(model.trees_.size());
-    ff.depths_.reserve(model.trees_.size());
+    for (const GradientBoosting::Tree& t : model.trees_) total += t.size();
+    FlatForest ff = start(FlatForest::Kind::kLogitSum, model.prior_, model.n_features_,
+                          model.trees_.size(), total);
     for (const GradientBoosting::Tree& t : model.trees_)
-      append_tree(
-          ff, t.nodes, [](const GradientBoosting::Node& n) { return n.feature == -1; },
-          [](const GradientBoosting::Node& n) { return n.value; },
-          model.params_.learning_rate);
+      append_tree(ff, t, model.params_.learning_rate);
     return ff;
   }
 };

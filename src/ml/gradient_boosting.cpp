@@ -17,132 +17,7 @@ namespace {
 
 double sigmoid(double z) noexcept { return 1.0 / (1.0 + std::exp(-z)); }
 
-/// Newton leaf value with L2 damping: sum(grad) / (sum(hess) + lambda).
-double leaf_value(double grad_sum, double hess_sum) noexcept {
-  constexpr double kLambda = 1.0;
-  return grad_sum / (hess_sum + kLambda);
-}
-
-/// Minimum rows*features at a node before the candidate-split scan fans
-/// out across the pool (same rationale as decision_tree.cpp).
-constexpr std::size_t kMinParallelSplitWork = 1u << 15;
-
 }  // namespace
-
-double GradientBoosting::Tree::predict(std::span<const float> row) const {
-  std::int32_t cur = 0;
-  while (nodes[cur].feature != -1) {
-    const Node& node = nodes[cur];
-    cur = row[static_cast<std::size_t>(node.feature)] <= node.threshold ? node.left
-                                                                        : node.right;
-  }
-  return nodes[cur].value;
-}
-
-std::int32_t GradientBoosting::build_node(const Dataset& train,
-                                          const std::vector<double>& grad,
-                                          const std::vector<double>& hess,
-                                          std::vector<std::size_t>& idx,
-                                          std::size_t begin, std::size_t end,
-                                          std::size_t depth, Tree& tree) {
-  const std::size_t n = end - begin;
-  double grad_sum = 0.0;
-  double hess_sum = 0.0;
-  for (std::size_t i = begin; i < end; ++i) {
-    grad_sum += grad[idx[i]];
-    hess_sum += hess[idx[i]];
-  }
-
-  const auto make_leaf = [&] {
-    Node leaf;
-    leaf.value = leaf_value(grad_sum, hess_sum);
-    tree.nodes.push_back(leaf);
-    return static_cast<std::int32_t>(tree.nodes.size() - 1);
-  };
-  if (depth >= params_.max_depth || n < 2 * params_.min_samples_leaf) return make_leaf();
-
-  // Best split by gain = GL^2/(HL+l) + GR^2/(HR+l) - G^2/(H+l).
-  constexpr double kLambda = 1.0;
-  const double parent_score = grad_sum * grad_sum / (hess_sum + kLambda);
-  struct Best {
-    double gain = 1e-10;
-    std::size_t feature = 0;
-    float threshold = 0.0f;
-  } best;
-
-  // Candidate features scan in parallel at big nodes; partials merge in
-  // feature order with a strictly-greater comparison, reproducing the
-  // serial first-wins loop bit-for-bit (same pattern as decision_tree).
-  const auto scan_feature = [&](Best& acc, std::vector<std::pair<float, std::size_t>>& vals,
-                                std::size_t f) {
-    vals.clear();
-    for (std::size_t i = begin; i < end; ++i)
-      vals.emplace_back(train.x(idx[i], f), idx[i]);
-    std::sort(vals.begin(), vals.end());
-    if (vals.front().first == vals.back().first) return;
-
-    double gl = 0.0;
-    double hl = 0.0;
-    for (std::size_t i = 0; i + 1 < n; ++i) {
-      gl += grad[vals[i].second];
-      hl += hess[vals[i].second];
-      if (vals[i].first == vals[i + 1].first) continue;
-      const std::size_t nl = i + 1;
-      const std::size_t nr = n - nl;
-      if (nl < params_.min_samples_leaf || nr < params_.min_samples_leaf) continue;
-      const double gr = grad_sum - gl;
-      const double hr = hess_sum - hl;
-      const double gain = gl * gl / (hl + kLambda) + gr * gr / (hr + kLambda) -
-                          parent_score;
-      if (gain > acc.gain) {
-        acc.gain = gain;
-        acc.feature = f;
-        acc.threshold = 0.5f * (vals[i].first + vals[i + 1].first);
-      }
-    }
-  };
-
-  parallel::ThreadPool& pool = parallel::ThreadPool::current();
-  if (n * n_features_ >= kMinParallelSplitWork && pool.size() > 1 &&
-      !pool.on_worker_thread()) {
-    struct Scan {
-      Best best;
-      std::vector<std::pair<float, std::size_t>> vals;
-    };
-    best = parallel::parallel_reduce(
-               n_features_, [] { return Scan{}; },
-               [&](Scan& acc, std::size_t f) { scan_feature(acc.best, acc.vals, f); },
-               [](Scan& dst, const Scan& src) {
-                 if (src.best.gain > dst.best.gain) dst.best = src.best;
-               },
-               pool)
-               .best;
-  } else {
-    std::vector<std::pair<float, std::size_t>> vals;
-    vals.reserve(n);
-    for (std::size_t f = 0; f < n_features_; ++f) scan_feature(best, vals, f);
-  }
-  if (best.gain <= 1e-9) return make_leaf();
-
-  const auto mid_it = std::partition(
-      idx.begin() + static_cast<std::ptrdiff_t>(begin),
-      idx.begin() + static_cast<std::ptrdiff_t>(end),
-      [&](std::size_t row) { return train.x(row, best.feature) <= best.threshold; });
-  const auto mid = static_cast<std::size_t>(mid_it - idx.begin());
-  if (mid == begin || mid == end) return make_leaf();
-
-  importance_[best.feature] += best.gain;
-
-  const auto node_id = static_cast<std::int32_t>(tree.nodes.size());
-  tree.nodes.emplace_back();
-  tree.nodes[node_id].feature = static_cast<std::int32_t>(best.feature);
-  tree.nodes[node_id].threshold = best.threshold;
-  const std::int32_t left = build_node(train, grad, hess, idx, begin, mid, depth + 1, tree);
-  const std::int32_t right = build_node(train, grad, hess, idx, mid, end, depth + 1, tree);
-  tree.nodes[node_id].left = left;
-  tree.nodes[node_id].right = right;
-  return node_id;
-}
 
 void GradientBoosting::fit(const Dataset& train) {
   static const obs::SiteId kFitSite = obs::intern_site("boosting.fit");
@@ -150,6 +25,8 @@ void GradientBoosting::fit(const Dataset& train) {
   train.validate();
   const std::size_t n = train.size();
   if (n == 0) throw std::invalid_argument("GradientBoosting: empty train set");
+  if (params_.n_rounds == 0)
+    throw std::invalid_argument("GradientBoosting: n_rounds must be at least 1");
   n_features_ = train.x.cols();
   importance_.assign(n_features_, 0.0);
   trees_.clear();
@@ -162,6 +39,9 @@ void GradientBoosting::fit(const Dataset& train) {
   std::vector<double> grad(n);
   std::vector<double> hess(n);
   stats::Rng rng(params_.seed);
+  // All features at every node; a split needs min_samples_leaf rows a side.
+  const GrowLimits limits{params_.max_depth, 2 * params_.min_samples_leaf,
+                          params_.min_samples_leaf, 0, 0};
 
   static obs::Counter& rounds_counter = obs::MetricsRegistry::global().counter(
       "boosting_rounds_total", {}, "boosting rounds (trees) fitted");
@@ -187,12 +67,12 @@ void GradientBoosting::fit(const Dataset& train) {
     }
 
     Tree tree;
-    build_node(train, grad, hess, idx, 0, idx.size(), 0, tree);
+    grow(train.x, Newton{grad, hess}, limits, idx, tree, importance_);
     // Update scores with the damped tree output (ALL rows, not just the
     // subsample — the tree generalizes its Newton steps).  Per-row and
     // order-independent, so the parallel update is bit-identical.
     parallel::parallel_for(n, [&](std::size_t i) {
-      score[i] += params_.learning_rate * tree.predict(train.x.row(i));
+      score[i] += params_.learning_rate * walk(tree, train.x.row(i));
     });
     trees_.push_back(std::move(tree));
   }
@@ -204,7 +84,7 @@ std::vector<float> GradientBoosting::predict_proba(const Matrix& x) const {
   parallel::parallel_for(x.rows(), [&](std::size_t r) {
     double score = prior_;
     const auto row = x.row(r);
-    for (const Tree& tree : trees_) score += params_.learning_rate * tree.predict(row);
+    for (const Tree& tree : trees_) score += params_.learning_rate * walk(tree, row);
     out[r] = static_cast<float>(sigmoid(score));
   });
   return out;

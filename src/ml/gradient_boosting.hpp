@@ -6,18 +6,17 @@
 // bench_ext_boosting against the paper's random forest.
 //
 // Standard formulation: F_0 = prior log-odds; each round fits a small
-// regression tree to the negative gradient (residual y - p) and updates
-// leaf values with a single Newton step, damped by the learning rate.
+// regression tree to the negative gradient (residual y - p) with Newton-gain
+// splits and single-Newton-step leaf values, damped by the learning rate.
+// The trees are grown by the shared tree kernel (ml/tree_kernel.hpp) with
+// the Newton criterion.
 
 #include <cstdint>
 
 #include "ml/classifier.hpp"
+#include "ml/tree_kernel.hpp"
 
 namespace ssdfail::ml {
-
-/// Regression tree used as the boosting base learner (variance-reduction
-/// splits, Newton leaf values supplied by the booster).
-class BoostedTreeStump;
 
 class GradientBoosting final : public Classifier {
  public:
@@ -34,6 +33,7 @@ class GradientBoosting final : public Classifier {
   GradientBoosting() = default;
   explicit GradientBoosting(Params params) : params_(params) {}
 
+  /// Throws std::invalid_argument on an empty train set or n_rounds == 0.
   void fit(const Dataset& train) override;
   [[nodiscard]] std::vector<float> predict_proba(const Matrix& x) const override;
   [[nodiscard]] std::string name() const override { return "gradient_boosting"; }
@@ -43,30 +43,15 @@ class GradientBoosting final : public Classifier {
 
   [[nodiscard]] std::size_t rounds_fitted() const noexcept { return trees_.size(); }
 
-  /// Total squared-gradient gain attributed to each feature, normalized.
+  /// Total Newton split gain attributed to each feature, normalized.
   [[nodiscard]] std::vector<double> feature_importance() const;
 
  private:
   friend struct ModelSerializer;     // binary save/load (ml/serialize.hpp)
   friend struct FlatForestCompiler;  // compiled engine (ml/flat_forest.hpp)
 
-  struct Node {
-    std::int32_t feature = -1;   // -1: leaf
-    float threshold = 0.0f;
-    std::int32_t left = -1;
-    std::int32_t right = -1;
-    double value = 0.0;          // leaf output (log-odds increment)
-  };
-  struct Tree {
-    std::vector<Node> nodes;
-    [[nodiscard]] double predict(std::span<const float> row) const;
-  };
-
-  /// Recursively build one regression tree on (gradient, hessian) targets.
-  std::int32_t build_node(const Dataset& train, const std::vector<double>& grad,
-                          const std::vector<double>& hess,
-                          std::vector<std::size_t>& idx, std::size_t begin,
-                          std::size_t end, std::size_t depth, Tree& tree);
+  /// One regression tree; leaf values are undamped log-odds increments.
+  using Tree = std::vector<TreeNode<double>>;
 
   Params params_{};
   double prior_ = 0.0;  // F_0: log-odds of the base rate

@@ -52,6 +52,38 @@ std::vector<T> get_vector(std::istream& in, std::uint64_t max_size) {
   return v;
 }
 
+// Tree nodes: u64 count, then per node i32 feature, f32 threshold, i32
+// left, i32 right and the leaf value at its model's width (f32 for CART
+// trees, f64 for boosting trees).
+template <typename Leaf>
+void write_nodes(std::ostream& out, const std::vector<TreeNode<Leaf>>& nodes) {
+  put<std::uint64_t>(out, nodes.size());
+  for (const TreeNode<Leaf>& n : nodes) {
+    put<std::int32_t>(out, n.feature);
+    put<float>(out, n.threshold);
+    put<std::int32_t>(out, n.left);
+    put<std::int32_t>(out, n.right);
+    put<Leaf>(out, n.value);
+  }
+}
+
+template <typename Leaf>
+std::vector<TreeNode<Leaf>> read_nodes(std::istream& in) {
+  const auto n_nodes = get<std::uint64_t>(in);
+  if (n_nodes > kMaxNodes) throw std::runtime_error("ml::serialize: implausible node count");
+  std::vector<TreeNode<Leaf>> nodes;
+  nodes.reserve(static_cast<std::size_t>(n_nodes));
+  for (std::uint64_t i = 0; i < n_nodes; ++i) {
+    TreeNode<Leaf>& n = nodes.emplace_back();
+    n.feature = get<std::int32_t>(in);
+    n.threshold = get<float>(in);
+    n.left = get<std::int32_t>(in);
+    n.right = get<std::int32_t>(in);
+    n.value = get<Leaf>(in);
+  }
+  return nodes;
+}
+
 void write_header(std::ostream& out, SavedModelKind kind) {
   out.write(kMagic, sizeof(kMagic));
   put<std::uint32_t>(out, kModelFormatVersion);
@@ -142,14 +174,7 @@ struct ModelSerializer {
     put<std::uint64_t>(out, t.params_.max_features);
     put<std::uint64_t>(out, t.params_.seed);
     put<std::uint64_t>(out, t.n_features_);
-    put<std::uint64_t>(out, t.nodes_.size());
-    for (const DecisionTree::Node& n : t.nodes_) {
-      put<std::int32_t>(out, n.feature);
-      put<float>(out, n.threshold);
-      put<std::int32_t>(out, n.left);
-      put<std::int32_t>(out, n.right);
-      put<float>(out, n.score);
-    }
+    write_nodes(out, t.nodes_);
     put_vector(out, t.importance_);
   }
 
@@ -164,18 +189,7 @@ struct ModelSerializer {
     t.n_features_ = static_cast<std::size_t>(get<std::uint64_t>(in));
     if (t.n_features_ > kMaxFeatures)
       throw std::runtime_error("ml::serialize: implausible feature count");
-    const auto n_nodes = get<std::uint64_t>(in);
-    if (n_nodes > kMaxNodes) throw std::runtime_error("ml::serialize: implausible node count");
-    t.nodes_.reserve(static_cast<std::size_t>(n_nodes));
-    for (std::uint64_t i = 0; i < n_nodes; ++i) {
-      DecisionTree::Node n;
-      n.feature = get<std::int32_t>(in);
-      n.threshold = get<float>(in);
-      n.left = get<std::int32_t>(in);
-      n.right = get<std::int32_t>(in);
-      n.score = get<float>(in);
-      t.nodes_.push_back(n);
-    }
+    t.nodes_ = read_nodes<float>(in);
     t.importance_ = get_vector<double>(in, kMaxFeatures);
     return t;
   }
@@ -206,7 +220,8 @@ struct ModelSerializer {
     if (f.n_features_ > kMaxFeatures)
       throw std::runtime_error("ml::serialize: implausible feature count");
     const auto n_trees = get<std::uint64_t>(in);
-    if (n_trees > kMaxTrees) throw std::runtime_error("ml::serialize: implausible tree count");
+    if (n_trees == 0 || n_trees > kMaxTrees)
+      throw std::runtime_error("ml::serialize: implausible tree count");
     f.trees_.reserve(static_cast<std::size_t>(n_trees));
     for (std::uint64_t t = 0; t < n_trees; ++t) f.trees_.push_back(read_tree_body(in));
     return f;
@@ -225,16 +240,7 @@ struct ModelSerializer {
     put<std::uint64_t>(out, m.n_features_);
     put_vector(out, m.importance_);
     put<std::uint64_t>(out, m.trees_.size());
-    for (const GradientBoosting::Tree& t : m.trees_) {
-      put<std::uint64_t>(out, t.nodes.size());
-      for (const GradientBoosting::Node& n : t.nodes) {
-        put<std::int32_t>(out, n.feature);
-        put<float>(out, n.threshold);
-        put<std::int32_t>(out, n.left);
-        put<std::int32_t>(out, n.right);
-        put<double>(out, n.value);
-      }
-    }
+    for (const GradientBoosting::Tree& t : m.trees_) write_nodes(out, t);
   }
 
   static GradientBoosting read_gb_body(std::istream& in) {
@@ -252,25 +258,10 @@ struct ModelSerializer {
       throw std::runtime_error("ml::serialize: implausible feature count");
     m.importance_ = get_vector<double>(in, kMaxFeatures);
     const auto n_trees = get<std::uint64_t>(in);
-    if (n_trees > kMaxTrees) throw std::runtime_error("ml::serialize: implausible tree count");
+    if (n_trees == 0 || n_trees > kMaxTrees)
+      throw std::runtime_error("ml::serialize: implausible tree count");
     m.trees_.reserve(static_cast<std::size_t>(n_trees));
-    for (std::uint64_t t = 0; t < n_trees; ++t) {
-      const auto n_nodes = get<std::uint64_t>(in);
-      if (n_nodes > kMaxNodes)
-        throw std::runtime_error("ml::serialize: implausible node count");
-      GradientBoosting::Tree tree;
-      tree.nodes.reserve(static_cast<std::size_t>(n_nodes));
-      for (std::uint64_t i = 0; i < n_nodes; ++i) {
-        GradientBoosting::Node n;
-        n.feature = get<std::int32_t>(in);
-        n.threshold = get<float>(in);
-        n.left = get<std::int32_t>(in);
-        n.right = get<std::int32_t>(in);
-        n.value = get<double>(in);
-        tree.nodes.push_back(n);
-      }
-      m.trees_.push_back(std::move(tree));
-    }
+    for (std::uint64_t t = 0; t < n_trees; ++t) m.trees_.push_back(read_nodes<double>(in));
     return m;
   }
 
@@ -322,12 +313,26 @@ void save_model(std::ostream& out, const Standardizer& scaler) {
   ModelSerializer::write_standardizer_body(out, scaler);
 }
 
+namespace {
+
+/// Compile a loaded ensemble — the compiler rejects malformed tree structure
+/// (out-of-range or shared children, back-edges, bad feature ids), so no
+/// stream of any version reaches the pointer walker unchecked — and verify
+/// it against the engine manifest that v2 streams carry.
+template <typename Model>
+FlatForest compile_loaded(std::istream& in, const Header& header, const Model& model) {
+  FlatForest engine = FlatForest::compile(model);
+  if (header.version >= 2) read_and_verify_engine_manifest(in, engine);
+  return engine;
+}
+
+}  // namespace
+
 RandomForest load_random_forest(std::istream& in) {
   const Header header = read_header(in);
   expect_kind(header.kind, SavedModelKind::kRandomForest);
   RandomForest forest = ModelSerializer::read_forest_body(in);
-  if (header.version >= 2)
-    read_and_verify_engine_manifest(in, FlatForest::compile(forest));
+  (void)compile_loaded(in, header, forest);
   return forest;
 }
 
@@ -335,7 +340,7 @@ GradientBoosting load_gradient_boosting(std::istream& in) {
   const Header header = read_header(in);
   expect_kind(header.kind, SavedModelKind::kGradientBoosting);
   GradientBoosting model = ModelSerializer::read_gb_body(in);
-  read_and_verify_engine_manifest(in, FlatForest::compile(model));
+  (void)compile_loaded(in, header, model);
   return model;
 }
 
@@ -352,29 +357,23 @@ Standardizer load_standardizer(std::istream& in) {
 namespace {
 
 // Shared body of load_classifier / load_serving_classifier_file.  When
-// `engine_out` is non-null and the stream carried a v2 engine manifest,
-// the FlatForest compiled for verification is moved into *engine_out so
-// the serving loader does not compile the same ensemble twice.
+// `engine_out` is non-null and the stream holds an ensemble, the FlatForest
+// compiled for verification is moved into *engine_out so the serving
+// loader does not compile the same ensemble twice.
 std::unique_ptr<Classifier> load_classifier_impl(std::istream& in,
                                                  FlatForest* engine_out) {
   const Header header = read_header(in);
+  const auto ensemble = [&](auto model) -> std::unique_ptr<Classifier> {
+    FlatForest engine = compile_loaded(in, header, *model);
+    if (engine_out) *engine_out = std::move(engine);
+    return model;
+  };
   switch (header.kind) {
-    case SavedModelKind::kRandomForest: {
-      auto forest = std::make_unique<RandomForest>(ModelSerializer::read_forest_body(in));
-      if (header.version >= 2) {
-        FlatForest engine = FlatForest::compile(*forest);
-        read_and_verify_engine_manifest(in, engine);
-        if (engine_out) *engine_out = std::move(engine);
-      }
-      return forest;
-    }
-    case SavedModelKind::kGradientBoosting: {
-      auto model = std::make_unique<GradientBoosting>(ModelSerializer::read_gb_body(in));
-      FlatForest engine = FlatForest::compile(*model);
-      read_and_verify_engine_manifest(in, engine);
-      if (engine_out) *engine_out = std::move(engine);
-      return model;
-    }
+    case SavedModelKind::kRandomForest:
+      return ensemble(std::make_unique<RandomForest>(ModelSerializer::read_forest_body(in)));
+    case SavedModelKind::kGradientBoosting:
+      return ensemble(
+          std::make_unique<GradientBoosting>(ModelSerializer::read_gb_body(in)));
     case SavedModelKind::kLogisticRegression:
       return std::make_unique<LogisticRegression>(ModelSerializer::read_logistic_body(in));
     case SavedModelKind::kStandardizer:
@@ -437,9 +436,9 @@ std::shared_ptr<const Classifier> load_serving_classifier_file(const std::string
   if (!in) throw std::runtime_error("ml::serialize: cannot open " + path);
   FlatForest engine;
   std::shared_ptr<const Classifier> fitted(load_classifier_impl(in, &engine));
-  // A v2 ensemble already compiled its engine for manifest verification;
-  // hand it to the serving wrapper instead of recompiling.  v1 files and
-  // non-ensembles fall through to make_serving_model.
+  // An ensemble already compiled its engine while loading; hand it to the
+  // serving wrapper instead of recompiling.  Non-ensembles fall through to
+  // make_serving_model.
   if (!engine.empty() && inference_engine() == InferenceEngine::kFlat)
     return std::make_shared<const FlatForestClassifier>(std::move(fitted),
                                                         std::move(engine));

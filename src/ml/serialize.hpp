@@ -17,7 +17,8 @@
 //        and the FlatForest structural hash.  Loaders recompile the flat
 //        engine from the walker body and verify it against the manifest,
 //        so any tree-body corruption that still parses is rejected
-//        instead of served.  v1 files load unchanged (no manifest).
+//        instead of served.  v1 files load unchanged (no manifest); their
+//        tree structure is still checked by compiling the flat engine.
 //
 // Covered models are the ones the serving path needs: the paper's headline
 // random forest, gradient boosting, logistic regression, and a standalone

@@ -126,19 +126,15 @@ TEST(GradientBoosting, ImportanceConcentratesOnSignal) {
   EXPECT_GT(imp[0] + imp[1], 0.9);
 }
 
-TEST(GradientBoosting, PriorMatchesBaseRateWithZeroRounds) {
+TEST(GradientBoosting, FitRejectsZeroRounds) {
+  // A zero-round model could never score anything (predict_proba refuses
+  // an ensemble with no trees), so fit refuses to produce one.
   GradientBoosting::Params p;
   p.n_rounds = 0;
   GradientBoosting model(p);
-  Dataset d = make_linear_task(1000, 12);
-  model.fit(d);
+  const Dataset d = make_linear_task(1000, 12);
+  EXPECT_THROW(model.fit(d), std::invalid_argument);
   EXPECT_EQ(model.rounds_fitted(), 0u);
-  Matrix x(1, 2);
-  // With no trees the score is the prior log-odds: p ~ base rate.
-  double base = 0.0;
-  for (float y : d.y) base += y;
-  base /= static_cast<double>(d.y.size());
-  EXPECT_THROW((void)model.predict_proba(x), std::logic_error);
 }
 
 }  // namespace

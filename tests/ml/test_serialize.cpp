@@ -294,6 +294,35 @@ TEST(Serialize, VersionOneStreamsStillLoad) {
   EXPECT_EQ(loaded.predict_proba(probe), forest.predict_proba(probe));
 }
 
+TEST(SerializeFuzz, VersionOneStreamsWithBadChildLinksAreRejected) {
+  const Dataset train = make_task(300, 4, 16);
+  RandomForest::Params params;
+  params.n_trees = 5;
+  RandomForest forest(params);
+  forest.fit(train);
+  std::stringstream v2;
+  save_model(v2, forest);
+  std::string bytes = v2.str();
+  const std::uint32_t one = 1;
+  std::memcpy(bytes.data() + 4, &one, sizeof(one));
+  bytes.resize(bytes.size() - kManifestBytes);
+
+  // The first tree's root `left` link: 9 header bytes, 8 forest u64s and
+  // 7 tree u64s, then the root's feature and threshold.  v1 streams carry
+  // no manifest, but the tree structure must still be checked: an
+  // out-of-range child reads past the node array, and a root that is its
+  // own child loops forever.
+  constexpr std::size_t kRootLeftOffset = 9 + 8 * 8 + 7 * 8 + 4 + 4;
+  for (const std::int32_t bad_left : {std::int32_t{0x7fffffff}, std::int32_t{0}}) {
+    std::string corrupt = bytes;
+    std::memcpy(corrupt.data() + kRootLeftOffset, &bad_left, sizeof(bad_left));
+    std::stringstream as_forest(corrupt);
+    EXPECT_THROW((void)load_random_forest(as_forest), std::runtime_error) << bad_left;
+    std::stringstream as_classifier(corrupt);
+    EXPECT_THROW((void)load_classifier(as_classifier), std::runtime_error) << bad_left;
+  }
+}
+
 TEST(Serialize, VersionOneStreamsRejectGradientBoostingKind) {
   // Kind tag 4 (gradient boosting) did not exist in v1 — a v1 header
   // claiming it is corrupt, not forward-compatible.

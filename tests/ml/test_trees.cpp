@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
+#include <sstream>
 
 #include "ml/decision_tree.hpp"
+#include "ml/gradient_boosting.hpp"
 #include "ml/metrics.hpp"
 #include "ml/random_forest.hpp"
+#include "ml/serialize.hpp"
 #include "stats/rng.hpp"
 
 namespace ssdfail::ml {
@@ -171,6 +175,85 @@ TEST(RandomForest, MoreTreesReduceVariance) {
     return ms.sd;
   };
   EXPECT_LT(spread(64, 100), spread(2, 200) + 1e-12);
+}
+
+/// Integer-valued, tie-heavy task shaped like daily error counters: most
+/// columns take a handful of distinct values, so every split search sorts
+/// long runs of equal keys and tie order decides the boosting sums.
+Dataset make_counter_task(std::size_t n, std::uint64_t seed) {
+  stats::Rng rng(seed);
+  Dataset d;
+  d.x = Matrix(n, 6);
+  d.y.resize(n);
+  d.groups.resize(n);
+  for (std::size_t r = 0; r < n; ++r) {
+    const auto errors = rng.uniform_index(4) * rng.uniform_index(3);  // 0..6, half 0
+    const auto bad_blocks = rng.uniform_index(6);
+    const auto age = rng.uniform_index(40);
+    const auto read_only = rng.uniform_index(10) == 0 ? 1u : 0u;
+    d.x(r, 0) = static_cast<float>(errors);
+    d.x(r, 1) = static_cast<float>(bad_blocks);
+    d.x(r, 2) = static_cast<float>(age);
+    d.x(r, 3) = static_cast<float>(read_only);
+    d.x(r, 4) = static_cast<float>(rng.uniform_index(3));  // pure noise
+    d.x(r, 5) = static_cast<float>(errors + bad_blocks);
+    const double risk = 0.04 + 0.08 * static_cast<double>(errors) +
+                        0.05 * static_cast<double>(bad_blocks) +
+                        0.3 * static_cast<double>(read_only) +
+                        (age > 30 ? 0.1 : 0.0);
+    d.y[r] = rng.bernoulli(std::min(risk, 0.95)) ? 1.0f : 0.0f;
+    d.groups[r] = r;
+  }
+  return d;
+}
+
+std::uint64_t tree_digest(const DecisionTree& tree, const Matrix& x) {
+  std::uint64_t h = stats::kFnv1aInit;
+  for (const float p : tree.predict_proba(x))
+    h = stats::fnv1a_mix(h, std::bit_cast<std::uint32_t>(p));
+  for (const double v : tree.impurity_importance())
+    h = stats::fnv1a_mix(h, std::bit_cast<std::uint64_t>(v));
+  return stats::fnv1a_mix(h, tree.node_count());
+}
+
+template <typename Model>
+std::uint64_t model_file_digest(const Model& model) {
+  std::stringstream out;
+  save_model(out, model);
+  std::uint64_t h = stats::kFnv1aInit;
+  for (const char c : out.str()) h = stats::fnv1a_mix(h, static_cast<unsigned char>(c));
+  return h;
+}
+
+// Bit-exact pins of every tree learner's fit: the digests cover each split
+// (feature, threshold, child links), leaf value and importance entry, so
+// any change to the split search, tie handling, partition or node order
+// shows here.  Constants were captured from the separate CART and
+// boosting builders that the shared tree kernel replaced.
+TEST(TreeFitPins, FitsAreBitIdenticalToTheReferenceBuilders) {
+  const Dataset train = make_counter_task(4000, 2024);
+
+  DecisionTree all_features;
+  all_features.fit(train);
+  EXPECT_EQ(tree_digest(all_features, train.x), 0xae2ef9863a177c5bULL);
+
+  DecisionTree::Params subset;
+  subset.max_features = 3;
+  DecisionTree sampled(subset);
+  sampled.fit(train);
+  EXPECT_EQ(tree_digest(sampled, train.x), 0x0a8898537b8f4650ULL);
+
+  RandomForest::Params rf;
+  rf.n_trees = 20;
+  RandomForest forest(rf);
+  forest.fit(train);
+  EXPECT_EQ(model_file_digest(forest), 0x85f8fa67c9172182ULL);
+
+  GradientBoosting::Params gb;
+  gb.n_rounds = 30;
+  GradientBoosting boosted(gb);
+  boosted.fit(train);
+  EXPECT_EQ(model_file_digest(boosted), 0xaebf73f77690c8f8ULL);
 }
 
 }  // namespace

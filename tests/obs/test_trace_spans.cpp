@@ -178,7 +178,8 @@ TEST_F(TraceSpans, ExpositionWhileSpansCloseIsRaceFree) {
   }
   stop.store(true);
   for (auto& th : writers) th.join();
-  const SpanStats* s = find_site(TraceCollector::global().aggregate(), "test.racing_span");
+  const auto aggregate = TraceCollector::global().aggregate();  // outlives `s`
+  const SpanStats* s = find_site(aggregate, "test.racing_span");
   ASSERT_NE(s, nullptr);
   EXPECT_GT(s->count, 0u);
 }
