@@ -1,5 +1,7 @@
 #include "core/dataset_builder.hpp"
 
+#include <algorithm>
+#include <functional>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -194,18 +196,19 @@ void walk_source(const Source& src, const trace::DriveHistory& extract_drive,
   }
 }
 
-/// Drive-level swap-range filter: true when at least one swap day falls in
-/// [min_swap_day, max_swap_day].  The chunk-granular mirror of this check is
-/// ScanPredicate::{min_swap_day,max_swap_day} zone-map pruning.
-bool swap_range_admits(const DatasetBuildOptions& options,
-                       std::span<const std::int32_t> swap_days) noexcept {
+/// Drive-level swap-range filter: true when at least one of the drive's
+/// swap days (`day_of` maps each element of `swaps` to its day) falls in
+/// [min_swap_day, max_swap_day].  The chunk-granular mirror of this check
+/// is ScanPredicate::{min_swap_day,max_swap_day} zone-map pruning.
+template <typename Swaps, typename DayOf>
+bool swap_range_admits(const DatasetBuildOptions& options, const Swaps& swaps,
+                       DayOf day_of) {
   if (!options.wants_swap_range()) return true;
-  for (const std::int32_t d : swap_days) {
-    if (options.min_swap_day && d < *options.min_swap_day) continue;
-    if (options.max_swap_day && d > *options.max_swap_day) continue;
-    return true;
-  }
-  return false;
+  return std::any_of(std::begin(swaps), std::end(swaps), [&](const auto& swap) {
+    const std::int32_t d = day_of(swap);
+    return (!options.min_swap_day || d >= *options.min_swap_day) &&
+           (!options.max_swap_day || d <= *options.max_swap_day);
+  });
 }
 
 template <typename Sink>
@@ -215,16 +218,9 @@ void walk_drive(const trace::DriveHistory& drive, const DatasetBuildOptions& opt
   if (options.class_filter &&
       trace::device_class(drive.model) != *options.class_filter)
     return;
-  if (options.wants_swap_range()) {
-    bool hit = false;
-    for (const trace::SwapEvent& s : drive.swaps) {
-      if (options.min_swap_day && s.day < *options.min_swap_day) continue;
-      if (options.max_swap_day && s.day > *options.max_swap_day) continue;
-      hit = true;
-      break;
-    }
-    if (!hit) return;
-  }
+  if (!swap_range_admits(options, drive.swaps,
+                         [](const trace::SwapEvent& s) { return s.day; }))
+    return;
   const DriveTimeline timeline = derive_timeline(drive);
   walk_source(RowSource{drive}, drive, timeline, options, std::forward<Sink>(sink));
 }
@@ -348,7 +344,8 @@ ml::Dataset build_dataset(const store::ColumnarFleetView& fleet,
       // Swap-range drive filter: answered from the chunk's swap slots (the
       // per-drive mirror of the zone-map pruning above).
       if (!swap_range_admits(options,
-                             chunk.swap_days.subspan(ref.swap_begin, ref.swap_count)))
+                             chunk.swap_days.subspan(ref.swap_begin, ref.swap_count),
+                             std::identity{}))
         continue;
       if (ref.swap_count == 0) {
         append_columnar_drive(partials[c], chunk, ref, options);

@@ -80,39 +80,21 @@ TelemetryDaemon::TelemetryDaemon(std::shared_ptr<const ml::Classifier> model,
 
 TelemetryDaemon::~TelemetryDaemon() { stop(); }
 
-std::shared_ptr<const ml::Classifier> TelemetryDaemon::current_model() const {
+std::pair<std::shared_ptr<const ml::Classifier>, std::uint64_t>
+TelemetryDaemon::current_model() const {
   std::scoped_lock lock(model_mutex_);
-  return model_;
+  return {model_, model_epoch_};
 }
 
 void TelemetryDaemon::set_model(std::shared_ptr<const ml::Classifier> model) {
-  std::shared_ptr<const ml::Classifier> serving =
-      model != nullptr ? ml::make_serving_model(std::move(model)) : nullptr;
-  const bool promoted = serving != nullptr;
+  if (model != nullptr) model = ml::make_serving_model(std::move(model));
+  const bool degraded = model == nullptr;
   {
     std::scoped_lock lock(model_mutex_);
-    model_ = std::move(serving);
+    if (!degraded) ++model_epoch_;
+    model_ = std::move(model);
   }
-  degraded_metric_->set(current_model() == nullptr ? 1.0 : 0.0);
-  if (!promoted) return;
-  // Strikes accumulated under the old model's score scale must not carry
-  // into post-promotion escalation.  Each shard's appender applies the
-  // reset at its next iteration; when quiesced, apply inline (the same
-  // single-threaded access retire() uses).
-  const bool live = running_.load() && !stopping_.load();
-  for (auto& shard : shards_) {
-    if (live) {
-      shard->strike_reset_pending.store(true, std::memory_order_release);
-    } else {
-      shard->strike_reset_pending.store(false, std::memory_order_relaxed);
-      strike_resets_metric_->inc(shard->health.reset_strikes());
-    }
-  }
-}
-
-void TelemetryDaemon::apply_pending_strike_reset(Shard& shard) {
-  if (shard.strike_reset_pending.exchange(false, std::memory_order_acq_rel))
-    strike_resets_metric_->inc(shard.health.reset_strikes());
+  degraded_metric_->set(degraded ? 1.0 : 0.0);
 }
 
 void TelemetryDaemon::mark_wal_degraded(Shard& shard) {
@@ -194,8 +176,6 @@ void TelemetryDaemon::stop() {
   for (auto& shard : shards_)
     if (shard->appender.joinable()) shard->appender.join();
   if (watchdog_.joinable()) watchdog_.join();
-  // A reset requested after an appender's final iteration lands here.
-  for (auto& shard : shards_) apply_pending_strike_reset(*shard);
   for (auto& shard : shards_) {
     if (shard->wal == nullptr) continue;
     try {
@@ -226,19 +206,15 @@ PushResult TelemetryDaemon::push(const core::FleetObservation& obs) {
   return result;
 }
 
-void TelemetryDaemon::retire(trace::DriveModel drive_model, std::uint32_t drive_index) {
-  const std::uint64_t uid = trace::drive_uid(drive_model, drive_index);
-  Shard& shard = shard_for(uid);
-  if (!running_.load() || stopping_.load()) {
-    // Quiesced: apply inline (and WAL it if a writer is open) so tests can
-    // exercise retire without threads.
-    std::vector<std::uint64_t> uids{uid};
-    wal_append(shard, {}, uids);
-    process_retires(shard, uids);
-    return;
+PushResult TelemetryDaemon::retire(trace::DriveModel drive_model,
+                                  std::uint32_t drive_index) {
+  const core::FleetObservation drive{drive_model, drive_index, 0, {}};
+  const auto open = [this] { return running_.load() && !stopping_.load(); };
+  if (!open() || !shard_for(drive.uid()).ring.push_retire(drive, open)) {
+    rejected_.fetch_add(1, std::memory_order_relaxed);
+    return PushResult::kRejected;
   }
-  std::scoped_lock lock(shard.retire_mutex);
-  shard.pending_retires.push_back(uid);
+  return PushResult::kAccepted;
 }
 
 void TelemetryDaemon::wal_append(Shard& shard,
@@ -247,16 +223,11 @@ void TelemetryDaemon::wal_append(Shard& shard,
   if (shard.wal == nullptr) return;
   try {
     const std::uint64_t before = shard.wal->bytes_written();
-    if (!batch.empty()) {
-      shard.wal->append(batch);
-      segments_.fetch_add(1, std::memory_order_relaxed);
-      segments_metric_->inc();
-    }
-    if (!retires.empty()) {
-      shard.wal->append_retires(retires);
-      segments_.fetch_add(1, std::memory_order_relaxed);
-      segments_metric_->inc();
-    }
+    if (!batch.empty()) shard.wal->append(batch);
+    if (!retires.empty()) shard.wal->append_retires(retires);
+    const std::uint64_t segments = (batch.empty() ? 0 : 1) + (retires.empty() ? 0 : 1);
+    segments_.fetch_add(segments, std::memory_order_relaxed);
+    segments_metric_->inc(segments);
     const std::uint64_t delta = shard.wal->bytes_written() - before;
     wal_bytes_.fetch_add(delta, std::memory_order_relaxed);
     wal_bytes_metric_->inc(delta);
@@ -270,7 +241,13 @@ void TelemetryDaemon::wal_append(Shard& shard,
 void TelemetryDaemon::process_records(Shard& shard,
                                       std::span<const core::FleetObservation> batch) {
   if (batch.empty()) return;
-  const std::shared_ptr<const ml::Classifier> model = current_model();
+  const auto [model, epoch] = current_model();
+  // The first batch under a promoted model starts from cleared streaks:
+  // strikes earned under the old model's score scale must not escalate.
+  if (epoch != shard.model_epoch) {
+    shard.model_epoch = epoch;
+    strike_resets_metric_->inc(shard.health.reset_strikes());
+  }
   BatchObserver* const observer =
       recovering_.load(std::memory_order_relaxed) ? nullptr : config_.batch_observer;
   const core::ScoredBatch& scored = shard.scoring.score(batch, model.get());
@@ -342,15 +319,7 @@ void TelemetryDaemon::appender_main(Shard& shard) {
   for (;;) {
     batch.clear();
     retires.clear();
-    shard.ring.pop_into(batch, config_.max_batch);
-    {
-      std::scoped_lock lock(shard.retire_mutex);
-      retires.swap(shard.pending_retires);
-    }
-    // Promotion strike reset, applied by the thread that owns the tracker
-    // so HealthTracker needs no locking.
-    apply_pending_strike_reset(shard);
-    if (batch.empty() && retires.empty()) {
+    if (shard.ring.pop_into(batch, retires, config_.max_batch) == 0) {
       if (stopping_.load(std::memory_order_relaxed)) break;
       std::this_thread::sleep_for(config_.poll_interval);
       continue;
@@ -410,7 +379,7 @@ DaemonStats TelemetryDaemon::stats() const {
   out.wal_errors = wal_errors_.load();
   out.watchdog_stalls = watchdog_stalls_.load();
   out.recovery = recovery_;
-  out.degraded = current_model() == nullptr;
+  out.degraded = current_model().first == nullptr;
   out.wal_degraded = wal_degraded_.load();
   for (const auto& shard : shards_) {
     out.drives_tracked += shard->scoring.drives_tracked();

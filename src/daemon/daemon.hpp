@@ -2,7 +2,8 @@
 
 // TelemetryDaemon: the long-running ingest service tying the PR together.
 //
-//   producers --> per-shard IngestRing (bounded, backpressure policy)
+//   push(), retire() --> per-shard IngestRing (bounded, backpressure policy;
+//                        retire markers queue in stream order, never shed)
 //                     |
 //               appender thread (one per shard)
 //                     |--> WalWriter.append(raw batch)      [durability first]
@@ -43,6 +44,7 @@
 #include <span>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/scoring_shard.hpp"
@@ -117,8 +119,10 @@ struct DaemonConfig {
   /// Observability sink for every processed record (tests, CLI --verbose).
   /// Called from appender threads; must be thread-safe if shards > 1.
   std::function<void(const DriveAssessment&)> on_assessment;
-  /// Test hook, invoked by an appender at the top of each busy iteration
-  /// (the watchdog test injects a sleep here to fake a stalled shard).
+  /// Test hook, invoked by an appender after it pops a non-empty batch and
+  /// before it logs or processes it.  The watchdog test sleeps here to fake
+  /// a stalled shard; the ordering tests hold or promote here to force a
+  /// race instead of timing it.
   std::function<void(std::uint32_t shard)> appender_hook;
   /// Online-learning tap (non-owning; must outlive the daemon).  See
   /// BatchObserver.  Null disables the tap at zero cost.
@@ -167,17 +171,21 @@ class TelemetryDaemon {
   /// backpressure policy; returns kRejected once stop() has begun.
   PushResult push(const core::FleetObservation& obs);
 
-  /// Route a drive swap through the pipeline (WAL-logged as a kRetires
-  /// segment, so recovery replays it at the same point in the stream).
-  void retire(trace::DriveModel drive_model, std::uint32_t drive_index);
+  /// Route a drive swap through the pipeline: a retire marker queued in the
+  /// drive's shard ring behind every record this caller pushed before it,
+  /// applied and WAL-logged (as a kRetires segment, so recovery replays it
+  /// at the same point in the stream) after those records.  Never shed: a
+  /// full ring makes it wait.  Returns kRejected, like push(), when the
+  /// daemon is not running or stop() has begun.
+  PushResult retire(trace::DriveModel drive_model, std::uint32_t drive_index);
 
   /// Install (or restore) the scoring model; a non-null model clears
-  /// degraded mode for subsequent batches.  Installing a model also resets
-  /// every drive's consecutive-strike counters (HealthTracker::
-  /// reset_strikes): strikes earned under the previous model's score scale
-  /// must not carry into post-promotion escalation.  The reset is applied
-  /// by each shard's own appender thread at its next iteration (inline
-  /// when the daemon is quiesced), so HealthTracker stays appender-owned.
+  /// degraded mode for subsequent batches.  Installing a model also starts
+  /// a new promotion epoch: each shard resets every drive's consecutive-
+  /// strike counters (HealthTracker::reset_strikes) right before it scores
+  /// its first batch under the new model, so strikes earned under the
+  /// previous model's score scale never carry into post-promotion
+  /// escalation.  An idle shard resets on its next batch.
   void set_model(std::shared_ptr<const ml::Classifier> model);
 
   [[nodiscard]] bool running() const noexcept { return running_.load(); }
@@ -200,15 +208,11 @@ class TelemetryDaemon {
     std::unique_ptr<WalWriter> wal;
     core::ScoringShard scoring;
     HealthTracker health;
-
-    std::mutex retire_mutex;
-    std::vector<std::uint64_t> pending_retires;
+    /// Promotion epoch of the model that scored this shard's last batch.
+    std::uint64_t model_epoch = 0;
 
     std::thread appender;
     std::atomic<std::uint64_t> heartbeat{0};  ///< bumps once per busy iteration
-    /// Set by set_model(), consumed by the owning appender (or inline when
-    /// quiesced): clear strike streaks before processing the next batch.
-    std::atomic<bool> strike_reset_pending{false};
 
     obs::Counter* ingested_metric = nullptr;  ///< daemon_records_ingested_total{shard=}
     obs::Gauge* depth_metric = nullptr;       ///< daemon_ring_depth{shard=}
@@ -217,7 +221,9 @@ class TelemetryDaemon {
   [[nodiscard]] Shard& shard_for(std::uint64_t uid) noexcept {
     return *shards_[core::shard_of(uid, shards_.size())];
   }
-  [[nodiscard]] std::shared_ptr<const ml::Classifier> current_model() const;
+  /// The serving model and its promotion epoch, read under one lock.
+  [[nodiscard]] std::pair<std::shared_ptr<const ml::Classifier>, std::uint64_t>
+  current_model() const;
 
   void appender_main(Shard& shard);
   void watchdog_main();
@@ -228,7 +234,6 @@ class TelemetryDaemon {
   void process_records(Shard& shard, std::span<const core::FleetObservation> batch);
   void process_retires(Shard& shard, std::span<const std::uint64_t> uids);
   void mark_wal_degraded(Shard& shard);
-  void apply_pending_strike_reset(Shard& shard);
 
   DaemonConfig config_;
   obs::MetricsRegistry* registry_ = nullptr;
@@ -236,6 +241,7 @@ class TelemetryDaemon {
 
   mutable std::mutex model_mutex_;
   std::shared_ptr<const ml::Classifier> model_;
+  std::uint64_t model_epoch_ = 0;  ///< bumped by every non-null set_model()
 
   std::atomic<bool> running_{false};
   std::atomic<bool> stopping_{false};

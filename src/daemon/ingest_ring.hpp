@@ -20,6 +20,13 @@
 //
 // Every shed is counted by the caller (daemon_records_shed_total); nothing
 // is silently lost.
+//
+// A drive swap rides the same ring as a retire marker (push_retire), queued
+// behind every record its producer pushed before it.  A marker is never
+// shed: it waits for space for as long as the daemon accepts input.  One
+// pop_into() drains records up to the first marker, then the markers right
+// after them, so each appender iteration is "records, then retires" — the
+// order the WAL logs and recovery replays.
 
 #include <atomic>
 #include <chrono>
@@ -54,26 +61,7 @@ class IngestRing {
   [[nodiscard]] std::size_t capacity() const noexcept { return cells_.size(); }
 
   /// Lock-free single attempt; false when the ring is full.
-  bool try_push(const core::FleetObservation& obs) {
-    std::size_t ticket = tail_.load(std::memory_order_relaxed);
-    for (;;) {
-      Cell& cell = cells_[ticket & mask_];
-      const std::size_t seq = cell.seq.load(std::memory_order_acquire);
-      const auto diff = static_cast<std::intptr_t>(seq) - static_cast<std::intptr_t>(ticket);
-      if (diff == 0) {
-        if (tail_.compare_exchange_weak(ticket, ticket + 1, std::memory_order_relaxed))
-        {
-          cell.value = obs;
-          cell.seq.store(ticket + 1, std::memory_order_release);
-          return true;
-        }
-      } else if (diff < 0) {
-        return false;  // full: the cell still holds an unconsumed ticket
-      } else {
-        ticket = tail_.load(std::memory_order_relaxed);
-      }
-    }
-  }
+  bool try_push(const core::FleetObservation& obs) { return try_push(obs, false); }
 
   /// Push under `policy`: kShed gives up immediately on a full ring,
   /// kBlock parks in a sleep loop until space frees or `timeout` passes.
@@ -82,32 +70,40 @@ class IngestRing {
     if (try_push(obs)) return PushResult::kAccepted;
     if (policy == Backpressure::kShed) return PushResult::kShed;
     const auto deadline = std::chrono::steady_clock::now() + timeout;
-    int spins = 0;
-    do {
-      if (++spins < 64) {
-        std::this_thread::yield();
-      } else {
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
-      }
-      if (try_push(obs)) return PushResult::kAccepted;
-    } while (std::chrono::steady_clock::now() < deadline);
-    return PushResult::kShed;
+    const auto patient = [&] { return std::chrono::steady_clock::now() < deadline; };
+    return push_while(obs, false, patient) ? PushResult::kAccepted : PushResult::kShed;
   }
 
-  /// Single-consumer drain of up to `max` records appended to `out`.
-  /// Returns the number drained.
-  std::size_t pop_into(std::vector<core::FleetObservation>& out, std::size_t max) {
+  /// Queue a retire marker for `drive`'s uid.  Never sheds: waits for
+  /// space while `open()` holds and returns false once it does not.
+  template <class Open>
+  bool push_retire(const core::FleetObservation& drive, Open open) {
+    return push_while(drive, true, open);
+  }
+
+  /// Single-consumer drain: up to `max` records appended to `records`, up
+  /// to the first retire marker, then every marker right after them (their
+  /// uids appended to `retires`).  Returns the number of cells drained.
+  std::size_t pop_into(std::vector<core::FleetObservation>& records,
+                       std::vector<std::uint64_t>& retires, std::size_t max) {
     std::size_t drained = 0;
-    while (drained < max) {
+    std::size_t taken = 0;
+    for (;; ++drained) {
       const std::size_t ticket = head_.load(std::memory_order_relaxed);
       Cell& cell = cells_[ticket & mask_];
       const std::size_t seq = cell.seq.load(std::memory_order_acquire);
       if (static_cast<std::intptr_t>(seq) - static_cast<std::intptr_t>(ticket + 1) < 0)
         break;  // empty
-      out.push_back(cell.value);
+      if (cell.retire) {
+        retires.push_back(cell.value.uid());
+      } else if (!retires.empty() || taken == max) {
+        break;  // a record after the markers, or the batch is full
+      } else {
+        records.push_back(cell.value);
+        ++taken;
+      }
       cell.seq.store(ticket + mask_ + 1, std::memory_order_release);
       head_.store(ticket + 1, std::memory_order_relaxed);
-      ++drained;
     }
     return drained;
   }
@@ -124,8 +120,45 @@ class IngestRing {
  private:
   struct alignas(64) Cell {
     std::atomic<std::size_t> seq{0};
+    bool retire = false;  ///< a retire marker for value.uid(), not a record
     core::FleetObservation value;
   };
+
+  bool try_push(const core::FleetObservation& obs, bool retire) {
+    std::size_t ticket = tail_.load(std::memory_order_relaxed);
+    for (;;) {
+      Cell& cell = cells_[ticket & mask_];
+      const std::size_t seq = cell.seq.load(std::memory_order_acquire);
+      const auto diff = static_cast<std::intptr_t>(seq) - static_cast<std::intptr_t>(ticket);
+      if (diff == 0) {
+        if (tail_.compare_exchange_weak(ticket, ticket + 1, std::memory_order_relaxed))
+        {
+          cell.retire = retire;
+          cell.value = obs;
+          cell.seq.store(ticket + 1, std::memory_order_release);
+          return true;
+        }
+      } else if (diff < 0) {
+        return false;  // full: the cell still holds an unconsumed ticket
+      } else {
+        ticket = tail_.load(std::memory_order_relaxed);
+      }
+    }
+  }
+
+  /// Retry with a yield-then-sleep backoff while `keep_waiting()` holds.
+  template <class KeepWaiting>
+  bool push_while(const core::FleetObservation& obs, bool retire, KeepWaiting keep_waiting) {
+    for (int spins = 0; !try_push(obs, retire); ++spins) {
+      if (!keep_waiting()) return false;
+      if (spins < 64) {
+        std::this_thread::yield();
+      } else {
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+      }
+    }
+    return true;
+  }
 
   std::vector<Cell> cells_;
   std::size_t mask_ = 0;

@@ -30,6 +30,8 @@ float DecisionTree::predict_row(std::span<const float> row) const {
 }
 
 std::vector<float> DecisionTree::predict_proba(const Matrix& x) const {
+  if (nodes_.empty()) throw std::logic_error("DecisionTree: predict before fit");
+  check_columns(x, n_features_, "DecisionTree");
   std::vector<float> out(x.rows());
   for (std::size_t r = 0; r < x.rows(); ++r) out[r] = predict_row(x.row(r));
   return out;

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <bit>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <stdexcept>
 #include <utility>
@@ -27,32 +26,16 @@ constexpr std::int32_t kNodeShift = 4;
 static_assert(sizeof(FlatNode) == (std::size_t{1} << kNodeShift),
               "kNodeShift must match sizeof(FlatNode)");
 
-std::atomic<int> g_engine{-1};  // -1: not yet resolved
-
-InferenceEngine default_engine() noexcept {
-  if (const char* env = std::getenv("SSDFAIL_ENGINE")) {
-    if (const auto parsed = parse_inference_engine(env)) return *parsed;
-  }
-#ifdef SSDFAIL_ENGINE_WALKER
-  return InferenceEngine::kWalker;
-#else
-  return InferenceEngine::kFlat;
-#endif
-}
+std::atomic<InferenceEngine> g_engine{InferenceEngine::kFlat};
 
 }  // namespace
 
 InferenceEngine inference_engine() noexcept {
-  int v = g_engine.load(std::memory_order_relaxed);
-  if (v < 0) {
-    v = static_cast<int>(default_engine());
-    g_engine.store(v, std::memory_order_relaxed);
-  }
-  return static_cast<InferenceEngine>(v);
+  return g_engine.load(std::memory_order_relaxed);
 }
 
 void set_inference_engine(InferenceEngine engine) noexcept {
-  g_engine.store(static_cast<int>(engine), std::memory_order_relaxed);
+  g_engine.store(engine, std::memory_order_relaxed);
 }
 
 std::string_view inference_engine_name(InferenceEngine engine) noexcept {
@@ -272,6 +255,9 @@ inline void walk_tree_tail(const char* nodes, const float* const* row_of,
 void FlatForest::predict_into(const Matrix& x, std::size_t begin, std::size_t count,
                               float* out) const {
   if (empty()) throw std::logic_error("FlatForest: predict before compile");
+  check_columns(x, n_features_, "FlatForest");
+  if (begin > x.rows() || count > x.rows() - begin)
+    throw std::invalid_argument("FlatForest: row range past the matrix end");
   // Row blocks: each tree's hot top levels stay cached across the block,
   // and the per-row index chains are independent.
   const std::size_t cols = x.cols();
@@ -317,6 +303,7 @@ float FlatForest::predict_row(std::span<const float> row) const {
 std::vector<float> FlatForest::predict_proba(const Matrix& x,
                                              parallel::ThreadPool& pool) const {
   if (empty()) throw std::logic_error("FlatForest: predict before compile");
+  check_columns(x, n_features_, "FlatForest");  // before any worker runs
   std::vector<float> out(x.rows());
   const std::size_t rows = x.rows();
   if (rows == 0) return out;

@@ -31,9 +31,9 @@
 // golden pipeline suite pins this.
 //
 // Engine selection: make_serving_model() wraps fitted ensembles for the
-// monitor / CLI serve path.  The default engine is `flat`; build with
-// -DSSDFAIL_DEFAULT_ENGINE=walker (or set SSDFAIL_ENGINE=walker in the
-// environment) to keep the pointer walk as an escape hatch.
+// monitor / CLI serve path.  The engine is `flat` unless
+// set_inference_engine() (what `serve --engine walker` calls) picks the
+// pointer walk, kept as an escape hatch.
 
 #include <cstddef>
 #include <cstdint>
@@ -59,10 +59,8 @@ enum class InferenceEngine : std::uint8_t {
   kFlat = 1,    ///< compiled flat-forest engine (this module)
 };
 
-/// Process-wide engine selection.  Initialized on first use from the
-/// SSDFAIL_ENGINE environment variable ("walker" or "flat") when set,
-/// otherwise from the build-time default (flat unless the build sets
-/// -DSSDFAIL_DEFAULT_ENGINE=walker).
+/// Process-wide engine selection: kFlat until set_inference_engine()
+/// changes it.
 [[nodiscard]] InferenceEngine inference_engine() noexcept;
 void set_inference_engine(InferenceEngine engine) noexcept;
 [[nodiscard]] std::string_view inference_engine_name(InferenceEngine engine) noexcept;
@@ -128,13 +126,16 @@ class FlatForest {
 
   /// Score every row of `x`.  Bit-identical to the walker path.  Batches
   /// below kSerialPredictRows (or a 1-wide pool) score serially — the
-  /// single-drive observe path must not pay pool overhead.
+  /// single-drive observe path must not pay pool overhead.  Throws
+  /// std::invalid_argument unless x.cols() == n_features().
   [[nodiscard]] std::vector<float> predict_proba(
       const Matrix& x,
       parallel::ThreadPool& pool = parallel::ThreadPool::current()) const;
 
   /// Score rows [begin, begin + count) of `x` into `out` (size count),
   /// serially.  The chunk scorer and the parallel path both drive this.
+  /// Throws std::invalid_argument on a column-count mismatch or a range
+  /// past the last row.
   void predict_into(const Matrix& x, std::size_t begin, std::size_t count,
                     float* out) const;
 

@@ -80,6 +80,7 @@ void GradientBoosting::fit(const Dataset& train) {
 
 std::vector<float> GradientBoosting::predict_proba(const Matrix& x) const {
   if (trees_.empty()) throw std::logic_error("GradientBoosting: predict before fit");
+  check_columns(x, n_features_, "GradientBoosting");
   std::vector<float> out(x.rows());
   parallel::parallel_for(x.rows(), [&](std::size_t r) {
     double score = prior_;

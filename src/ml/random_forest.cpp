@@ -56,6 +56,7 @@ std::vector<float> RandomForest::predict_proba(const Matrix& x) const {
 std::vector<float> RandomForest::predict_proba(const Matrix& x,
                                                parallel::ThreadPool& pool) const {
   if (trees_.empty()) throw std::logic_error("RandomForest: predict before fit");
+  check_columns(x, n_features_, "RandomForest");
   std::vector<float> out(x.rows(), 0.0f);
   const auto score_row = [&](std::size_t r) {
     double sum = 0.0;

@@ -26,6 +26,8 @@
 #include <cstdint>
 #include <numeric>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -69,6 +71,15 @@ template <typename Leaf>
                                                                         : node.right;
   }
   return nodes[cur].value;
+}
+
+/// Scoring input must have the columns the model was fit on: the walks
+/// index each row by feature id unchecked.  One check per call.
+inline void check_columns(const Matrix& x, std::size_t n_features, const char* model) {
+  if (x.cols() != n_features)
+    throw std::invalid_argument(std::string(model) + ": matrix has " +
+                                std::to_string(x.cols()) + " columns, model was fit on " +
+                                std::to_string(n_features));
 }
 
 /// Growth limits; every learner maps its own Params onto these.

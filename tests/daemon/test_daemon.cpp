@@ -1,7 +1,8 @@
 // TelemetryDaemon tests: graceful drain accounting, WAL recovery
 // bit-identity, retire-through-the-WAL, degraded modes, the non-finite
-// score clamp, backpressure shedding, the watchdog, and health state that
-// does not depend on how the rings batch a corrupted stream.
+// score clamp, backpressure shedding, the watchdog, health state that
+// does not depend on how the rings batch a corrupted stream, and retires
+// and promotions that land at their place in the stream.
 
 #include "daemon/daemon.hpp"
 
@@ -198,17 +199,21 @@ TEST(TelemetryDaemon, DegradedDaemonStillIngestsAndWalsEverything) {
   EXPECT_EQ(stats.scored, stream.size());
 }
 
-/// A broken scorer: every score is NaN.
-class NanModel final : public ml::Classifier {
+/// Scores every row `score` (NaN makes a broken scorer).
+class ConstantModel final : public ml::Classifier {
  public:
+  explicit ConstantModel(float score) : score_(score) {}
   void fit(const ml::Dataset&) override {}
   [[nodiscard]] std::vector<float> predict_proba(const ml::Matrix& x) const override {
-    return std::vector<float>(x.rows(), std::numeric_limits<float>::quiet_NaN());
+    return std::vector<float>(x.rows(), score_);
   }
-  [[nodiscard]] std::string name() const override { return "nan_model"; }
+  [[nodiscard]] std::string name() const override { return "constant"; }
   [[nodiscard]] std::unique_ptr<ml::Classifier> clone() const override {
-    return std::make_unique<NanModel>();
+    return std::make_unique<ConstantModel>(score_);
   }
+
+ private:
+  float score_;
 };
 
 TEST(TelemetryDaemon, NonFiniteScoresClampToAlertAndCount) {
@@ -220,7 +225,8 @@ TEST(TelemetryDaemon, NonFiniteScoresClampToAlertAndCount) {
   cfg.shards = 1;
   std::vector<DriveAssessment> seen;  // one appender thread, read after stop()
   cfg.on_assessment = [&seen](const DriveAssessment& a) { seen.push_back(a); };
-  TelemetryDaemon daemon(std::make_shared<NanModel>(), cfg);
+  TelemetryDaemon daemon(
+      std::make_shared<ConstantModel>(std::numeric_limits<float>::quiet_NaN()), cfg);
   daemon.start();
   const auto stream = make_stream(8, 30);
   for (const auto& obs : stream) ASSERT_EQ(daemon.push(obs), PushResult::kAccepted);
@@ -366,6 +372,88 @@ TEST(TelemetryDaemon, HealthStateDoesNotDependOnBatchBoundaries) {
     return daemon.state_digest();
   };
   EXPECT_EQ(digest_with(1, false), digest_with(stream.size(), true));
+}
+
+TEST(TelemetryDaemon, RetireLandsAfterTheDrivesQueuedRecords) {
+  // A retire queued behind a drive's records is applied after them; a
+  // record processed after its drive's retire would recreate the drive's
+  // scoring state.  max_batch = 1 gives each record its own iteration, and
+  // the hook holds the first one until the records and the retire are all
+  // queued, so a retire taken out of stream order lands before the drive's
+  // last records.
+  obs::MetricsRegistry registry;
+  auto cfg = base_config("", &registry);
+  cfg.shards = 1;
+  cfg.max_batch = 1;
+  std::atomic<bool> queued{false};
+  cfg.appender_hook = [&](std::uint32_t) {
+    while (!queued.load(std::memory_order_acquire))
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  };
+  TelemetryDaemon daemon(std::make_shared<StubModel>(), cfg);
+  daemon.start();
+  const auto stream = make_stream(1, 20);
+  for (const auto& obs : stream) ASSERT_EQ(daemon.push(obs), PushResult::kAccepted);
+  ASSERT_EQ(daemon.retire(trace::DriveModel::MlcA, 0), PushResult::kAccepted);
+  queued.store(true, std::memory_order_release);
+  daemon.stop();
+
+  const DaemonStats stats = daemon.stats();
+  EXPECT_EQ(stats.scored, stream.size());
+  EXPECT_EQ(stats.drives_tracked, 0u);
+  EXPECT_EQ(stats.health_counts[static_cast<std::size_t>(HealthState::kSwapped)], 1u);
+}
+
+TEST(TelemetryDaemon, RetireIsRejectedWhenNotRunning) {
+  obs::MetricsRegistry registry;
+  TelemetryDaemon daemon(std::make_shared<StubModel>(), base_config("", &registry));
+  EXPECT_EQ(daemon.retire(trace::DriveModel::MlcA, 0), PushResult::kRejected);
+  daemon.start();
+  daemon.stop();
+  EXPECT_EQ(daemon.retire(trace::DriveModel::MlcA, 0), PushResult::kRejected);
+  EXPECT_EQ(daemon.stats().rejected, 2u);
+  EXPECT_EQ(daemon.stats().health_counts[static_cast<std::size_t>(HealthState::kSwapped)],
+            0u);
+}
+
+TEST(TelemetryDaemon, PromotionResetsStrikesBeforeItsFirstBatch) {
+  // Both models score every record at an alert strike and alert_days is 2.
+  // The promotion lands on the iteration that holds the drive's second
+  // record, so that record must be the first strike under the new model,
+  // not the second on top of the old model's streak.
+  obs::MetricsRegistry registry;
+  auto cfg = base_config("", &registry);
+  cfg.shards = 1;
+  cfg.max_batch = 1;
+  cfg.health.alert_days = 2;
+  const float score = 0.95f;
+  ASSERT_GE(score, cfg.health.alert_threshold);
+  TelemetryDaemon* daemon_ptr = nullptr;
+  int iteration = 0;
+  std::atomic<bool> promoted{false};
+  cfg.appender_hook = [&](std::uint32_t) {
+    if (++iteration != 2) return;
+    daemon_ptr->set_model(std::make_shared<ConstantModel>(score));
+    promoted.store(true, std::memory_order_release);
+  };
+  std::vector<DriveAssessment> seen;  // one appender thread, read after stop()
+  cfg.on_assessment = [&seen](const DriveAssessment& a) { seen.push_back(a); };
+  TelemetryDaemon daemon(std::make_shared<ConstantModel>(score), cfg);
+  daemon_ptr = &daemon;
+  daemon.start();
+  for (const auto& obs : make_stream(1, 2))
+    ASSERT_EQ(daemon.push(obs), PushResult::kAccepted);
+  // The promotion happens while the daemon is live, not during stop().
+  while (!promoted.load(std::memory_order_acquire))
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  daemon.stop();
+
+  ASSERT_EQ(seen.size(), 2u);
+  EXPECT_EQ(seen[0].health, HealthState::kHealthy);
+  EXPECT_NE(seen[1].health, HealthState::kAlert);
+  EXPECT_EQ(daemon.stats().health_counts[static_cast<std::size_t>(HealthState::kAlert)],
+            0u);
+  EXPECT_EQ(registry.counter("daemon_strike_resets_total", {}, "").value(), 1u);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // IngestRing tests: bounded capacity, FIFO order, both backpressure
-// policies with shed accounting, and a multi-producer stress run (the
-// TSan CI job runs this suite to vet the memory ordering).
+// policies with shed accounting, retire markers in stream order, and a
+// multi-producer stress run (the TSan CI job runs this suite to vet the
+// memory ordering).
 
 #include "daemon/ingest_ring.hpp"
 
@@ -37,7 +38,8 @@ TEST(IngestRing, SingleThreadFifo) {
     ASSERT_TRUE(ring.try_push(obs_with(1, day)));
   EXPECT_FALSE(ring.try_push(obs_with(1, 99)));  // full
   std::vector<core::FleetObservation> out;
-  EXPECT_EQ(ring.pop_into(out, 100), 8u);
+  std::vector<std::uint64_t> retires;
+  EXPECT_EQ(ring.pop_into(out, retires, 100), 8u);
   ASSERT_EQ(out.size(), 8u);
   for (std::int32_t day = 0; day < 8; ++day)
     EXPECT_EQ(out[static_cast<std::size_t>(day)].record.day, day);
@@ -45,7 +47,7 @@ TEST(IngestRing, SingleThreadFifo) {
   // Wrap around: the ring is reusable after a full drain.
   ASSERT_TRUE(ring.try_push(obs_with(1, 100)));
   out.clear();
-  EXPECT_EQ(ring.pop_into(out, 100), 1u);
+  EXPECT_EQ(ring.pop_into(out, retires, 100), 1u);
   EXPECT_EQ(out[0].record.day, 100);
 }
 
@@ -54,9 +56,10 @@ TEST(IngestRing, PopRespectsTheBatchCap) {
   for (std::int32_t day = 0; day < 10; ++day)
     ASSERT_TRUE(ring.try_push(obs_with(1, day)));
   std::vector<core::FleetObservation> out;
-  EXPECT_EQ(ring.pop_into(out, 4), 4u);
-  EXPECT_EQ(ring.pop_into(out, 4), 4u);
-  EXPECT_EQ(ring.pop_into(out, 4), 2u);
+  std::vector<std::uint64_t> retires;
+  EXPECT_EQ(ring.pop_into(out, retires, 4), 4u);
+  EXPECT_EQ(ring.pop_into(out, retires, 4), 4u);
+  EXPECT_EQ(ring.pop_into(out, retires, 4), 2u);
   ASSERT_EQ(out.size(), 10u);
   for (std::int32_t day = 0; day < 10; ++day)
     EXPECT_EQ(out[static_cast<std::size_t>(day)].record.day, day);
@@ -94,12 +97,65 @@ TEST(IngestRing, BlockPolicySucceedsWhenTheConsumerDrains) {
   std::thread consumer([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     std::vector<core::FleetObservation> out;
-    ring.pop_into(out, 1);
+    std::vector<std::uint64_t> retires;
+    ring.pop_into(out, retires, 1);
   });
   EXPECT_EQ(ring.push(obs_with(1, 2), Backpressure::kBlock,
                       std::chrono::milliseconds(5000)),
             PushResult::kAccepted);
   consumer.join();
+}
+
+TEST(IngestRing, RetireMarkersPopInStreamOrder) {
+  // Records pushed before a marker pop before it, in the same pop as the
+  // marker; records pushed after it wait for the next pop.
+  IngestRing ring(16);
+  const auto open = [] { return true; };
+  ASSERT_TRUE(ring.try_push(obs_with(1, 0)));
+  ASSERT_TRUE(ring.try_push(obs_with(2, 0)));
+  ASSERT_TRUE(ring.push_retire(obs_with(1, 0), open));
+  ASSERT_TRUE(ring.push_retire(obs_with(2, 0), open));
+  ASSERT_TRUE(ring.try_push(obs_with(3, 0)));
+  ASSERT_TRUE(ring.push_retire(obs_with(3, 0), open));
+
+  std::vector<core::FleetObservation> out;
+  std::vector<std::uint64_t> retires;
+  EXPECT_EQ(ring.pop_into(out, retires, 100), 4u);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0].drive_index, 1u);
+  EXPECT_EQ(out[1].drive_index, 2u);
+  EXPECT_EQ(retires, (std::vector<std::uint64_t>{obs_with(1, 0).uid(),
+                                                  obs_with(2, 0).uid()}));
+
+  out.clear();
+  retires.clear();
+  EXPECT_EQ(ring.pop_into(out, retires, 100), 2u);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].drive_index, 3u);
+  EXPECT_EQ(retires, std::vector<std::uint64_t>{obs_with(3, 0).uid()});
+  EXPECT_TRUE(ring.empty_approx());
+}
+
+TEST(IngestRing, RetireMarkerWaitsForSpaceAndIsNeverShed) {
+  IngestRing ring(2);
+  ASSERT_TRUE(ring.try_push(obs_with(1, 0)));
+  ASSERT_TRUE(ring.try_push(obs_with(1, 1)));
+  // Full ring, closed input: the marker is refused, not shed.
+  EXPECT_FALSE(ring.push_retire(obs_with(1, 0), [] { return false; }));
+  std::thread consumer([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    std::vector<core::FleetObservation> out;
+    std::vector<std::uint64_t> retires;
+    ring.pop_into(out, retires, 1);
+  });
+  EXPECT_TRUE(ring.push_retire(obs_with(1, 0), [] { return true; }));
+  consumer.join();
+  std::vector<core::FleetObservation> out;
+  std::vector<std::uint64_t> retires;
+  EXPECT_EQ(ring.pop_into(out, retires, 100), 2u);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].record.day, 1);
+  EXPECT_EQ(retires, std::vector<std::uint64_t>{obs_with(1, 0).uid()});
 }
 
 // Multi-producer correctness: nothing lost, nothing duplicated, and each
@@ -110,12 +166,13 @@ TEST(IngestRing, MultiProducerPreservesPerProducerOrder) {
   constexpr std::int32_t kPerProducer = 5000;
   IngestRing ring(64);
   std::vector<core::FleetObservation> drained;
+  std::vector<std::uint64_t> retires;
   drained.reserve(kProducers * kPerProducer);
   std::atomic<bool> done{false};
 
   std::thread consumer([&] {
     while (true) {
-      const std::size_t got = ring.pop_into(drained, 128);
+      const std::size_t got = ring.pop_into(drained, retires, 128);
       if (got == 0) {
         if (done.load(std::memory_order_acquire) && ring.empty_approx()) break;
         std::this_thread::yield();

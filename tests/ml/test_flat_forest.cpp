@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 
 #include "ml/gradient_boosting.hpp"
 #include "ml/logistic.hpp"
@@ -168,6 +169,31 @@ TEST(FlatForest, CompileBeforeFitThrows) {
   EXPECT_THROW((void)FlatForest::compile(RandomForest{}), std::logic_error);
   EXPECT_THROW((void)FlatForest::compile(GradientBoosting{}), std::logic_error);
   EXPECT_THROW((void)FlatForest{}.predict_proba(Matrix(1, 1)), std::logic_error);
+}
+
+// A model fit on 6 columns must refuse a narrower matrix instead of
+// reading past each row's end.
+TEST(DecisionTree, RejectsAMatrixWithTheWrongColumnCount) {
+  DecisionTree tree;
+  tree.fit(make_task(200, 6, 3));
+  EXPECT_THROW((void)tree.predict_proba(Matrix(1, 2)), std::invalid_argument);
+}
+
+TEST(RandomForest, RejectsAMatrixWithTheWrongColumnCount) {
+  EXPECT_THROW((void)fitted_forest(5).predict_proba(Matrix(1, 2)), std::invalid_argument);
+}
+
+TEST(GradientBoosting, RejectsAMatrixWithTheWrongColumnCount) {
+  EXPECT_THROW((void)fitted_boosting().predict_proba(Matrix(1, 2)), std::invalid_argument);
+}
+
+TEST(FlatForest, RejectsAMatrixWithTheWrongColumnCountOrRowRange) {
+  const FlatForest engine = FlatForest::compile(fitted_forest(5));
+  EXPECT_THROW((void)engine.predict_proba(Matrix(1, 2)), std::invalid_argument);
+  std::vector<float> out(4);
+  EXPECT_THROW(engine.predict_into(Matrix(1, 2), 0, 1, out.data()), std::invalid_argument);
+  EXPECT_THROW(engine.predict_into(Matrix(3, 6), 2, 2, out.data()), std::invalid_argument);
+  engine.predict_into(Matrix(3, 6), 1, 2, out.data());  // in range: scores
 }
 
 TEST(FlatForest, StructuralHashIsStableAndDiscriminating) {

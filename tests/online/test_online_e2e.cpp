@@ -73,9 +73,8 @@ OnlineConfig loop_online_config(const std::string& wal_dir,
 /// day, drain it, route deaths to retire() after the drive's last record
 /// (the compactor turns retires into the SwapEvents that give retraining
 /// its positive labels), and run the learner every `step_days` stream
-/// days.  `route_retires` false skips the retire calls: live retires race
-/// the in-ring records of the same day (by design — both orders converge
-/// on kSwapped), so digest-comparison tests leave them out.
+/// days.  `route_retires` false skips the retire calls, so the run can be
+/// digest-compared with a control daemon that only pushes the stream.
 void run_online_loop(daemon::TelemetryDaemon& daemon, OnlineLearner& learner,
                      const std::vector<core::FleetObservation>& stream,
                      std::int32_t step_days, bool route_retires = true) {
