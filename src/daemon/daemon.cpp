@@ -125,6 +125,7 @@ void TelemetryDaemon::recover_shard(Shard& shard) {
     last_seq = std::max(last_seq, s.last_seq);
   }
   stats.merge(replay_wal(path, on_segment));
+  publish_counts(shard);
   recovery_.merge(stats);
   recovered_segments_metric_->inc(stats.segments_replayed);
   recovered_records_metric_->inc(stats.records_replayed);
@@ -328,8 +329,16 @@ void TelemetryDaemon::appender_main(Shard& shard) {
     wal_append(shard, batch, retires);
     process_records(shard, batch);
     process_retires(shard, retires);
+    publish_counts(shard);
     shard.heartbeat.fetch_add(1, std::memory_order_relaxed);
   }
+}
+
+void TelemetryDaemon::publish_counts(Shard& shard) {
+  shard.drives_tracked.store(shard.scoring.drives_tracked());
+  const auto counts = shard.health.counts();
+  for (std::size_t s = 0; s < kNumHealthStates; ++s)
+    shard.health_counts[s].store(counts[s]);
 }
 
 void TelemetryDaemon::watchdog_main() {
@@ -382,10 +391,9 @@ DaemonStats TelemetryDaemon::stats() const {
   out.degraded = current_model().first == nullptr;
   out.wal_degraded = wal_degraded_.load();
   for (const auto& shard : shards_) {
-    out.drives_tracked += shard->scoring.drives_tracked();
-    const auto counts = shard->health.counts();
+    out.drives_tracked += shard->drives_tracked.load();
     for (std::size_t s = 0; s < kNumHealthStates; ++s)
-      out.health_counts[s] += counts[s];
+      out.health_counts[s] += shard->health_counts[s].load();
   }
   return out;
 }

@@ -35,6 +35,7 @@
 // (`daemon_watchdog_stalls_total`); stop() drains every ring, fsyncs, and
 // joins all threads (the CLI wires SIGTERM/SIGINT to it).
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -190,6 +191,8 @@ class TelemetryDaemon {
 
   [[nodiscard]] bool running() const noexcept { return running_.load(); }
   [[nodiscard]] std::size_t shards() const noexcept { return shards_.size(); }
+  /// Safe from any thread at any time.  While running, drives_tracked and
+  /// health_counts are each shard's as of its last finished batch.
   [[nodiscard]] DaemonStats stats() const;
 
   /// Order-independent digest over every shard's per-drive state (feature
@@ -213,6 +216,11 @@ class TelemetryDaemon {
 
     std::thread appender;
     std::atomic<std::uint64_t> heartbeat{0};  ///< bumps once per busy iteration
+    /// Copies of scoring.drives_tracked() and health.counts() that the
+    /// appender publishes after each batch, so stats() can read them while
+    /// the appender mutates the originals.
+    std::atomic<std::size_t> drives_tracked{0};
+    std::array<std::atomic<std::uint64_t>, kNumHealthStates> health_counts{};
 
     obs::Counter* ingested_metric = nullptr;  ///< daemon_records_ingested_total{shard=}
     obs::Gauge* depth_metric = nullptr;       ///< daemon_ring_depth{shard=}
@@ -234,6 +242,8 @@ class TelemetryDaemon {
   void process_records(Shard& shard, std::span<const core::FleetObservation> batch);
   void process_retires(Shard& shard, std::span<const std::uint64_t> uids);
   void mark_wal_degraded(Shard& shard);
+  /// Publish the shard's drive and health-state counts for stats().
+  static void publish_counts(Shard& shard);
 
   DaemonConfig config_;
   obs::MetricsRegistry* registry_ = nullptr;

@@ -1,9 +1,11 @@
 #include "ml/cross_validation.hpp"
 
 #include <cmath>
+#include <memory>
 #include <stdexcept>
 #include <string>
 
+#include "ml/model_zoo.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_span.hpp"
 #include "stats/rng.hpp"
@@ -53,9 +55,11 @@ CvResult cross_validate(const Classifier& model, const Dataset& data,
     if (train.positives() == 0 || train.positives() == train.size()) return;
     if (test.positives() == 0 || test.positives() == test.size()) return;
 
-    auto fold_model = model.clone();
+    std::shared_ptr<Classifier> fold_model = model.clone();
     fold_model->fit(train);
-    const auto scores = fold_model->predict_proba(test.x);
+    // Tree ensembles score through the compiled engine, bit-identical to
+    // their pointer walk.
+    const auto scores = make_serving_model(std::move(fold_model))->predict_proba(test.x);
     const double auc = roc_auc(scores, test.y);
     if (std::isnan(auc)) return;
     fold_auc[f] = auc;

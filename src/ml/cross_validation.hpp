@@ -66,7 +66,9 @@ struct CvOptions {
 
 /// k-fold cross-validated ROC AUC of `model` on `data`.  The model is
 /// cloned per fold (fresh state), trained on the transformed train fold,
-/// and scored on the transformed test fold.  Degenerate folds are skipped
+/// and scored on the transformed test fold (a fitted RandomForest or
+/// GradientBoosting through make_serving_model's compiled engine, whose
+/// scores are bit-identical to the walk).  Degenerate folds are skipped
 /// and counted in CvResult::folds_skipped; if EVERY fold is degenerate the
 /// data cannot be cross-validated at all and std::runtime_error is thrown
 /// (never an empty result masquerading as a k-fold evaluation).

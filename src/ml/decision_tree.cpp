@@ -10,10 +10,11 @@ namespace ssdfail::ml {
 void DecisionTree::fit(const Dataset& train) {
   std::vector<std::size_t> idx(train.size());
   std::iota(idx.begin(), idx.end(), std::size_t{0});
-  fit_on(train, std::move(idx));
+  fit_on(train, RankEncoding(train.x), std::move(idx));
 }
 
-void DecisionTree::fit_on(const Dataset& train, std::vector<std::size_t> row_indices) {
+void DecisionTree::fit_on(const Dataset& train, const RankEncoding& ranks,
+                          std::vector<std::size_t> row_indices) {
   train.validate();
   if (row_indices.empty()) throw std::invalid_argument("DecisionTree: empty train set");
   nodes_.clear();
@@ -21,7 +22,7 @@ void DecisionTree::fit_on(const Dataset& train, std::vector<std::size_t> row_ind
   importance_.assign(n_features_, 0.0);
   const GrowLimits limits{params_.max_depth, params_.min_samples_split,
                           params_.min_samples_leaf, params_.max_features, params_.seed};
-  grow(train.x, Gini{train.y}, limits, row_indices, nodes_, importance_);
+  grow(train.x, ranks, Gini{train.y}, limits, row_indices, nodes_, importance_);
 }
 
 float DecisionTree::predict_row(std::span<const float> row) const {

@@ -30,8 +30,10 @@ class DecisionTree final : public Classifier {
 
   void fit(const Dataset& train) override;
 
-  /// Fit on an explicit row multiset (bootstrap support for forests).
-  void fit_on(const Dataset& train, std::vector<std::size_t> row_indices);
+  /// Fit on an explicit row multiset (bootstrap support for forests),
+  /// with `ranks` = RankEncoding(train.x) built once by the caller.
+  void fit_on(const Dataset& train, const RankEncoding& ranks,
+              std::vector<std::size_t> row_indices);
 
   [[nodiscard]] std::vector<float> predict_proba(const Matrix& x) const override;
   [[nodiscard]] float predict_row(std::span<const float> row) const;

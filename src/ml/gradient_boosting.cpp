@@ -42,6 +42,7 @@ void GradientBoosting::fit(const Dataset& train) {
   // All features at every node; a split needs min_samples_leaf rows a side.
   const GrowLimits limits{params_.max_depth, 2 * params_.min_samples_leaf,
                           params_.min_samples_leaf, 0, 0};
+  const RankEncoding ranks(train.x);  // shared by every round
 
   static obs::Counter& rounds_counter = obs::MetricsRegistry::global().counter(
       "boosting_rounds_total", {}, "boosting rounds (trees) fitted");
@@ -67,7 +68,7 @@ void GradientBoosting::fit(const Dataset& train) {
     }
 
     Tree tree;
-    grow(train.x, Newton{grad, hess}, limits, idx, tree, importance_);
+    grow(train.x, ranks, Newton{grad, hess}, limits, idx, tree, importance_);
     // Update scores with the damped tree output (ALL rows, not just the
     // subsample — the tree generalizes its Newton steps).  Per-row and
     // order-independent, so the parallel update is bit-identical.

@@ -30,6 +30,7 @@ void RandomForest::fit(const Dataset& train) {
 
   trees_.assign(params_.n_trees, DecisionTree(tree_params));
   const std::size_t n = train.size();
+  const RankEncoding ranks(train.x);  // shared by every tree
 
   static obs::Counter& trees_counter = obs::MetricsRegistry::global().counter(
       "forest_trees_fitted_total", {}, "bootstrap trees fitted by RandomForest");
@@ -45,7 +46,7 @@ void RandomForest::fit(const Dataset& train) {
     DecisionTree::Params p = tree_params;
     p.seed = stats::hash_keys({params_.seed, 0x73706c6974ULL /*'split'*/, t});
     trees_[t] = DecisionTree(p);
-    trees_[t].fit_on(train, std::move(sample));
+    trees_[t].fit_on(train, ranks, std::move(sample));
   });
 }
 

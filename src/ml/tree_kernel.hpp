@@ -11,19 +11,44 @@
 //           (sum grad, sum hess), leaf = G / (H + 1) (double),
 //           importance = gain; never pure.
 //
-// Split search: for each candidate feature, sort the node's (value,
-// payload) pairs, sweep every boundary between adjacent distinct values
-// that leaves min_samples_leaf rows on both sides, and keep the first
-// strictly-greater gain; the threshold is the midpoint 0.5f * (a + b).
+// Split search runs on ranks.  Each learner's fit rank-encodes its
+// training matrix once (RankEncoding): per column the sorted distinct
+// values, and per cell the row's dense u32 rank among them, column-major.
+// RandomForest shares one encoding across its bootstrap trees and
+// GradientBoosting across its rounds, so the memory cost is one u32 per
+// matrix cell (plus at most one float per cell of distinct values) per
+// concurrent fit.
+//
+// For each candidate feature the grower orders the node's rows by (rank,
+// row index): by a counting pass over the ranks when the feature has few
+// ranks next to the node's rows (counting_pass_fits; the grower keeps each
+// node's rows in ascending order, so each rank's rows come out ascending),
+// otherwise by sorting packed (rank << 32 | row) keys.  One sweep over that
+// order serves both criteria: it visits every boundary between adjacent
+// ranks present in the node that leaves min_samples_leaf rows on both
+// sides, keeps the first strictly-greater gain, and takes the threshold
+// 0.5f * (a + b) from the two ranks' stored values.  A sort of (value,
+// payload) pairs gives the same trees: Gini's boundary counts do not
+// depend on the order within a rank, and Newton's payload is the row
+// index, so its floating-point sums add the rows in the same sequence
+// (pinned by the fit pins in test_trees.cpp and test_tree_kernel.cpp).
+
+// NaN training values rank above +Inf (-0.0 and +0.0 share one rank), the
+// side the partition routes them (kNanRoutesRight).  The boundary into the
+// NaN rank is never offered: its midpoint is NaN, and a NaN threshold
+// would send every row right.
+//
 // Candidate features fan out over parallel_reduce at big nodes; partials
 // merge in candidate order with the same strictly-greater comparison, so
 // the winner is the one the serial first-wins loop picks and the fitted
 // tree is bit-identical at any thread count (pinned by
-// tests/ml/test_parallel_training.cpp and the fit pins in test_trees.cpp).
+// tests/ml/test_parallel_training.cpp).
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <numeric>
 #include <span>
 #include <stdexcept>
@@ -81,6 +106,74 @@ inline void check_columns(const Matrix& x, std::size_t n_features, const char* m
                                 std::to_string(x.cols()) + " columns, model was fit on " +
                                 std::to_string(n_features));
 }
+
+/// A training matrix rank-encoded for the split search: per column, the
+/// sorted distinct values, and per row its dense rank among them.  Ranks
+/// order like the values they stand for; -0.0 and +0.0 share a rank, and
+/// NaN, when the column has any, takes the top rank.  Ranks are stored
+/// column-major, one u32 per cell.  Built once per fit and shared, read
+/// only, by every tree the fit grows.
+class RankEncoding {
+ public:
+  explicit RankEncoding(const Matrix& x) : rows_(x.rows()), cols_(x.cols()) {
+    // The split search packs a row index into the low half of a u64 key.
+    if (rows_ > std::numeric_limits<std::uint32_t>::max())
+      throw std::length_error("RankEncoding: more than 2^32 - 1 rows");
+    ranks_.resize(rows_ * cols_);
+    offsets_.reserve(cols_ + 1);
+    offsets_.push_back(0);
+    ordered_.reserve(cols_);
+    std::vector<float> distinct;
+    distinct.reserve(rows_);
+    for (std::size_t c = 0; c < cols_; ++c) {
+      distinct.clear();
+      bool has_nan = false;
+      for (std::size_t r = 0; r < rows_; ++r) {
+        const float v = x(r, c);
+        if (std::isnan(v))
+          has_nan = true;
+        else
+          distinct.push_back(v);
+      }
+      std::sort(distinct.begin(), distinct.end());
+      distinct.erase(std::unique(distinct.begin(), distinct.end()), distinct.end());
+      const auto ordered = static_cast<std::uint32_t>(distinct.size());
+      std::uint32_t* rank = ranks_.data() + c * rows_;
+      for (std::size_t r = 0; r < rows_; ++r) {
+        const float v = x(r, c);
+        rank[r] = std::isnan(v) ? ordered
+                                : static_cast<std::uint32_t>(
+                                      std::lower_bound(distinct.begin(), distinct.end(), v) -
+                                      distinct.begin());
+      }
+      values_.insert(values_.end(), distinct.begin(), distinct.end());
+      if (has_nan) values_.push_back(std::numeric_limits<float>::quiet_NaN());
+      offsets_.push_back(values_.size());
+      ordered_.push_back(ordered);
+    }
+  }
+
+  [[nodiscard]] std::size_t rows() const noexcept { return rows_; }
+  [[nodiscard]] std::size_t cols() const noexcept { return cols_; }
+  /// Every row's rank in column `col`.
+  [[nodiscard]] std::span<const std::uint32_t> ranks(std::size_t col) const noexcept {
+    return {ranks_.data() + col * rows_, rows_};
+  }
+  /// Column `col`'s distinct values in rank order (NaN last, if present).
+  [[nodiscard]] std::span<const float> values(std::size_t col) const noexcept {
+    return {values_.data() + offsets_[col], offsets_[col + 1] - offsets_[col]};
+  }
+  /// Ranks below this hold numbers; a rank equal to it is NaN.
+  [[nodiscard]] std::uint32_t ordered(std::size_t col) const noexcept { return ordered_[col]; }
+
+ private:
+  std::size_t rows_ = 0;
+  std::size_t cols_ = 0;
+  std::vector<std::uint32_t> ranks_;
+  std::vector<float> values_;          ///< every column's distinct values, back to back
+  std::vector<std::size_t> offsets_;   ///< column c's values: [offsets_[c], offsets_[c + 1])
+  std::vector<std::uint32_t> ordered_;
+};
 
 /// Growth limits; every learner maps its own Params onto these.
 struct GrowLimits {
@@ -172,8 +265,18 @@ struct Newton {
 namespace detail {
 
 /// Minimum rows*candidates at a node before the split search fans out
-/// across the pool.  Below this the sort is cheaper than the dispatch.
+/// across the pool.  Below this one feature's scan is cheaper than the
+/// dispatch.
 inline constexpr std::size_t kMinParallelSplitWork = 1u << 15;
+
+/// Whether a feature with `ranks` distinct values orders a node of `rows`
+/// rows by a counting pass (O(ranks + rows), over one small per-rank
+/// array) rather than a key sort (O(rows log rows)).  The counting pass
+/// stays the cheaper one well past ranks == rows: forest fits on the
+/// train_cv folds ran fastest with the cutoff between 16 and 64.
+[[nodiscard]] constexpr bool counting_pass_fits(std::size_t ranks, std::size_t rows) noexcept {
+  return ranks <= 16 * rows;
+}
 
 template <typename Criterion>
 struct Grower {
@@ -187,38 +290,84 @@ struct Grower {
   };
   struct Scan {
     Best best;
-    std::vector<std::pair<float, typename Criterion::Payload>> vals;  // reused
+    std::vector<std::uint64_t> keys;     ///< the node's (rank << 32 | row), reused
+    std::vector<std::uint32_t> offsets;  ///< counting pass: per-rank slot, reused
   };
 
+  Grower(const Matrix& x_, const RankEncoding& encoding_, const Criterion& criterion_,
+         const GrowLimits& limits_, std::vector<std::size_t>& idx_,
+         std::vector<TreeNode<Leaf>>& nodes_, std::vector<double>& importance_)
+      : x(x_),
+        encoding(encoding_),
+        criterion(criterion_),
+        limits(limits_),
+        idx(idx_),
+        nodes(nodes_),
+        importance(importance_),
+        rng(limits_.seed),
+        rows(idx_.size()),
+        spill(idx_.size()) {
+    std::transform(idx.begin(), idx.end(), rows.begin(),
+                   [](std::size_t row) { return static_cast<std::uint32_t>(row); });
+    std::sort(rows.begin(), rows.end());
+  }
+
   const Matrix& x;
+  const RankEncoding& encoding;
   const Criterion& criterion;
   const GrowLimits& limits;
   std::vector<std::size_t>& idx;
   std::vector<TreeNode<Leaf>>& nodes;
   std::vector<double>& importance;
   stats::Rng rng;
+  /// The rows of idx[begin, end) in ascending order, partitioned stably
+  /// alongside idx, so a counting pass keeps each rank's rows ascending.
+  std::vector<std::uint32_t> rows;
+  std::vector<std::uint32_t> spill;   ///< right-hand rows during that partition
+  std::vector<std::size_t> features;  ///< candidate features, refilled per node
+  Scan serial;                        ///< scratch of the serial split search
 
-  /// Sweep one feature's boundaries over rows idx[begin, end).  A pure
-  /// function of (rows, feature), so scans may run in any order.
+  /// Order the node's rows by (rank, row) in `feat` and sweep its
+  /// boundaries.  A pure function of (rows, feature), so scans may run in
+  /// any order.
   void scan(Scan& acc, std::size_t begin, std::size_t end, const Stats& node,
             double parent, std::size_t feat) const {
-    auto& vals = acc.vals;
-    vals.clear();
-    for (std::size_t i = begin; i < end; ++i)
-      vals.emplace_back(x(idx[i], feat), criterion.payload(idx[i]));
-    std::sort(vals.begin(), vals.end());
-    if (vals.front().first == vals.back().first) return;  // constant
-
+    const std::uint32_t ordered = encoding.ordered(feat);
+    if (ordered < 2) return;  // no boundary between two numbers
+    const std::span<const std::uint32_t> rank = encoding.ranks(feat);
+    const std::span<const float> values = encoding.values(feat);
+    const std::uint32_t* const seg = rows.data() + begin;
     const std::size_t n = end - begin;
+    auto& keys = acc.keys;
+    keys.resize(n);
+    if (counting_pass_fits(values.size(), n)) {
+      auto& offsets = acc.offsets;
+      offsets.assign(values.size(), 0);
+      for (std::size_t i = 0; i < n; ++i) ++offsets[rank[seg[i]]];
+      if (offsets[rank[seg[0]]] == n) return;  // one value in this node
+      std::uint32_t slot = 0;
+      for (std::uint32_t& o : offsets) slot += std::exchange(o, slot);
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::uint32_t r = rank[seg[i]];
+        keys[offsets[r]++] = (std::uint64_t{r} << 32) | seg[i];
+      }
+    } else {
+      for (std::size_t i = 0; i < n; ++i) keys[i] = (std::uint64_t{rank[seg[i]]} << 32) | seg[i];
+      std::sort(keys.begin(), keys.end());
+      if (keys.front() >> 32 == keys.back() >> 32) return;  // one value in this node
+    }
+
     Stats left;
     for (std::size_t i = 0; i + 1 < n; ++i) {
-      criterion.add(left, vals[i].second);
-      if (vals[i].first == vals[i + 1].first) continue;  // not a boundary
+      criterion.add(left, criterion.payload(static_cast<std::uint32_t>(keys[i])));
+      const auto lo = static_cast<std::uint32_t>(keys[i] >> 32);
+      const auto hi = static_cast<std::uint32_t>(keys[i + 1] >> 32);
+      if (lo == hi) continue;  // not a boundary
+      if (hi == ordered) break;  // number -> NaN: no midpoint, and NaN is last
       const std::size_t nl = i + 1;
       if (nl < limits.min_samples_leaf || n - nl < limits.min_samples_leaf) continue;
       const double gain = criterion.gain(node, parent, left, nl, n);
-      if (gain > acc.best.gain)
-        acc.best = {gain, feat, 0.5f * (vals[i].first + vals[i + 1].first)};
+      if (gain > acc.best.gain) acc.best = {gain, feat, 0.5f * (values[lo] + values[hi])};
     }
   }
 
@@ -238,7 +387,7 @@ struct Grower {
       return leaf(stats, n);
 
     // Candidate feature set: all, or a fresh random subset (forest mode).
-    std::vector<std::size_t> features(x.cols());
+    features.resize(x.cols());
     std::iota(features.begin(), features.end(), std::size_t{0});
     std::size_t n_candidates = features.size();
     if (limits.max_features > 0 && limits.max_features < n_candidates) {
@@ -262,20 +411,30 @@ struct Grower {
                  })
                  .best;
     } else {
-      Scan acc;
-      acc.vals.reserve(n);
-      for (std::size_t j = 0; j < n_candidates; ++j) scan_candidate(acc, j);
-      best = acc.best;
+      serial.best = Best{};
+      for (std::size_t j = 0; j < n_candidates; ++j) scan_candidate(serial, j);
+      best = serial.best;
     }
     if (best.gain <= Criterion::kMinGain) return leaf(stats, n);
 
     // Partition in place: rows with value <= threshold go left.
-    const auto mid_it = std::partition(
-        idx.begin() + static_cast<std::ptrdiff_t>(begin),
-        idx.begin() + static_cast<std::ptrdiff_t>(end),
-        [&](std::size_t row) { return x(row, best.feature) <= best.threshold; });
+    const auto goes_left = [&](std::size_t row) {
+      return x(row, best.feature) <= best.threshold;
+    };
+    const auto mid_it = std::partition(idx.begin() + static_cast<std::ptrdiff_t>(begin),
+                                       idx.begin() + static_cast<std::ptrdiff_t>(end),
+                                       goes_left);
     const auto mid = static_cast<std::size_t>(mid_it - idx.begin());
     if (mid == begin || mid == end) return leaf(stats, n);  // numeric edge case
+    std::size_t kept = begin, spilled = 0;
+    for (std::size_t i = begin; i < end; ++i) {
+      const std::uint32_t row = rows[i];
+      if (goes_left(row))
+        rows[kept++] = row;
+      else
+        spill[spilled++] = row;
+    }
+    std::copy_n(spill.begin(), spilled, rows.begin() + static_cast<std::ptrdiff_t>(kept));
 
     importance[best.feature] += criterion.importance(best.gain, n);
 
@@ -295,14 +454,15 @@ struct Grower {
 
 /// Grow one tree over the rows in `idx` (reordered in place) and append
 /// its nodes to `nodes`, adding each split's criterion importance to
-/// `importance[feature]`.
+/// `importance[feature]`.  `encoding` must be RankEncoding(x).
 template <typename Criterion>
-void grow(const Matrix& x, const Criterion& criterion, const GrowLimits& limits,
-          std::vector<std::size_t>& idx,
+void grow(const Matrix& x, const RankEncoding& encoding, const Criterion& criterion,
+          const GrowLimits& limits, std::vector<std::size_t>& idx,
           std::vector<TreeNode<typename Criterion::Leaf>>& nodes,
           std::vector<double>& importance) {
-  detail::Grower<Criterion> grower{x,     criterion,  limits, idx,
-                                   nodes, importance, stats::Rng(limits.seed)};
+  if (encoding.rows() != x.rows() || encoding.cols() != x.cols())
+    throw std::invalid_argument("grow: the rank encoding is of another matrix");
+  detail::Grower<Criterion> grower(x, encoding, criterion, limits, idx, nodes, importance);
   grower.grow(0, idx.size(), 0);
 }
 

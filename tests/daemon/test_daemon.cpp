@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <limits>
@@ -60,6 +61,45 @@ TEST(TelemetryDaemon, GracefulDrainProcessesEveryAcceptedRecord) {
   // Pushes after stop are rejected, not silently dropped.
   EXPECT_EQ(daemon.push(stream[0]), PushResult::kRejected);
   EXPECT_EQ(daemon.stats().rejected, 1u);
+}
+
+// stats() may be called from any thread while the appenders run: it reads
+// only the counts each appender publishes after a batch, never the shard
+// state the appender is mutating (a -fsanitize=thread build checks this).
+TEST(TelemetryDaemon, StatsArePollableWhileIngesting) {
+  TempDir dir("poll");
+  obs::MetricsRegistry registry;
+  DaemonConfig cfg = base_config(dir.path(), &registry);
+  cfg.max_batch = 4;
+  TelemetryDaemon daemon(std::make_shared<StubModel>(), cfg);
+  daemon.start();
+  constexpr std::uint32_t kDrives = 12;
+  std::atomic<bool> done{false};
+  std::atomic<std::size_t> polls{0};
+  std::size_t most_drives = 0;
+  std::thread poller([&] {
+    while (!done.load()) {
+      const DaemonStats s = daemon.stats();
+      most_drives = std::max(most_drives, s.drives_tracked);
+      polls.fetch_add(1);
+    }
+  });
+  while (polls.load() == 0) std::this_thread::yield();
+  std::size_t accepted = 0;
+  for (const auto& obs : make_stream(kDrives, 40))
+    accepted += daemon.push(obs) == PushResult::kAccepted ? 1 : 0;
+  daemon.stop();
+  done.store(true);
+  poller.join();
+
+  const DaemonStats stats = daemon.stats();
+  EXPECT_EQ(accepted, kDrives * 40u);
+  EXPECT_EQ(stats.scored, accepted);
+  EXPECT_EQ(stats.drives_tracked, kDrives);
+  std::uint64_t in_some_state = 0;
+  for (const std::uint64_t n : stats.health_counts) in_some_state += n;
+  EXPECT_EQ(in_some_state, kDrives);
+  EXPECT_LE(most_drives, kDrives);
 }
 
 TEST(TelemetryDaemon, RecoveryRebuildsBitIdenticalState) {

@@ -1,16 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <bit>
 #include <numeric>
-#include <sstream>
 
 #include "ml/decision_tree.hpp"
 #include "ml/gradient_boosting.hpp"
 #include "ml/metrics.hpp"
 #include "ml/random_forest.hpp"
-#include "ml/serialize.hpp"
 #include "stats/rng.hpp"
+#include "tree_test_util.hpp"
 
 namespace ssdfail::ml {
 namespace {
@@ -205,24 +203,6 @@ Dataset make_counter_task(std::size_t n, std::uint64_t seed) {
     d.groups[r] = r;
   }
   return d;
-}
-
-std::uint64_t tree_digest(const DecisionTree& tree, const Matrix& x) {
-  std::uint64_t h = stats::kFnv1aInit;
-  for (const float p : tree.predict_proba(x))
-    h = stats::fnv1a_mix(h, std::bit_cast<std::uint32_t>(p));
-  for (const double v : tree.impurity_importance())
-    h = stats::fnv1a_mix(h, std::bit_cast<std::uint64_t>(v));
-  return stats::fnv1a_mix(h, tree.node_count());
-}
-
-template <typename Model>
-std::uint64_t model_file_digest(const Model& model) {
-  std::stringstream out;
-  save_model(out, model);
-  std::uint64_t h = stats::kFnv1aInit;
-  for (const char c : out.str()) h = stats::fnv1a_mix(h, static_cast<unsigned char>(c));
-  return h;
 }
 
 // Bit-exact pins of every tree learner's fit: the digests cover each split
