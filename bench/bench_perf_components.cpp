@@ -135,7 +135,7 @@ void BM_FeatureExtraction(benchmark::State& state) {
     core::FeatureExtractor::State st;
     for (const auto& rec : drive.records) {
       core::FeatureExtractor::advance(st, rec);
-      core::FeatureExtractor::extract(drive, rec, st, row);
+      core::FeatureExtractor::extract(drive.deploy_day, rec, st, row);
       benchmark::DoNotOptimize(row.data());
     }
   }

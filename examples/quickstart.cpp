@@ -60,7 +60,7 @@ int main() {
   ml::Matrix row(1, core::FeatureExtractor::count());
   for (const auto& rec : probe.records) {
     core::FeatureExtractor::advance(state, rec);
-    core::FeatureExtractor::extract(probe, rec, state, row.row(0));
+    core::FeatureExtractor::extract(probe.deploy_day, rec, state, row.row(0));
   }
   const float risk = forest->predict_proba(row)[0];
   std::printf("drive %llu latest-day failure risk: %.3f\n",

@@ -69,6 +69,7 @@
 #include "core/fleet_analysis.hpp"
 #include "core/online_monitor.hpp"
 #include "core/prediction.hpp"
+#include "io/file.hpp"
 #include "io/table.hpp"
 #include "obs/exposition.hpp"
 #include "obs/metrics.hpp"
@@ -253,13 +254,12 @@ int cmd_simulate(const Args& args) {
               static_cast<unsigned long long>(cfg.seed));
   const trace::FleetTrace fleet = sim::FleetSimulator(cfg).generate_all();
   if (args.flag("columnar")) {
-    std::ofstream out(prefix + ".bin", std::ios::binary);
-    trace::write_binary_v2(out, fleet, chunk);
+    io::commit_file(prefix + ".bin",
+                    [&](std::ostream& out) { trace::write_binary_v2(out, fleet, chunk); });
     std::printf("wrote %s.bin (columnar v2, %zu drive-days)\n", prefix.c_str(),
                 fleet.total_records());
   } else if (args.flag("binary")) {
-    std::ofstream out(prefix + ".bin", std::ios::binary);
-    trace::write_binary(out, fleet);
+    io::commit_file(prefix + ".bin", [&](std::ostream& out) { trace::write_binary(out, fleet); });
     std::printf("wrote %s.bin (%zu drive-days)\n", prefix.c_str(), fleet.total_records());
   } else {
     std::ofstream daily(prefix + "_daily.csv");
@@ -346,19 +346,13 @@ int cmd_convert(const Args& args) {
     std::fprintf(stderr, "cannot open %s\n", in_path.c_str());
     return 1;
   }
-  std::ofstream out(out_path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
   try {
     const std::uint32_t from_version = trace::peek_binary_version(in);
-    const std::size_t rows = trace::convert_binary(in, out, to_version, chunk);
-    out.flush();
-    if (!out) {
-      std::fprintf(stderr, "write failed for %s\n", out_path.c_str());
-      return 1;
-    }
+    std::size_t rows = 0;
+    // A failed conversion leaves any previous file at out_path untouched.
+    io::commit_file(out_path, [&](std::ostream& out) {
+      rows = trace::convert_binary(in, out, to_version, chunk);
+    });
     const auto bytes = std::filesystem::file_size(out_path);
     std::printf("converted %s (v%u, %zu drive-days) -> %s (%s, %llu bytes",
                 in_path.c_str(), from_version, rows, out_path.c_str(), to.c_str(),

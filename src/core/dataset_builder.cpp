@@ -128,8 +128,7 @@ void finalize_dataset(ml::Dataset& out, const DatasetBuildOptions& options) {
 /// p >= 1 or u < p — exactly the bernoulli(p) decision the pre-cache
 /// builder made, so cached and direct builds agree bit-for-bit.
 template <typename Source, typename Sink>
-void walk_source(const Source& src, const trace::DriveHistory& extract_drive,
-                 const DriveTimeline& timeline, const DatasetBuildOptions& options,
+void walk_source(const Source& src, const DriveTimeline& timeline, const DatasetBuildOptions& options,
                  Sink&& sink) {
   if (options.error_label && options.bad_block_label)
     throw std::invalid_argument(
@@ -186,7 +185,7 @@ void walk_source(const Source& src, const trace::DriveHistory& extract_drive,
     const double u = row_rng.uniform();
 
     const auto get_row = [&]() -> std::span<const float> {
-      FeatureExtractor::extract(extract_drive, rec, state,
+      FeatureExtractor::extract(src.deploy_day(), rec, state,
                                 std::span<float>(row).first(base_count));
       if (options.rolling_features)
         rolling.extract(std::span<float>(row).subspan(base_count));
@@ -222,7 +221,7 @@ void walk_drive(const trace::DriveHistory& drive, const DatasetBuildOptions& opt
                          [](const trace::SwapEvent& s) { return s.day; }))
     return;
   const DriveTimeline timeline = derive_timeline(drive);
-  walk_source(RowSource{drive}, drive, timeline, options, std::forward<Sink>(sink));
+  walk_source(RowSource{drive}, timeline, options, std::forward<Sink>(sink));
 }
 
 /// bernoulli(keep_prob) decision replayed from the row's stored draw.
@@ -258,13 +257,7 @@ void append_columnar_drive(ml::Dataset& out, const store::ChunkView& chunk,
     timeline.periods.push_back({chunk.day[ref.row_begin],
                                 chunk.day[ref.row_begin + ref.row_count - 1],
                                 /*ended_in_failure=*/false});
-  // FeatureExtractor::extract reads only identity scalars from the drive
-  // (deploy_day); hand it a recordless shim rather than a gathered copy.
-  trace::DriveHistory shim;
-  shim.model = ref.model;
-  shim.drive_index = ref.drive_index;
-  shim.deploy_day = ref.deploy_day;
-  walk_source(ColumnSource{chunk, ref}, shim, timeline, options,
+  walk_source(ColumnSource{chunk, ref}, timeline, options,
               dataset_sink(out, ref.uid(), options));
 }
 

@@ -63,9 +63,8 @@ void FeatureExtractor::advance(State& state, const trace::DailyRecord& rec) noex
   state.cum_throttle_events += rec.throttle_events;
 }
 
-void FeatureExtractor::extract(const trace::DriveHistory& drive,
-                               const trace::DailyRecord& rec, const State& state,
-                               std::span<float> out) {
+void FeatureExtractor::extract(std::int32_t deploy_day, const trace::DailyRecord& rec,
+                               const State& state, std::span<float> out) {
   if (out.size() != count()) throw std::invalid_argument("FeatureExtractor: bad span size");
   std::size_t i = 0;
   // Daily values — raw counts, as in the paper's pipeline (tree models are
@@ -86,7 +85,7 @@ void FeatureExtractor::extract(const trace::DriveHistory& drive,
   out[i++] = static_cast<float>(state.cum_bad_blocks);
   // Scalars.
   out[i++] = static_cast<float>(rec.pe_cycles);
-  out[i++] = static_cast<float>(rec.day - drive.deploy_day);
+  out[i++] = static_cast<float>(rec.day - deploy_day);
   out[i++] = rec.read_only ? 1.0f : 0.0f;
   const double corr = static_cast<double>(state.cum.error(trace::ErrorType::kCorrectable));
   const double reads = static_cast<double>(state.cum.reads);
@@ -155,12 +154,9 @@ void RollingWindow::extract(std::span<float> out) const {
   out[i++] = static_cast<float>(today_writes / std::max(mean_writes, 1.0));
 }
 
-DriveFeatureCursor::DriveFeatureCursor(trace::DriveModel drive_model,
+DriveFeatureCursor::DriveFeatureCursor(trace::DriveModel /*drive_model*/,
                                        std::int32_t deploy_day)
-    : last_day_(deploy_day - 1) {
-  header_.model = drive_model;
-  header_.deploy_day = deploy_day;
-}
+    : deploy_day_(deploy_day), last_day_(deploy_day - 1) {}
 
 void DriveFeatureCursor::advance_and_extract(const trace::DailyRecord& rec,
                                              std::span<float> out) {
@@ -169,7 +165,7 @@ void DriveFeatureCursor::advance_and_extract(const trace::DailyRecord& rec,
   last_day_ = rec.day;
   ++days_observed_;
   FeatureExtractor::advance(state_, rec);
-  FeatureExtractor::extract(header_, rec, state_, out);
+  FeatureExtractor::extract(deploy_day_, rec, state_, out);
 }
 
 }  // namespace ssdfail::core

@@ -42,9 +42,10 @@ class FeatureExtractor {
   /// Fold one record into the state (call before extract for that record).
   static void advance(State& state, const trace::DailyRecord& rec) noexcept;
 
-  /// Fill `out` (size count()) with the feature vector for `rec`, given the
-  /// state AFTER advance(state, rec).
-  static void extract(const trace::DriveHistory& drive, const trace::DailyRecord& rec,
+  /// Fill `out` (size count()) with the feature vector for `rec` of a
+  /// drive deployed on `deploy_day`, given the state AFTER
+  /// advance(state, rec).
+  static void extract(std::int32_t deploy_day, const trace::DailyRecord& rec,
                       const State& state, std::span<float> out);
 
   /// Index of the raw drive-age column (used by age-split experiments).
@@ -59,6 +60,7 @@ class FeatureExtractor {
 /// bit-identity the replay tests pin.
 class DriveFeatureCursor {
  public:
+  /// Features read only `deploy_day`; `drive_model` is not stored.
   DriveFeatureCursor(trace::DriveModel drive_model, std::int32_t deploy_day);
 
   /// Fold `rec` into the cumulative state and fill `out` (size
@@ -72,7 +74,7 @@ class DriveFeatureCursor {
   [[nodiscard]] const FeatureExtractor::State& state() const noexcept { return state_; }
 
  private:
-  trace::DriveHistory header_;  ///< deploy metadata for feature extraction
+  std::int32_t deploy_day_;
   FeatureExtractor::State state_;
   std::int32_t last_day_;
   std::uint64_t days_observed_ = 0;

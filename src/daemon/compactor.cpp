@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "daemon/wal.hpp"
+#include "io/file.hpp"
 #include "obs/metrics.hpp"
 #include "trace/drive_history.hpp"
 
@@ -110,7 +111,7 @@ CompactionResult compact_sealed_wals(const std::string& wal_dir,
     // Sealed files held nothing durable (all torn tails).  They are still
     // consumed — their content is unrecoverable by any later run too.
     if (!options.keep_wal)
-      for (const std::string& path : sealed) std::filesystem::remove(path);
+      for (const std::string& path : sealed) io::remove_file(path);
     return result;
   }
 
@@ -119,9 +120,11 @@ CompactionResult compact_sealed_wals(const std::string& wal_dir,
   for (auto& [uid, drive] : drives) fleet.drives.push_back(std::move(drive));
   result.drives = fleet.drives.size();
 
-  // Shard file first, manifest second, deletion last: every crash point
-  // leaves either the old store intact or the new shard fully published.
-  std::filesystem::create_directories(store_dir);
+  // Shard commit, manifest commit, WAL removal: each is durable before the
+  // next starts (see the header), so every crash point leaves either the
+  // old store intact or the new shard fully published, and the sealed
+  // files go only once the manifest naming their records is on disk.
+  io::make_dirs(store_dir);
   store::ShardManifest manifest;
   if (std::filesystem::exists(std::filesystem::path(store_dir) / store::kManifestName))
     manifest = store::read_manifest(store_dir);
@@ -142,7 +145,7 @@ CompactionResult compact_sealed_wals(const std::string& wal_dir,
   result.shards_written = 1;
 
   if (!options.keep_wal)
-    for (const std::string& path : sealed) std::filesystem::remove(path);
+    for (const std::string& path : sealed) io::remove_file(path);
 
   compactions_counter().inc();
   compacted_records_counter().inc(result.records);

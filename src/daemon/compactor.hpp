@@ -14,10 +14,20 @@
 // Each run replays every sealed file (active logs are never touched — the
 // daemon owns those), reconstructs per-drive histories, writes ONE new v3
 // shard, appends it to the store directory's manifest atomically, and only
-// then deletes the consumed sealed files.  A crash between shard write and
-// deletion therefore re-compacts (duplicate drive histories in a later
-// shard) rather than losing data; a crash before the manifest rename
-// leaves the store exactly as it was.
+// then deletes the consumed sealed files.  Every step goes through the
+// file-ops seam (io/file.hpp) and is durable before the next one starts:
+//
+//   1. shard commit     shard-N.ssdf2.tmp written, fsync, rename to
+//                       shard-N.ssdf2, fsync the store directory;
+//   2. manifest commit  manifest.ssdm.tmp written, fsync, rename over
+//                       manifest.ssdm, fsync the store directory;
+//   3. WAL removal      unlink each sealed file, fsync the WAL directory.
+//
+// So after a SIGKILL or an OS crash at any point, a crash before the
+// manifest rename leaves the store exactly as it was (an orphan shard
+// file may remain; the next run steps past its name), and a crash after
+// it re-compacts the surviving sealed files (duplicate drive histories in
+// a later shard: at-least-once) rather than losing data.
 //
 // Ordering contract: drives are emitted sorted by uid, each drive's
 // records in replay (seq) order with non-advancing days dropped (the

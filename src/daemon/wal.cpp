@@ -1,51 +1,20 @@
 #include "daemon/wal.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <stdexcept>
 
+#include "io/bytes.hpp"
 #include "store/crc32.hpp"
 
 namespace ssdfail::daemon {
 
 namespace {
 
-void put_u16(std::vector<char>& out, std::uint16_t v) {
-  out.push_back(static_cast<char>(v & 0xFF));
-  out.push_back(static_cast<char>((v >> 8) & 0xFF));
-}
+using io::put;
 
-void put_u32(std::vector<char>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-}
-
-void put_u64(std::vector<char>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-}
-
-std::uint16_t get_u16(const char* p) {
-  return static_cast<std::uint16_t>(static_cast<unsigned char>(p[0]) |
-                                    (static_cast<unsigned char>(p[1]) << 8));
-}
-
-std::uint32_t get_u32(const char* p) {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | static_cast<unsigned char>(p[i]);
-  return v;
-}
-
-std::uint64_t get_u64(const char* p) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | static_cast<unsigned char>(p[i]);
-  return v;
-}
+constexpr const char* kTruncated = "wal: truncated frame";
 
 /// Scan an image's valid prefix, optionally delivering accepted segments.
 /// The single source of truth for what "durable" means: the writer's
@@ -58,8 +27,11 @@ WalReplayStats scan_image(std::span<const char> image,
     stats.truncated_bytes = image.size();
     return stats;
   }
-  if (get_u32(image.data()) != kWalMagic || get_u32(image.data() + 4) != kWalVersion ||
-      get_u32(image.data() + 12) != 0) {
+  io::ByteReader header(image, kTruncated);
+  const auto magic = header.get<std::uint32_t>();
+  const auto version = header.get<std::uint32_t>();
+  header.skip(4);  // shard
+  if (magic != kWalMagic || version != kWalVersion || header.get<std::uint32_t>() != 0) {
     stats.truncated_bytes = image.size();
     return stats;
   }
@@ -67,13 +39,13 @@ WalReplayStats scan_image(std::span<const char> image,
   std::size_t at = kWalFileHeaderSize;
 
   while (at + kWalSegmentHeaderSize <= image.size()) {
-    const char* h = image.data() + at;
-    if (get_u32(h) != kSegmentMarker) break;
-    const std::uint64_t seq = get_u64(h + 4);
-    const std::uint32_t type_raw = get_u32(h + 12);
-    const std::uint32_t count = get_u32(h + 16);
-    const std::uint32_t len = get_u32(h + 20);
-    const std::uint32_t crc_stored = get_u32(h + 24);
+    io::ByteReader h(image.subspan(at, kWalSegmentHeaderSize), kTruncated);
+    if (h.get<std::uint32_t>() != kSegmentMarker) break;
+    const auto seq = h.get<std::uint64_t>();
+    const auto type_raw = h.get<std::uint32_t>();
+    const auto count = h.get<std::uint32_t>();
+    const auto len = h.get<std::uint32_t>();
+    const auto crc_stored = h.get<std::uint32_t>();
     if (seq == 0 || len > kWalMaxPayload) break;
     if (type_raw > static_cast<std::uint32_t>(SegmentType::kRetires)) break;
     const auto type = static_cast<SegmentType>(type_raw);
@@ -95,15 +67,16 @@ WalReplayStats scan_image(std::span<const char> image,
         WalSegment seg;
         seg.seq = seq;
         seg.type = type;
-        const char* payload = image.data() + at + kWalSegmentHeaderSize;
+        const std::span<const char> payload = image.subspan(at + kWalSegmentHeaderSize, len);
         if (type == SegmentType::kRecords) {
           seg.records.reserve(count);
           for (std::uint32_t r = 0; r < count; ++r)
-            seg.records.push_back(parse_record_payload(payload + r * kWalRecordSize));
+            seg.records.push_back(parse_record_payload(payload.data() + r * kWalRecordSize));
         } else {
+          io::ByteReader uids(payload, kTruncated);
           seg.retired_uids.reserve(count);
           for (std::uint32_t r = 0; r < count; ++r)
-            seg.retired_uids.push_back(get_u64(payload + r * 8));
+            seg.retired_uids.push_back(uids.get<std::uint64_t>());
         }
         on_segment(seg);
       }
@@ -117,35 +90,6 @@ WalReplayStats scan_image(std::span<const char> image,
   stats.durable_bytes = at;
   stats.truncated_bytes = image.size() - at;
   return stats;
-}
-
-std::vector<char> read_file(const std::string& path, bool& exists) {
-  std::ifstream in(path, std::ios::binary);
-  exists = static_cast<bool>(in);
-  std::vector<char> bytes;
-  if (!exists) return bytes;
-  in.seekg(0, std::ios::end);
-  const std::streamoff size = in.tellg();
-  in.seekg(0);
-  if (size > 0) {
-    bytes.resize(static_cast<std::size_t>(size));
-    in.read(bytes.data(), size);
-    if (!in) throw std::runtime_error("wal: cannot read " + path);
-  }
-  return bytes;
-}
-
-void write_all(int fd, const char* data, std::size_t size, const std::string& path) {
-  while (size > 0) {
-    const ssize_t n = ::write(fd, data, size);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw std::runtime_error("wal: write failed for " + path + ": " +
-                               std::strerror(errno));
-    }
-    data += n;
-    size -= static_cast<std::size_t>(n);
-  }
 }
 
 }  // namespace
@@ -162,72 +106,51 @@ void WalReplayStats::merge(const WalReplayStats& other) noexcept {
 }
 
 void append_record_payload(std::vector<char>& out, const core::FleetObservation& obs) {
-  out.push_back(static_cast<char>(obs.drive_model));
-  out.push_back(static_cast<char>(store::FlagsField::get(obs.record)));
-  put_u16(out, obs.record.factory_bad_blocks);
-  put_u32(out, obs.drive_index);
-  put_u32(out, static_cast<std::uint32_t>(obs.deploy_day));
+  put(out, static_cast<std::uint8_t>(obs.drive_model));
+  put(out, store::FlagsField::get(obs.record));
+  put(out, obs.record.factory_bad_blocks);
+  put(out, obs.drive_index);
+  put(out, obs.deploy_day);
   store::for_each_record_column([&](std::size_t, auto column) {
-    if constexpr (column.width == 4)
-      put_u32(out, static_cast<std::uint32_t>(column.get(obs.record)));
+    if constexpr (column.width == 4) put(out, column.get(obs.record));
   });
 }
 
-core::FleetObservation parse_record_payload(const char* p) {
+core::FleetObservation parse_record_payload(const char* bytes) {
+  io::ByteReader in({bytes, kWalRecordSize}, kTruncated);
   core::FleetObservation obs;
-  obs.drive_model = static_cast<trace::DriveModel>(static_cast<unsigned char>(p[0]));
-  store::FlagsField::set(obs.record, static_cast<std::uint8_t>(p[1]));
-  obs.record.factory_bad_blocks = get_u16(p + 2);
-  obs.drive_index = get_u32(p + 4);
-  obs.deploy_day = static_cast<std::int32_t>(get_u32(p + 8));
-  p += kWalObservationHeaderSize;
+  obs.drive_model = static_cast<trace::DriveModel>(in.get<std::uint8_t>());
+  store::FlagsField::set(obs.record, in.get<std::uint8_t>());
+  obs.record.factory_bad_blocks = in.get<std::uint16_t>();
+  obs.drive_index = in.get<std::uint32_t>();
+  obs.deploy_day = in.get<std::int32_t>();
   store::for_each_record_column([&](std::size_t, auto column) {
-    if constexpr (column.width == 4) {
-      column.set(obs.record, static_cast<typename decltype(column)::value_type>(get_u32(p)));
-      p += 4;
-    }
+    if constexpr (column.width == 4)
+      column.set(obs.record, in.get<typename decltype(column)::value_type>());
   });
   return obs;
 }
 
 WalWriter::WalWriter(std::string path, std::uint32_t shard, FsyncPolicy fsync,
                      std::uint64_t first_seq)
-    : path_(std::move(path)), fsync_(fsync) {
-  bool exists = false;
-  const std::vector<char> image = read_file(path_, exists);
-  WalReplayStats stats;
-  if (exists) stats = scan_image(image, nullptr);
-
-  fd_ = ::open(path_.c_str(), O_CREAT | O_WRONLY, 0644);
-  if (fd_ < 0)
-    throw std::runtime_error("wal: cannot open " + path_ + ": " + std::strerror(errno));
-
-  next_seq_ = std::max<std::uint64_t>(first_seq, 1);
-  if (!exists || !stats.header_valid) {
-    // Fresh (or alien) file: write the header from scratch.
-    if (::ftruncate(fd_, 0) != 0)
-      throw std::runtime_error("wal: cannot truncate " + path_);
+    : file_(std::move(path), fsync == FsyncPolicy::kEverySegment), fsync_(fsync) {
+  const WalReplayStats stats =
+      scan_image(io::read_file(file_.path()).value_or(std::vector<char>{}), nullptr);
+  // Drop a torn or corrupt tail (or a whole alien file) so the next append
+  // starts at a clean boundary, and continue the seq chain past the
+  // durable log.
+  if (stats.truncated_bytes > 0) file_.truncate(stats.durable_bytes);
+  next_seq_ = std::max(first_seq, stats.last_seq + 1);
+  bytes_ = stats.durable_bytes;
+  if (!stats.header_valid) {
     std::vector<char> header;
-    put_u32(header, kWalMagic);
-    put_u32(header, kWalVersion);
-    put_u32(header, shard);
-    put_u32(header, 0);  // reserved, must be zero
-    write_all(fd_, header.data(), header.size(), path_);
+    put(header, kWalMagic);
+    put(header, kWalVersion);
+    put(header, shard);
+    put(header, std::uint32_t{0});  // reserved, must be zero
+    file_.append(header);
     bytes_ = header.size();
-  } else {
-    // Resume: drop the torn/corrupt tail so the next append starts at a
-    // clean boundary, and continue the seq chain past the durable log.
-    if (::ftruncate(fd_, static_cast<off_t>(stats.durable_bytes)) != 0)
-      throw std::runtime_error("wal: cannot truncate " + path_);
-    if (::lseek(fd_, 0, SEEK_END) < 0)
-      throw std::runtime_error("wal: cannot seek " + path_);
-    next_seq_ = std::max(next_seq_, stats.last_seq + 1);
-    bytes_ = stats.durable_bytes;
   }
-}
-
-WalWriter::~WalWriter() {
-  if (fd_ >= 0) ::close(fd_);
 }
 
 std::uint64_t WalWriter::append_segment(SegmentType type, std::uint32_t count,
@@ -235,16 +158,16 @@ std::uint64_t WalWriter::append_segment(SegmentType type, std::uint32_t count,
   const std::uint64_t seq = next_seq_++;
   std::vector<char> frame;
   frame.reserve(kWalSegmentHeaderSize + payload.size());
-  put_u32(frame, kSegmentMarker);
-  put_u64(frame, seq);
-  put_u32(frame, static_cast<std::uint32_t>(type));
-  put_u32(frame, count);
-  put_u32(frame, static_cast<std::uint32_t>(payload.size()));
+  put(frame, kSegmentMarker);
+  put(frame, seq);
+  put(frame, static_cast<std::uint32_t>(type));
+  put(frame, count);
+  put(frame, static_cast<std::uint32_t>(payload.size()));
   std::uint32_t crc = store::crc32(0, std::span<const char>(frame).subspan(4, 20));
   crc = store::crc32(crc, payload);
-  put_u32(frame, crc);
+  put(frame, crc);
   frame.insert(frame.end(), payload.begin(), payload.end());
-  write_all(fd_, frame.data(), frame.size(), path_);
+  file_.append(frame);
   if (fsync_ == FsyncPolicy::kEverySegment) sync();
   ++segments_;
   bytes_ += frame.size();
@@ -262,32 +185,20 @@ std::uint64_t WalWriter::append(std::span<const core::FleetObservation> batch) {
 std::uint64_t WalWriter::append_retires(std::span<const std::uint64_t> uids) {
   std::vector<char> payload;
   payload.reserve(uids.size() * 8);
-  for (std::uint64_t uid : uids) put_u64(payload, uid);
+  for (std::uint64_t uid : uids) put(payload, uid);
   return append_segment(SegmentType::kRetires, static_cast<std::uint32_t>(uids.size()),
                         payload);
 }
 
-void WalWriter::sync() {
-  if (fd_ >= 0 && ::fsync(fd_) != 0)
-    throw std::runtime_error("wal: fsync failed for " + path_);
-}
+void WalWriter::sync() { file_.sync(); }
 
-void WalWriter::seal(const std::string& sealed_path) {
-  if (fd_ < 0) throw std::runtime_error("wal: seal on a closed writer");
-  sync();
-  ::close(fd_);
-  fd_ = -1;
-  if (std::rename(path_.c_str(), sealed_path.c_str()) != 0)
-    throw std::runtime_error("wal: cannot seal " + path_ + " -> " + sealed_path +
-                             ": " + std::strerror(errno));
-}
+void WalWriter::seal(const std::string& sealed_path) { file_.seal(sealed_path); }
 
 WalReplayStats replay_wal(const std::string& path,
                           const std::function<void(const WalSegment&)>& on_segment) {
-  bool exists = false;
-  const std::vector<char> image = read_file(path, exists);
-  if (!exists) return {};
-  return scan_image(image, on_segment);
+  const std::optional<std::vector<char>> image = io::read_file(path);
+  if (!image) return {};
+  return scan_image(*image, on_segment);
 }
 
 WalReplayStats replay_wal_image(std::span<const char> image,

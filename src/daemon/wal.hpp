@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "core/fleet_observation.hpp"
+#include "io/file.hpp"
 #include "store/column_table.hpp"
 
 namespace ssdfail::daemon {
@@ -107,10 +108,10 @@ class WalWriter {
   /// seq continues after the highest durable one.  `first_seq` raises the
   /// starting seq further (rotation: the fresh active file continues the
   /// sealed file's chain so cross-file replay stays strictly ordered).
-  /// Throws std::runtime_error on I/O failure.
+  /// Under kEverySegment a file this call creates has its directory
+  /// fsync'd.  Throws std::runtime_error on I/O failure.
   WalWriter(std::string path, std::uint32_t shard, FsyncPolicy fsync,
             std::uint64_t first_seq = 1);
-  ~WalWriter();
   WalWriter(const WalWriter&) = delete;
   WalWriter& operator=(const WalWriter&) = delete;
 
@@ -122,8 +123,8 @@ class WalWriter {
   /// fsync regardless of policy (graceful-drain epilogue).
   void sync();
 
-  /// Seal this log: fsync, close, and atomically rename the file to
-  /// `sealed_path`.  The writer is finished afterwards (any further append
+  /// Seal this log: fsync, close, atomically rename the file to
+  /// `sealed_path` and fsync the directory (io::AppendFile::seal).  The writer is finished afterwards (any further append
   /// throws); the caller opens a fresh WalWriter at the active path with
   /// first_seq = next_seq() to continue the chain.  Throws on I/O failure,
   /// leaving the active file in place (the log is never lost mid-seal).
@@ -132,14 +133,13 @@ class WalWriter {
   [[nodiscard]] std::uint64_t segments_written() const noexcept { return segments_; }
   [[nodiscard]] std::uint64_t bytes_written() const noexcept { return bytes_; }
   [[nodiscard]] std::uint64_t next_seq() const noexcept { return next_seq_; }
-  [[nodiscard]] const std::string& path() const noexcept { return path_; }
+  [[nodiscard]] const std::string& path() const noexcept { return file_.path(); }
 
  private:
   std::uint64_t append_segment(SegmentType type, std::uint32_t count,
                                std::span<const char> payload);
 
-  std::string path_;
-  int fd_ = -1;
+  io::AppendFile file_;
   FsyncPolicy fsync_;
   std::uint64_t next_seq_ = 1;
   std::uint64_t segments_ = 0;

@@ -3,13 +3,18 @@
 #include "ml/flat_forest.hpp"
 #include "ml/model_zoo.hpp"
 
-#include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <istream>
+#include <iterator>
+#include <optional>
 #include <ostream>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <vector>
+
+#include "io/bytes.hpp"
+#include "io/file.hpp"
 
 namespace ssdfail::ml {
 namespace {
@@ -21,73 +26,79 @@ constexpr std::uint64_t kMaxTrees = 1ull << 20;
 constexpr std::uint64_t kMaxNodes = 1ull << 28;
 constexpr std::uint64_t kMaxFeatures = 1ull << 20;
 
-template <typename T>
-void put(std::ostream& out, T value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  out.write(reinterpret_cast<const char*>(&value), sizeof(T));
+using io::put;
+
+constexpr const char* kTruncated = "ml::serialize: truncated stream";
+
+// Every model body is one walk over its fields (ModelSerializer::body),
+// run by an Encoder to write it or a Decoder to read it back, so the two
+// directions cannot drift apart.  Counts are u64; the Decoder checks each
+// against its cap before allocating.
+
+struct Encoder {
+  std::string& out;
+
+  template <typename Wire, typename T>
+  void field(const T& value) {
+    put<Wire>(out, static_cast<Wire>(value));
+  }
+  template <typename T, typename Each>
+  void items(const std::vector<T>& v, std::uint64_t, const char*, Each each) {
+    put<std::uint64_t>(out, v.size());
+    for (const T& item : v) each(item);
+  }
+};
+
+struct Decoder {
+  io::ByteReader& in;
+
+  template <typename Wire, typename T>
+  void field(T& value) {
+    value = static_cast<T>(in.get<Wire>());
+  }
+  template <typename T, typename Each>
+  void items(std::vector<T>& v, std::uint64_t max, const char* what, Each each) {
+    const auto n = in.get<std::uint64_t>();
+    if (n > max) throw std::runtime_error(std::string("ml::serialize: implausible ") + what);
+    if (n > in.remaining()) throw std::runtime_error(kTruncated);  // >= 1 byte per item
+    v.resize(static_cast<std::size_t>(n));
+    for (T& item : v) each(item);
+  }
+};
+
+template <typename Codec, typename Vector>
+void values(Codec& c, Vector& v) {
+  c.items(v, kMaxFeatures, "vector size",
+          [&](auto& x) { c.template field<std::remove_cvref_t<decltype(x)>>(x); });
 }
 
-template <typename T>
-T get(std::istream& in) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  T value{};
-  in.read(reinterpret_cast<char*>(&value), sizeof(T));
-  if (!in) throw std::runtime_error("ml::serialize: truncated stream");
-  return value;
-}
+/// `T` is `Model`, const or not (a const model is being written).
+template <typename T, typename Model>
+concept Is = std::is_same_v<std::remove_const_t<T>, Model>;
 
-template <typename T>
-void put_vector(std::ostream& out, const std::vector<T>& v) {
-  put<std::uint64_t>(out, v.size());
-  for (const T& x : v) put<T>(out, x);
-}
-
-template <typename T>
-std::vector<T> get_vector(std::istream& in, std::uint64_t max_size) {
-  const auto n = get<std::uint64_t>(in);
-  if (n > max_size) throw std::runtime_error("ml::serialize: implausible vector size");
-  std::vector<T> v;
-  v.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) v.push_back(get<T>(in));
-  return v;
+void check_feature_count(std::size_t n) {
+  if (n > kMaxFeatures) throw std::runtime_error("ml::serialize: implausible feature count");
 }
 
 // Tree nodes: u64 count, then per node i32 feature, f32 threshold, i32
 // left, i32 right and the leaf value at its model's width (f32 for CART
 // trees, f64 for boosting trees).
-template <typename Leaf>
-void write_nodes(std::ostream& out, const std::vector<TreeNode<Leaf>>& nodes) {
-  put<std::uint64_t>(out, nodes.size());
-  for (const TreeNode<Leaf>& n : nodes) {
-    put<std::int32_t>(out, n.feature);
-    put<float>(out, n.threshold);
-    put<std::int32_t>(out, n.left);
-    put<std::int32_t>(out, n.right);
-    put<Leaf>(out, n.value);
-  }
+template <typename Codec, typename Nodes>
+void nodes(Codec& c, Nodes& ns) {
+  c.items(ns, kMaxNodes, "node count", [&](auto& n) {
+    c.template field<std::int32_t>(n.feature);
+    c.template field<float>(n.threshold);
+    c.template field<std::int32_t>(n.left);
+    c.template field<std::int32_t>(n.right);
+    c.template field<decltype(n.value)>(n.value);
+  });
 }
 
-template <typename Leaf>
-std::vector<TreeNode<Leaf>> read_nodes(std::istream& in) {
-  const auto n_nodes = get<std::uint64_t>(in);
-  if (n_nodes > kMaxNodes) throw std::runtime_error("ml::serialize: implausible node count");
-  std::vector<TreeNode<Leaf>> nodes;
-  nodes.reserve(static_cast<std::size_t>(n_nodes));
-  for (std::uint64_t i = 0; i < n_nodes; ++i) {
-    TreeNode<Leaf>& n = nodes.emplace_back();
-    n.feature = get<std::int32_t>(in);
-    n.threshold = get<float>(in);
-    n.left = get<std::int32_t>(in);
-    n.right = get<std::int32_t>(in);
-    n.value = get<Leaf>(in);
-  }
-  return nodes;
-}
-
-void write_header(std::ostream& out, SavedModelKind kind) {
-  out.write(kMagic, sizeof(kMagic));
+std::string header(SavedModelKind kind) {
+  std::string out(kMagic, sizeof(kMagic));
   put<std::uint32_t>(out, kModelFormatVersion);
   put<std::uint8_t>(out, static_cast<std::uint8_t>(kind));
+  return out;
 }
 
 struct Header {
@@ -95,16 +106,15 @@ struct Header {
   std::uint32_t version;
 };
 
-Header read_header(std::istream& in) {
-  char magic[4];
-  in.read(magic, sizeof(magic));
-  if (!in || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0)
+Header read_header(io::ByteReader& in) {
+  if (in.remaining() < sizeof(kMagic) ||
+      std::memcmp(in.take(sizeof(kMagic)).data(), kMagic, sizeof(kMagic)) != 0)
     throw std::runtime_error("ml::serialize: bad magic (not an ssdfail model file)");
-  const auto version = get<std::uint32_t>(in);
+  const auto version = in.get<std::uint32_t>();
   if (version < 1 || version > kModelFormatVersion)
     throw std::runtime_error("ml::serialize: unsupported format version " +
                              std::to_string(version));
-  const auto kind = get<std::uint8_t>(in);
+  const auto kind = in.get<std::uint8_t>();
   const auto max_kind = version >= 2
                             ? static_cast<std::uint8_t>(SavedModelKind::kGradientBoosting)
                             : static_cast<std::uint8_t>(SavedModelKind::kStandardizer);
@@ -119,25 +129,21 @@ Header read_header(std::istream& in) {
 // instead of serving wrong scores.
 constexpr std::uint8_t kEngineManifestTag = 1;
 
-void write_engine_manifest(std::ostream& out, const FlatForest& engine) {
+std::string engine_manifest(const FlatForest& engine) {
+  std::string out;
   put<std::uint8_t>(out, kEngineManifestTag);
   put<std::uint64_t>(out, engine.node_count());
   put<std::uint64_t>(out, engine.tree_count());
   put<std::uint32_t>(out, engine.max_depth());
   put<std::uint64_t>(out, engine.structural_hash());
+  return out;
 }
 
-void read_and_verify_engine_manifest(std::istream& in, const FlatForest& engine) {
-  if (get<std::uint8_t>(in) != kEngineManifestTag)
-    throw std::runtime_error("ml::serialize: bad engine manifest tag");
-  const auto nodes = get<std::uint64_t>(in);
-  const auto trees = get<std::uint64_t>(in);
-  const auto depth = get<std::uint32_t>(in);
-  const auto hash = get<std::uint64_t>(in);
-  if (nodes != engine.node_count() || trees != engine.tree_count() ||
-      depth != engine.max_depth() || hash != engine.structural_hash())
+void verify_engine_manifest(io::ByteReader& in, const FlatForest& engine) {
+  const std::string want = engine_manifest(engine);
+  if (std::memcmp(in.take(want.size()).data(), want.data(), want.size()) != 0)
     throw std::runtime_error(
-        "ml::serialize: engine manifest mismatch (corrupt tree body)");
+        "ml::serialize: engine manifest mismatch (corrupt tree body or manifest)");
 }
 
 void expect_kind(SavedModelKind actual, SavedModelKind wanted) {
@@ -149,169 +155,96 @@ void expect_kind(SavedModelKind actual, SavedModelKind wanted) {
 
 }  // namespace
 
-/// Friend of every serializable model: reads/writes the private state the
+/// Friend of every serializable model: walks the private state the
 /// public APIs deliberately do not expose.
 struct ModelSerializer {
-  static void write_standardizer_body(std::ostream& out, const Standardizer& s) {
-    if (!s.fitted()) throw std::logic_error("ml::serialize: Standardizer not fitted");
-    put_vector(out, s.mean_);
-    put_vector(out, s.sd_);
+  template <typename Model>
+  static void write(std::string& out, const Model& model) {
+    Encoder c{out};
+    body(c, model);
   }
 
-  static Standardizer read_standardizer_body(std::istream& in) {
-    Standardizer s;
-    s.mean_ = get_vector<float>(in, kMaxFeatures);
-    s.sd_ = get_vector<float>(in, kMaxFeatures);
+  template <typename Model>
+  static Model read(io::ByteReader& in) {
+    Model model;
+    Decoder c{in};
+    body(c, model);
+    return model;
+  }
+
+ private:
+  template <typename Codec, Is<Standardizer> S>
+  static void body(Codec& c, S& s) {
+    if (std::is_const_v<S> && !s.fitted())
+      throw std::logic_error("ml::serialize: Standardizer not fitted");
+    values(c, s.mean_);
+    values(c, s.sd_);
     if (s.mean_.size() != s.sd_.size())
       throw std::runtime_error("ml::serialize: standardizer mean/sd size mismatch");
-    return s;
   }
 
-  static void write_tree_body(std::ostream& out, const DecisionTree& t) {
-    put<std::uint64_t>(out, t.params_.max_depth);
-    put<std::uint64_t>(out, t.params_.min_samples_split);
-    put<std::uint64_t>(out, t.params_.min_samples_leaf);
-    put<std::uint64_t>(out, t.params_.max_features);
-    put<std::uint64_t>(out, t.params_.seed);
-    put<std::uint64_t>(out, t.n_features_);
-    write_nodes(out, t.nodes_);
-    put_vector(out, t.importance_);
+  template <typename Codec, Is<DecisionTree> T>
+  static void body(Codec& c, T& t) {
+    c.template field<std::uint64_t>(t.params_.max_depth);
+    c.template field<std::uint64_t>(t.params_.min_samples_split);
+    c.template field<std::uint64_t>(t.params_.min_samples_leaf);
+    c.template field<std::uint64_t>(t.params_.max_features);
+    c.template field<std::uint64_t>(t.params_.seed);
+    c.template field<std::uint64_t>(t.n_features_);
+    check_feature_count(t.n_features_);
+    nodes(c, t.nodes_);
+    values(c, t.importance_);
   }
 
-  static DecisionTree read_tree_body(std::istream& in) {
-    DecisionTree::Params p;
-    p.max_depth = static_cast<std::size_t>(get<std::uint64_t>(in));
-    p.min_samples_split = static_cast<std::size_t>(get<std::uint64_t>(in));
-    p.min_samples_leaf = static_cast<std::size_t>(get<std::uint64_t>(in));
-    p.max_features = static_cast<std::size_t>(get<std::uint64_t>(in));
-    p.seed = get<std::uint64_t>(in);
-    DecisionTree t(p);
-    t.n_features_ = static_cast<std::size_t>(get<std::uint64_t>(in));
-    if (t.n_features_ > kMaxFeatures)
-      throw std::runtime_error("ml::serialize: implausible feature count");
-    t.nodes_ = read_nodes<float>(in);
-    t.importance_ = get_vector<double>(in, kMaxFeatures);
-    return t;
+  template <typename Codec, Is<RandomForest> F>
+  static void body(Codec& c, F& f) {
+    if (std::is_const_v<F> && f.trees_.empty())
+      throw std::logic_error("ml::serialize: RandomForest not fitted");
+    c.template field<std::uint64_t>(f.params_.n_trees);
+    c.template field<std::uint64_t>(f.params_.max_depth);
+    c.template field<std::uint64_t>(f.params_.min_samples_leaf);
+    c.template field<std::uint64_t>(f.params_.min_samples_split);
+    c.template field<std::uint64_t>(f.params_.max_features);
+    c.template field<std::uint64_t>(f.params_.seed);
+    c.template field<std::uint64_t>(f.n_features_);
+    check_feature_count(f.n_features_);
+    c.items(f.trees_, kMaxTrees, "tree count", [&](auto& t) { body(c, t); });
+    if (f.trees_.empty()) throw std::runtime_error("ml::serialize: implausible tree count");
   }
 
-  static void write_forest_body(std::ostream& out, const RandomForest& f) {
-    if (f.trees_.empty()) throw std::logic_error("ml::serialize: RandomForest not fitted");
-    put<std::uint64_t>(out, f.params_.n_trees);
-    put<std::uint64_t>(out, f.params_.max_depth);
-    put<std::uint64_t>(out, f.params_.min_samples_leaf);
-    put<std::uint64_t>(out, f.params_.min_samples_split);
-    put<std::uint64_t>(out, f.params_.max_features);
-    put<std::uint64_t>(out, f.params_.seed);
-    put<std::uint64_t>(out, f.n_features_);
-    put<std::uint64_t>(out, f.trees_.size());
-    for (const DecisionTree& t : f.trees_) write_tree_body(out, t);
-  }
-
-  static RandomForest read_forest_body(std::istream& in) {
-    RandomForest::Params p;
-    p.n_trees = static_cast<std::size_t>(get<std::uint64_t>(in));
-    p.max_depth = static_cast<std::size_t>(get<std::uint64_t>(in));
-    p.min_samples_leaf = static_cast<std::size_t>(get<std::uint64_t>(in));
-    p.min_samples_split = static_cast<std::size_t>(get<std::uint64_t>(in));
-    p.max_features = static_cast<std::size_t>(get<std::uint64_t>(in));
-    p.seed = get<std::uint64_t>(in);
-    RandomForest f(p);
-    f.n_features_ = static_cast<std::size_t>(get<std::uint64_t>(in));
-    if (f.n_features_ > kMaxFeatures)
-      throw std::runtime_error("ml::serialize: implausible feature count");
-    const auto n_trees = get<std::uint64_t>(in);
-    if (n_trees == 0 || n_trees > kMaxTrees)
-      throw std::runtime_error("ml::serialize: implausible tree count");
-    f.trees_.reserve(static_cast<std::size_t>(n_trees));
-    for (std::uint64_t t = 0; t < n_trees; ++t) f.trees_.push_back(read_tree_body(in));
-    return f;
-  }
-
-  static void write_gb_body(std::ostream& out, const GradientBoosting& m) {
-    if (m.trees_.empty())
+  template <typename Codec, Is<GradientBoosting> M>
+  static void body(Codec& c, M& m) {
+    if (std::is_const_v<M> && m.trees_.empty())
       throw std::logic_error("ml::serialize: GradientBoosting not fitted");
-    put<std::uint64_t>(out, m.params_.n_rounds);
-    put<std::uint64_t>(out, m.params_.max_depth);
-    put<std::uint64_t>(out, m.params_.min_samples_leaf);
-    put<double>(out, m.params_.learning_rate);
-    put<double>(out, m.params_.subsample);
-    put<std::uint64_t>(out, m.params_.seed);
-    put<double>(out, m.prior_);
-    put<std::uint64_t>(out, m.n_features_);
-    put_vector(out, m.importance_);
-    put<std::uint64_t>(out, m.trees_.size());
-    for (const GradientBoosting::Tree& t : m.trees_) write_nodes(out, t);
+    c.template field<std::uint64_t>(m.params_.n_rounds);
+    c.template field<std::uint64_t>(m.params_.max_depth);
+    c.template field<std::uint64_t>(m.params_.min_samples_leaf);
+    c.template field<double>(m.params_.learning_rate);
+    c.template field<double>(m.params_.subsample);
+    c.template field<std::uint64_t>(m.params_.seed);
+    c.template field<double>(m.prior_);
+    c.template field<std::uint64_t>(m.n_features_);
+    check_feature_count(m.n_features_);
+    values(c, m.importance_);
+    c.items(m.trees_, kMaxTrees, "tree count", [&](auto& t) { nodes(c, t); });
+    if (m.trees_.empty()) throw std::runtime_error("ml::serialize: implausible tree count");
   }
 
-  static GradientBoosting read_gb_body(std::istream& in) {
-    GradientBoosting::Params p;
-    p.n_rounds = static_cast<std::size_t>(get<std::uint64_t>(in));
-    p.max_depth = static_cast<std::size_t>(get<std::uint64_t>(in));
-    p.min_samples_leaf = static_cast<std::size_t>(get<std::uint64_t>(in));
-    p.learning_rate = get<double>(in);
-    p.subsample = get<double>(in);
-    p.seed = get<std::uint64_t>(in);
-    GradientBoosting m(p);
-    m.prior_ = get<double>(in);
-    m.n_features_ = static_cast<std::size_t>(get<std::uint64_t>(in));
-    if (m.n_features_ > kMaxFeatures)
-      throw std::runtime_error("ml::serialize: implausible feature count");
-    m.importance_ = get_vector<double>(in, kMaxFeatures);
-    const auto n_trees = get<std::uint64_t>(in);
-    if (n_trees == 0 || n_trees > kMaxTrees)
-      throw std::runtime_error("ml::serialize: implausible tree count");
-    m.trees_.reserve(static_cast<std::size_t>(n_trees));
-    for (std::uint64_t t = 0; t < n_trees; ++t) m.trees_.push_back(read_nodes<double>(in));
-    return m;
-  }
-
-  static void write_logistic_body(std::ostream& out, const LogisticRegression& m) {
-    if (!m.scaler_.fitted())
+  template <typename Codec, Is<LogisticRegression> M>
+  static void body(Codec& c, M& m) {
+    if (std::is_const_v<M> && !m.scaler_.fitted())
       throw std::logic_error("ml::serialize: LogisticRegression not fitted");
-    put<double>(out, m.params_.l2);
-    put<double>(out, m.params_.learning_rate);
-    put<std::int32_t>(out, m.params_.epochs);
-    write_standardizer_body(out, m.scaler_);
-    put_vector(out, m.weights_);
-    put<double>(out, m.bias_);
-  }
-
-  static LogisticRegression read_logistic_body(std::istream& in) {
-    LogisticRegression::Params p;
-    p.l2 = get<double>(in);
-    p.learning_rate = get<double>(in);
-    p.epochs = get<std::int32_t>(in);
-    LogisticRegression m(p);
-    m.scaler_ = read_standardizer_body(in);
-    m.weights_ = get_vector<double>(in, kMaxFeatures);
-    m.bias_ = get<double>(in);
+    c.template field<double>(m.params_.l2);
+    c.template field<double>(m.params_.learning_rate);
+    c.template field<std::int32_t>(m.params_.epochs);
+    body(c, m.scaler_);
+    values(c, m.weights_);
+    c.template field<double>(m.bias_);
     if (m.weights_.size() != m.scaler_.mean().size())
       throw std::runtime_error("ml::serialize: logistic weight/scaler size mismatch");
-    return m;
   }
 };
 
-void save_model(std::ostream& out, const RandomForest& model) {
-  write_header(out, SavedModelKind::kRandomForest);
-  ModelSerializer::write_forest_body(out, model);
-  write_engine_manifest(out, FlatForest::compile(model));
-}
-
-void save_model(std::ostream& out, const GradientBoosting& model) {
-  write_header(out, SavedModelKind::kGradientBoosting);
-  ModelSerializer::write_gb_body(out, model);
-  write_engine_manifest(out, FlatForest::compile(model));
-}
-
-void save_model(std::ostream& out, const LogisticRegression& model) {
-  write_header(out, SavedModelKind::kLogisticRegression);
-  ModelSerializer::write_logistic_body(out, model);
-}
-
-void save_model(std::ostream& out, const Standardizer& scaler) {
-  write_header(out, SavedModelKind::kStandardizer);
-  ModelSerializer::write_standardizer_body(out, scaler);
-}
 
 namespace {
 
@@ -320,48 +253,28 @@ namespace {
 /// stream of any version reaches the pointer walker unchecked — and verify
 /// it against the engine manifest that v2 streams carry.
 template <typename Model>
-FlatForest compile_loaded(std::istream& in, const Header& header, const Model& model) {
+FlatForest compile_loaded(io::ByteReader& in, const Header& header, const Model& model) {
   FlatForest engine = FlatForest::compile(model);
-  if (header.version >= 2) read_and_verify_engine_manifest(in, engine);
+  if (header.version >= 2) verify_engine_manifest(in, engine);
   return engine;
 }
 
-}  // namespace
+/// The rest of `in`, read whole.
+std::string slurp(std::istream& in) { return {std::istreambuf_iterator<char>(in), {}}; }
 
-RandomForest load_random_forest(std::istream& in) {
-  const Header header = read_header(in);
-  expect_kind(header.kind, SavedModelKind::kRandomForest);
-  RandomForest forest = ModelSerializer::read_forest_body(in);
-  (void)compile_loaded(in, header, forest);
-  return forest;
+std::vector<char> model_file(const std::string& path) {
+  std::optional<std::vector<char>> bytes = io::read_file(path);
+  if (!bytes) throw std::runtime_error("ml::serialize: cannot open " + path);
+  return std::move(*bytes);
 }
-
-GradientBoosting load_gradient_boosting(std::istream& in) {
-  const Header header = read_header(in);
-  expect_kind(header.kind, SavedModelKind::kGradientBoosting);
-  GradientBoosting model = ModelSerializer::read_gb_body(in);
-  (void)compile_loaded(in, header, model);
-  return model;
-}
-
-LogisticRegression load_logistic_regression(std::istream& in) {
-  expect_kind(read_header(in).kind, SavedModelKind::kLogisticRegression);
-  return ModelSerializer::read_logistic_body(in);
-}
-
-Standardizer load_standardizer(std::istream& in) {
-  expect_kind(read_header(in).kind, SavedModelKind::kStandardizer);
-  return ModelSerializer::read_standardizer_body(in);
-}
-
-namespace {
 
 // Shared body of load_classifier / load_serving_classifier_file.  When
 // `engine_out` is non-null and the stream holds an ensemble, the FlatForest
 // compiled for verification is moved into *engine_out so the serving
 // loader does not compile the same ensemble twice.
-std::unique_ptr<Classifier> load_classifier_impl(std::istream& in,
-                                                 FlatForest* engine_out) {
+std::unique_ptr<Classifier> read_classifier(std::span<const char> bytes,
+                                            FlatForest* engine_out) {
+  io::ByteReader in(bytes, kTruncated);
   const Header header = read_header(in);
   const auto ensemble = [&](auto model) -> std::unique_ptr<Classifier> {
     FlatForest engine = compile_loaded(in, header, *model);
@@ -370,72 +283,96 @@ std::unique_ptr<Classifier> load_classifier_impl(std::istream& in,
   };
   switch (header.kind) {
     case SavedModelKind::kRandomForest:
-      return ensemble(std::make_unique<RandomForest>(ModelSerializer::read_forest_body(in)));
+      return ensemble(std::make_unique<RandomForest>(ModelSerializer::read<RandomForest>(in)));
     case SavedModelKind::kGradientBoosting:
       return ensemble(
-          std::make_unique<GradientBoosting>(ModelSerializer::read_gb_body(in)));
+          std::make_unique<GradientBoosting>(ModelSerializer::read<GradientBoosting>(in)));
     case SavedModelKind::kLogisticRegression:
-      return std::make_unique<LogisticRegression>(ModelSerializer::read_logistic_body(in));
+      return std::make_unique<LogisticRegression>(ModelSerializer::read<LogisticRegression>(in));
     case SavedModelKind::kStandardizer:
       break;
   }
   throw std::runtime_error("ml::serialize: stream does not hold a classifier");
 }
 
-}  // namespace
 
-std::unique_ptr<Classifier> load_classifier(std::istream& in) {
-  return load_classifier_impl(in, nullptr);
-}
-
-namespace {
+/// Tree ensembles carry the compiled engine's manifest after their body.
+template <typename Model>
+constexpr bool kEnsemble =
+    std::is_same_v<Model, RandomForest> || std::is_same_v<Model, GradientBoosting>;
 
 template <typename Model>
-void save_model_file_impl(const std::string& path, const Model& model) {
-  const std::string tmp = path + ".tmp";
-  try {
-    {
-      std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-      if (!out) throw std::runtime_error("ml::serialize: cannot open " + tmp);
-      save_model(out, model);
-      out.flush();
-      if (!out) throw std::runtime_error("ml::serialize: short write to " + tmp);
-    }
-    // The rename is the commit point: readers see the old file (or none)
-    // until the new bytes are complete on disk.
-    if (std::rename(tmp.c_str(), path.c_str()) != 0)
-      throw std::runtime_error("ml::serialize: cannot rename " + tmp + " -> " + path);
-  } catch (...) {
-    std::remove(tmp.c_str());
-    throw;
-  }
+void save(std::ostream& out, SavedModelKind kind, const Model& model) {
+  std::string bytes = header(kind);
+  ModelSerializer::write(bytes, model);
+  if constexpr (kEnsemble<Model>) bytes += engine_manifest(FlatForest::compile(model));
+  out << bytes;
+}
+
+template <typename Model>
+Model load(std::istream& in, SavedModelKind kind) {
+  const std::string bytes = slurp(in);
+  io::ByteReader reader(bytes, kTruncated);
+  const Header header = read_header(reader);
+  expect_kind(header.kind, kind);
+  Model model = ModelSerializer::read<Model>(reader);
+  if constexpr (kEnsemble<Model>) (void)compile_loaded(reader, header, model);
+  return model;
 }
 
 }  // namespace
 
+void save_model(std::ostream& out, const RandomForest& model) {
+  save(out, SavedModelKind::kRandomForest, model);
+}
+void save_model(std::ostream& out, const GradientBoosting& model) {
+  save(out, SavedModelKind::kGradientBoosting, model);
+}
+void save_model(std::ostream& out, const LogisticRegression& model) {
+  save(out, SavedModelKind::kLogisticRegression, model);
+}
+void save_model(std::ostream& out, const Standardizer& scaler) {
+  save(out, SavedModelKind::kStandardizer, scaler);
+}
+
+RandomForest load_random_forest(std::istream& in) {
+  return load<RandomForest>(in, SavedModelKind::kRandomForest);
+}
+GradientBoosting load_gradient_boosting(std::istream& in) {
+  return load<GradientBoosting>(in, SavedModelKind::kGradientBoosting);
+}
+LogisticRegression load_logistic_regression(std::istream& in) {
+  return load<LogisticRegression>(in, SavedModelKind::kLogisticRegression);
+}
+Standardizer load_standardizer(std::istream& in) {
+  return load<Standardizer>(in, SavedModelKind::kStandardizer);
+}
+
+std::unique_ptr<Classifier> load_classifier(std::istream& in) {
+  return read_classifier(slurp(in), nullptr);
+}
+
+// The commit makes the model file durable before it replaces the old one:
+// readers, and a crash at any point, see the old file or the new.
 void save_model_file(const std::string& path, const RandomForest& model) {
-  save_model_file_impl(path, model);
+  io::commit_file(path, [&](std::ostream& out) { save_model(out, model); });
 }
 
 void save_model_file(const std::string& path, const GradientBoosting& model) {
-  save_model_file_impl(path, model);
+  io::commit_file(path, [&](std::ostream& out) { save_model(out, model); });
 }
 
 void save_model_file(const std::string& path, const LogisticRegression& model) {
-  save_model_file_impl(path, model);
+  io::commit_file(path, [&](std::ostream& out) { save_model(out, model); });
 }
 
 std::unique_ptr<Classifier> load_classifier_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("ml::serialize: cannot open " + path);
-  return load_classifier(in);
+  return read_classifier(model_file(path), nullptr);
 }
 
 std::shared_ptr<const Classifier> load_serving_classifier_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("ml::serialize: cannot open " + path);
   FlatForest engine;
-  std::shared_ptr<const Classifier> fitted(load_classifier_impl(in, &engine));
+  std::shared_ptr<const Classifier> fitted(read_classifier(model_file(path), &engine));
   // An ensemble already compiled its engine while loading; hand it to the
   // serving wrapper instead of recompiling.  Non-ensembles fall through to
   // make_serving_model.

@@ -47,13 +47,15 @@ enum class SavedModelKind : std::uint8_t {
   kGradientBoosting = 4,  // v2+
 };
 
-/// Serialize a fitted model.  Throws std::logic_error if unfitted.
+/// Serialize a fitted model (one write of the encoded bytes).  Throws
+/// std::logic_error if unfitted.
 void save_model(std::ostream& out, const RandomForest& model);
 void save_model(std::ostream& out, const GradientBoosting& model);
 void save_model(std::ostream& out, const LogisticRegression& model);
 void save_model(std::ostream& out, const Standardizer& scaler);
 
-/// Deserialize a model of a known kind.  Throws std::runtime_error on bad
+/// Deserialize a model of a known kind from the rest of the stream (read
+/// whole, then decoded).  Throws std::runtime_error on bad
 /// magic, unsupported version, kind mismatch, a truncated/corrupt body, or
 /// (v2 ensembles) an engine manifest that does not match the recompiled
 /// flat engine.
@@ -67,11 +69,12 @@ void save_model(std::ostream& out, const Standardizer& scaler);
 /// for a non-classifier payload (e.g. a standalone Standardizer).
 [[nodiscard]] std::unique_ptr<Classifier> load_classifier(std::istream& in);
 
-/// Atomically persist a model to `path`: the bytes are written to
-/// `path + ".tmp"` and renamed over the target only once the full write
-/// succeeded, so a crash or full disk mid-write leaves either the previous
-/// file or no file — never a truncated model a reader could load half of.
-/// Throws std::runtime_error (after removing the temp file) on any failure.
+/// Atomically persist a model to `path` through io::commit_file: the bytes
+/// go to `path + ".tmp"`, which is fsync'd and renamed over the target, and
+/// the directory is fsync'd.  A SIGKILL or an OS crash at any point leaves
+/// the previous file (or none) or the complete new one — never a truncated
+/// model a reader could load half of.  Throws std::runtime_error (after
+/// removing the temp file) on any failure.
 void save_model_file(const std::string& path, const RandomForest& model);
 void save_model_file(const std::string& path, const GradientBoosting& model);
 void save_model_file(const std::string& path, const LogisticRegression& model);

@@ -200,7 +200,7 @@ bool OnlineLearner::execute_promotion(const ArenaVerdict& verdict) {
 
   std::shared_ptr<const ml::Classifier> serving;
   if (!config_.model_path.empty()) {
-    // Persist first (write-temp + rename: SIGKILL here leaves the previous
+    // Persist first (io::commit_file: a crash here leaves the previous
     // champion file intact), then serve what was actually persisted — the
     // reload round-trips the bytes and recompiles the FlatForest engine,
     // so a corrupt write can never be hot-swapped in.

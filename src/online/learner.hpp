@@ -19,8 +19,9 @@
 //      off) and no challenger is pending, retrain on the label-matured
 //      window and enter the result into the arena;
 //   4. run the promotion gate; on promote, persist the challenger through
-//      ml::save_model_file (write-temp + rename — a SIGKILL leaves the old
-//      or the new file, never a torn one), reload it through
+//      ml::save_model_file (temp file, fsync, rename, directory fsync — a
+//      SIGKILL or an OS crash leaves the old or the new file, never a torn
+//      one), reload it through
 //      load_serving_classifier_file (round-trips the bytes and recompiles/
 //      verifies the FlatForest engine), hot-swap it into the daemon, and
 //      adopt the drifted window as the new drift reference.

@@ -2,22 +2,23 @@
 
 #include <algorithm>
 #include <cstring>
-#include <fstream>
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <ostream>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
 #include <utility>
 
+#include "io/bytes.hpp"
+#include "io/file.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_span.hpp"
 #include "store/column_table.hpp"
 #include "store/crc32.hpp"
 #include "store/encoding.hpp"
-#include "store/mmap_file.hpp"
 #include "trace/io_metrics.hpp"
 
 namespace ssdfail::store {
@@ -64,68 +65,18 @@ obs::Counter& bytes_opened_counter(const char* backing) {
       "columnar file bytes made readable, by backing");
 }
 
+using io::pad8;
+using io::put;
+
+constexpr const char* kTruncated = "columnar store: truncated file";
+
+/// A zero-copy column of `n` elements, 8-byte aligned in the image.
 template <typename T>
-void put(std::string& out, T value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  char bytes[sizeof(T)];
-  std::memcpy(bytes, &value, sizeof(T));
-  out.append(bytes, sizeof(T));
+std::span<const T> take_column(io::ByteReader& cur, std::size_t n) {
+  cur.align8();
+  if (n > cur.remaining() / sizeof(T)) fail("truncated file (column overruns chunk)");
+  return {reinterpret_cast<const T*>(cur.take(n * sizeof(T)).data()), n};
 }
-
-void pad8(std::string& out) {
-  while (out.size() % 8 != 0) out.push_back('\0');
-}
-
-/// Bounds-checked reader over [begin, end) of the file image.  Every
-/// overrun is a clean "truncated file" error, never an out-of-range read.
-class Cursor {
- public:
-  Cursor(std::span<const char> bytes, std::size_t begin, std::size_t end)
-      : bytes_(bytes), pos_(begin), end_(end) {}
-
-  template <typename T>
-  [[nodiscard]] T get() {
-    static_assert(std::is_trivially_copyable_v<T>);
-    require(sizeof(T));
-    T value;
-    std::memcpy(&value, bytes_.data() + pos_, sizeof(T));
-    pos_ += sizeof(T);
-    return value;
-  }
-
-  void skip(std::size_t n) {
-    require(n);
-    pos_ += n;
-  }
-
-  /// Advance to the next 8-byte boundary (absolute file offset).
-  void align8() {
-    const std::size_t aligned = (pos_ + 7) & ~std::size_t{7};
-    require(aligned - pos_);
-    pos_ = aligned;
-  }
-
-  /// A zero-copy column of `n` elements, 8-byte aligned in the image.
-  template <typename T>
-  [[nodiscard]] std::span<const T> column(std::size_t n) {
-    align8();
-    if (n > (end_ - pos_) / sizeof(T)) fail("truncated file (column overruns chunk)");
-    const T* base = reinterpret_cast<const T*>(bytes_.data() + pos_);
-    pos_ += n * sizeof(T);
-    return {base, n};
-  }
-
-  [[nodiscard]] std::size_t pos() const noexcept { return pos_; }
-
- private:
-  void require(std::size_t n) const {
-    if (n > end_ - pos_) fail("truncated file");
-  }
-
-  std::span<const char> bytes_;
-  std::size_t pos_;
-  std::size_t end_;
-};
 
 struct DirEntry {
   std::uint64_t offset = 0;
@@ -309,11 +260,7 @@ void write_columnar(std::ostream& out, const trace::FleetTrace& fleet,
 
 void write_columnar_file(const std::string& path, const trace::FleetTrace& fleet,
                          const ColumnarWriteOptions& options) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) fail("cannot write " + path);
-  write_columnar(out, fleet, options);
-  out.flush();
-  if (!out) fail("write failed for " + path);
+  io::commit_file(path, [&](std::ostream& out) { write_columnar(out, fleet, options); });
 }
 
 trace::DailyRecord ChunkView::record(std::size_t row) const {
@@ -357,7 +304,7 @@ struct LazyChunk {
 };
 
 struct ColumnarFleetView::Impl {
-  MappedFile mapped;
+  std::shared_ptr<const void> mapping;  ///< keeps an mmap'd file mapped
   std::vector<char> heap;
   std::span<const char> bytes;
   bool mmap_backed = false;
@@ -390,7 +337,8 @@ void ColumnarFleetView::Impl::ensure_decoded(std::size_t index) const {
   if (lazy.empty()) return;
   LazyChunk& lc = *lazy[index];
   std::call_once(lc.once, [&] {
-    Cursor cur(bytes, lc.frames_begin, lc.frames_end);
+    io::ByteReader cur(bytes.subspan(lc.frames_begin, lc.frames_end - lc.frames_begin),
+                       kTruncated);
     std::vector<std::uint64_t> decoded;
     const auto read_frame = [&](std::size_t n, std::size_t elem_bytes,
                                 bool is_signed) {
@@ -398,11 +346,8 @@ void ColumnarFleetView::Impl::ensure_decoded(std::size_t index) const {
       const auto encoding = cur.get<std::uint32_t>();
       if (cur.get<std::uint32_t>() != 0) fail("nonzero reserved field in frame");
       const auto payload_bytes = cur.get<std::uint64_t>();
-      if (payload_bytes > lc.frames_end - cur.pos())
-        fail("truncated file (frame overruns chunk)");
-      const std::span<const char> payload =
-          bytes.subspan(cur.pos(), static_cast<std::size_t>(payload_bytes));
-      cur.skip(static_cast<std::size_t>(payload_bytes));
+      if (payload_bytes > cur.remaining()) fail("truncated file (frame overruns chunk)");
+      const std::span<const char> payload = cur.take(static_cast<std::size_t>(payload_bytes));
       decode_column(static_cast<ColumnEncoding>(encoding), payload, n, elem_bytes,
                     is_signed, decoded);
     };
@@ -419,7 +364,7 @@ void ColumnarFleetView::Impl::ensure_decoded(std::size_t index) const {
       column.span(view) = {out, n};
     });
     cur.align8();
-    if (cur.pos() != lc.frames_end) fail("chunk has trailing garbage");
+    if (!cur.done()) fail("chunk has trailing garbage");
     chunks_read_counter().inc();
   });
 }
@@ -429,25 +374,26 @@ void ColumnarFleetView::Impl::parse(const OpenOptions& options) {
   const std::span<const char> b = impl.bytes;
   if (b.size() < kHeaderBytes + kFooterFixedBytes + kTrailerBytes)
     fail("truncated file");
-  if (std::memcmp(b.data(), kMagic, sizeof(kMagic)) != 0)
+  io::ByteReader header(b, kTruncated);
+  if (std::memcmp(header.take(sizeof(kMagic)).data(), kMagic, sizeof(kMagic)) != 0)
     fail("bad magic (not an ssdfail binary trace)");
-  std::uint32_t file_version;
-  std::memcpy(&file_version, b.data() + 4, sizeof(file_version));
+  const auto file_version = header.get<std::uint32_t>();
   if (file_version != kColumnarVersion && file_version != kColumnarVersionV3)
     fail("unsupported format version " + std::to_string(file_version));
   impl.version = file_version;
-  std::memcpy(&impl.chunk_drives, b.data() + 8, sizeof(impl.chunk_drives));
+  impl.chunk_drives = header.get<std::uint32_t>();
 
-  if (std::memcmp(b.data() + b.size() - sizeof(kTrailerMagic), kTrailerMagic,
-                  sizeof(kTrailerMagic)) != 0)
+  const std::span<const char> trailer = b.last(kTrailerBytes);
+  if (std::memcmp(trailer.data() + 8, kTrailerMagic, sizeof(kTrailerMagic)) != 0)
     fail("bad trailer magic (truncated or corrupt file)");
-  std::uint64_t footer_offset;
-  std::memcpy(&footer_offset, b.data() + b.size() - kTrailerBytes, sizeof(footer_offset));
+  const auto footer_offset = io::ByteReader(trailer, kTruncated).get<std::uint64_t>();
   if (footer_offset < kHeaderBytes || footer_offset % 8 != 0 ||
       footer_offset + kFooterFixedBytes > b.size() - kTrailerBytes)
     fail("footer offset out of range");
 
-  Cursor footer(b, static_cast<std::size_t>(footer_offset), b.size() - kTrailerBytes);
+  const auto footer_begin = static_cast<std::size_t>(footer_offset);
+  io::ByteReader footer(b.subspan(footer_begin, b.size() - kTrailerBytes - footer_begin),
+                        kTruncated);
   const auto n_chunks = footer.get<std::uint64_t>();
   const std::size_t dir_entry_bytes =
       file_version == kColumnarVersionV3 ? kDirEntryBytesV3 : kDirEntryBytes;
@@ -486,11 +432,9 @@ void ColumnarFleetView::Impl::parse(const OpenOptions& options) {
   // The reserved word trails the footer CRC, so the CRC cannot cover it;
   // requiring zero keeps every byte of the file corruption-detectable.
   if (footer.get<std::uint32_t>() != 0) fail("nonzero reserved field");
-  if (footer.pos() != b.size() - kTrailerBytes) fail("footer size mismatch");
+  if (!footer.done()) fail("footer size mismatch");
   const std::uint32_t computed_footer_crc =
-      crc32(crc32(0, b.first(kHeaderBytes)),
-            b.subspan(static_cast<std::size_t>(footer_offset),
-                      crc_pos - static_cast<std::size_t>(footer_offset)));
+      crc32(crc32(0, b.first(kHeaderBytes)), b.subspan(footer_begin, crc_pos));
   if (computed_footer_crc != stored_footer_crc) {
     crc_failures_counter().inc();
     fail("footer CRC mismatch");
@@ -511,7 +455,7 @@ void ColumnarFleetView::Impl::parse(const OpenOptions& options) {
       fail("chunk " + std::to_string(c) + " CRC mismatch");
     }
 
-    Cursor cur(b, begin, end);
+    io::ByteReader cur(b.subspan(begin, end - begin), kTruncated);
     const auto n_drives = cur.get<std::uint32_t>();
     (void)cur.get<std::uint32_t>();  // reserved
     const auto n_records = cur.get<std::uint64_t>();
@@ -520,7 +464,7 @@ void ColumnarFleetView::Impl::parse(const OpenOptions& options) {
       fail("chunk header disagrees with directory");
     if (n_drives > (1u << 24) || n_records > (1ull << 32) || n_swaps > (1ull << 28))
       fail("implausible chunk sizes");
-    if ((end - cur.pos()) / kDriveEntryBytes < n_drives)
+    if (cur.remaining() / kDriveEntryBytes < n_drives)
       fail("truncated file (drive index overruns chunk)");
 
     std::vector<DriveRef> drive_refs;
@@ -571,9 +515,9 @@ void ColumnarFleetView::Impl::parse(const OpenOptions& options) {
       for_each_column([&](std::size_t, auto column) {
         using T = typename decltype(column)::value_type;
         column.span(view) =
-            cur.column<T>(column.count(n, static_cast<std::size_t>(n_swaps)));
+            take_column<T>(cur, column.count(n, static_cast<std::size_t>(n_swaps)));
       });
-      if (end - cur.pos() >= 8) fail("chunk has trailing garbage");
+      if (cur.remaining() >= 8) fail("chunk has trailing garbage");
       chunks_read_counter().inc();
     } else {
       // Bound decode amplification: a legitimate frame stores at minimum
@@ -582,7 +526,7 @@ void ColumnarFleetView::Impl::parse(const OpenOptions& options) {
       if (n_records > 128 * e.length || n_swaps > 128 * e.length)
         fail("implausible chunk sizes");
       auto lc = std::make_unique<LazyChunk>();
-      lc->frames_begin = cur.pos();
+      lc->frames_begin = begin + cur.pos();
       lc->frames_end = end;
       lc->n_records = n_records;
       lc->n_swaps = n_swaps;
@@ -610,23 +554,18 @@ ColumnarFleetView ColumnarFleetView::open(const std::string& path,
   obs::Span span(kSite);
   auto impl = std::make_shared<Impl>();
   if (options.allow_mmap) {
-    if (auto mapped = MappedFile::map(path)) {
-      impl->mapped = std::move(*mapped);
-      impl->bytes = impl->mapped.bytes();
+    if (std::optional<io::MappedBytes> mapped = io::map_file(path)) {
+      impl->mapping = std::move(mapped->owner);
+      impl->bytes = mapped->bytes;
       impl->mmap_backed = true;
     } else {
       mmap_fallback_counter().inc();
     }
   }
   if (!impl->mmap_backed) {
-    std::ifstream in(path, std::ios::binary | std::ios::ate);
-    if (!in) fail("cannot open " + path);
-    const std::streamoff size = in.tellg();
-    in.seekg(0);
-    impl->heap.resize(static_cast<std::size_t>(std::max<std::streamoff>(size, 0)));
-    if (!impl->heap.empty() &&
-        !in.read(impl->heap.data(), static_cast<std::streamsize>(impl->heap.size())))
-      fail("cannot read " + path);
+    std::optional<std::vector<char>> bytes = io::read_file(path);
+    if (!bytes) fail("cannot open " + path);
+    impl->heap = std::move(*bytes);
     impl->bytes = {impl->heap.data(), impl->heap.size()};
   }
   bytes_opened_counter(impl->mmap_backed ? "mmap" : "heap").inc(impl->bytes.size());

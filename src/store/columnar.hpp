@@ -146,8 +146,10 @@ struct ChunkZoneMap {
 void write_columnar(std::ostream& out, const trace::FleetTrace& fleet,
                     const ColumnarWriteOptions& options = {});
 
-/// Write an SSDF2 file at `path` (truncates).  Throws std::runtime_error
-/// on I/O failure.
+/// Write an SSDF2 file at `path` through io::commit_file: streamed to
+/// `path.tmp`, fsync'd, renamed over `path`, directory fsync'd.  A failure
+/// or crash leaves the old file (or none), never a torn one.  Throws
+/// std::runtime_error on I/O failure.
 void write_columnar_file(const std::string& path, const trace::FleetTrace& fleet,
                          const ColumnarWriteOptions& options = {});
 

@@ -6,6 +6,8 @@
 #include <limits>
 #include <stdexcept>
 
+#include "io/bytes.hpp"
+
 namespace ssdfail::store {
 namespace {
 
@@ -25,10 +27,7 @@ namespace {
   return static_cast<unsigned>(std::bit_width(v));
 }
 
-void append_bytes(std::vector<char>& out, const void* p, std::size_t n) {
-  const char* c = static_cast<const char*>(p);
-  out.insert(out.end(), c, c + n);
-}
+constexpr const char* kTruncated = "column codec: truncated column payload";
 
 /// Pack one block of values at `width` bits each, LSB-first within each
 /// byte, values packed back to back (value i occupies bit range
@@ -69,47 +68,18 @@ std::vector<char> bitpack_payload(std::span<const std::uint64_t> values) {
   return out;
 }
 
-/// Bounds-checked byte reader over a payload span.
-class PayloadCursor {
- public:
-  explicit PayloadCursor(std::span<const char> bytes) : bytes_(bytes) {}
-
-  [[nodiscard]] std::uint8_t u8() { return static_cast<std::uint8_t>(take(1)[0]); }
-
-  [[nodiscard]] std::uint64_t little(std::size_t n_bytes) {
-    const char* p = take(n_bytes);
-    std::uint64_t v = 0;
-    for (std::size_t b = 0; b < n_bytes; ++b)
-      v |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(p[b])) << (8 * b);
-    return v;
-  }
-
-  [[nodiscard]] const char* take(std::size_t n) {
-    if (n > bytes_.size() - pos_) fail("truncated column payload");
-    const char* p = bytes_.data() + pos_;
-    pos_ += n;
-    return p;
-  }
-
-  [[nodiscard]] bool done() const noexcept { return pos_ == bytes_.size(); }
-
- private:
-  std::span<const char> bytes_;
-  std::size_t pos_ = 0;
-};
-
 /// Unpack one block of `count` width-bit values appended to `out` — the
 /// exact inverse of pack_block's bit-position indexing.
-void unpack_block(PayloadCursor& cur, std::size_t count,
+void unpack_block(io::ByteReader& cur, std::size_t count,
                   std::vector<std::uint64_t>& out) {
-  const unsigned width = cur.u8();
+  const unsigned width = cur.get<std::uint8_t>();
   if (width > 64) fail("bitpack width > 64");
   if (width == 0) {
     out.insert(out.end(), count, 0);
     return;
   }
   const std::size_t payload_bytes = (count * width + 7) / 8;
-  const char* p = cur.take(payload_bytes);
+  const char* p = cur.take(payload_bytes).data();
   std::size_t bitpos = 0;
   for (std::size_t i = 0; i < count; ++i) {
     std::uint64_t v = 0;
@@ -130,33 +100,34 @@ void unpack_block(PayloadCursor& cur, std::size_t count,
 
 void unpack_all(std::span<const char> payload, std::size_t n,
                 std::vector<std::uint64_t>& out) {
-  PayloadCursor cur(payload);
+  io::ByteReader cur(payload, kTruncated);
   for (std::size_t start = 0; start < n; start += kPackBlock)
     unpack_block(cur, std::min(kPackBlock, n - start), out);
   if (!cur.done()) fail("trailing bytes after bitpack payload");
 }
 
+/// A stored `elem_bytes`-wide value widened back to u64 the way the
+/// writer's caller widened it: sign-extended for signed columns.
+std::uint64_t widen(std::uint64_t v, std::size_t elem_bytes, bool is_signed) {
+  if (is_signed && elem_bytes < 8 && (v >> (8 * elem_bytes - 1)) & 1)
+    v |= ~((std::uint64_t{1} << (8 * elem_bytes)) - 1);
+  return v;
+}
+
+/// Throws unless `v` is a value an `elem_bytes`-wide column can hold,
+/// widened as above.
 void range_check(std::uint64_t v, std::size_t elem_bytes, bool is_signed) {
-  if (is_signed) {
-    const auto s = static_cast<std::int64_t>(v);
-    const std::int64_t lo = -(std::int64_t{1} << (8 * elem_bytes - 1));
-    const std::int64_t hi = (std::int64_t{1} << (8 * elem_bytes - 1)) - 1;
-    if (s < lo || s > hi) fail("decoded value out of range for column type");
-  } else {
-    const std::uint64_t hi = elem_bytes >= 8
-                                 ? ~std::uint64_t{0}
-                                 : (std::uint64_t{1} << (8 * elem_bytes)) - 1;
-    if (v > hi) fail("decoded value out of range for column type");
-  }
+  const std::uint64_t mask =
+      elem_bytes >= 8 ? ~std::uint64_t{0} : (std::uint64_t{1} << (8 * elem_bytes)) - 1;
+  if (widen(v & mask, elem_bytes, is_signed) != v)
+    fail("decoded value out of range for column type");
 }
 
 std::vector<char> raw_payload(std::span<const std::uint64_t> values,
                               std::size_t elem_bytes) {
   std::vector<char> out;
   out.reserve(values.size() * elem_bytes);
-  for (const std::uint64_t v : values)
-    for (std::size_t b = 0; b < elem_bytes; ++b)
-      out.push_back(static_cast<char>(v >> (8 * b)));
+  for (const std::uint64_t v : values) io::put_uint(out, v, elem_bytes);
   return out;
 }
 
@@ -169,10 +140,8 @@ std::vector<char> rle_payload(std::span<const std::uint64_t> values,
     while (i + run < values.size() && values[i + run] == values[i] &&
            run < std::numeric_limits<std::uint32_t>::max())
       ++run;
-    const auto run32 = static_cast<std::uint32_t>(run);
-    append_bytes(out, &run32, sizeof(run32));
-    for (std::size_t b = 0; b < elem_bytes; ++b)
-      out.push_back(static_cast<char>(values[i] >> (8 * b)));
+    io::put(out, static_cast<std::uint32_t>(run));
+    io::put_uint(out, values[i], elem_bytes);
     i += run;
   }
   return out;
@@ -217,14 +186,9 @@ void decode_column(ColumnEncoding encoding, std::span<const char> payload,
   switch (encoding) {
     case ColumnEncoding::kRaw: {
       if (payload.size() != n * elem_bytes) fail("raw payload size mismatch");
-      PayloadCursor cur(payload);
-      for (std::size_t i = 0; i < n; ++i) {
-        std::uint64_t v = cur.little(elem_bytes);
-        if (is_signed && elem_bytes < 8 &&
-            (v >> (8 * elem_bytes - 1)) & 1)  // sign-extend the stored width
-          v |= ~((std::uint64_t{1} << (8 * elem_bytes)) - 1);
-        out.push_back(v);
-      }
+      io::ByteReader cur(payload, kTruncated);
+      for (std::size_t i = 0; i < n; ++i)
+        out.push_back(widen(cur.get_uint(elem_bytes), elem_bytes, is_signed));
       break;
     }
     case ColumnEncoding::kBitPack: {
@@ -245,14 +209,11 @@ void decode_column(ColumnEncoding encoding, std::span<const char> payload,
       return;
     }
     case ColumnEncoding::kRle: {
-      PayloadCursor cur(payload);
+      io::ByteReader cur(payload, kTruncated);
       while (out.size() < n) {
-        const auto run = static_cast<std::uint32_t>(cur.little(4));
+        const auto run = cur.get<std::uint32_t>();
         if (run == 0 || run > n - out.size()) fail("rle run overruns column");
-        std::uint64_t v = cur.little(elem_bytes);
-        if (is_signed && elem_bytes < 8 && (v >> (8 * elem_bytes - 1)) & 1)
-          v |= ~((std::uint64_t{1} << (8 * elem_bytes)) - 1);
-        out.insert(out.end(), run, v);
+        out.insert(out.end(), run, widen(cur.get_uint(elem_bytes), elem_bytes, is_signed));
       }
       if (!cur.done()) fail("trailing bytes after rle payload");
       break;

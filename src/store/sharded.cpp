@@ -4,10 +4,14 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
+#include <optional>
+#include <ostream>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
+#include "io/bytes.hpp"
+#include "io/file.hpp"
 #include "store/crc32.hpp"
 
 namespace ssdfail::store {
@@ -19,21 +23,7 @@ constexpr char kManifestMagic[4] = {'S', 'S', 'D', 'M'};
   throw std::runtime_error("shard manifest: " + what);
 }
 
-template <typename T>
-void put(std::string& out, T value) {
-  char bytes[sizeof(T)];
-  std::memcpy(bytes, &value, sizeof(T));
-  out.append(bytes, sizeof(T));
-}
-
-template <typename T>
-T get(const std::string& bytes, std::size_t& pos) {
-  if (sizeof(T) > bytes.size() - pos) fail("truncated manifest");
-  T value;
-  std::memcpy(&value, bytes.data() + pos, sizeof(T));
-  pos += sizeof(T);
-  return value;
-}
+using io::put;
 
 /// Shard names never carry directory components — the manifest must not be
 /// able to point a reader outside its own directory.
@@ -41,6 +31,10 @@ bool valid_shard_name(const std::string& name) {
   if (name.empty() || name.size() > 255) return false;
   return name.find('/') == std::string::npos &&
          name.find('\\') == std::string::npos && name != "." && name != "..";
+}
+
+std::string manifest_path(const std::string& dir) {
+  return (std::filesystem::path(dir) / kManifestName).string();
 }
 
 }  // namespace
@@ -64,15 +58,15 @@ std::string encode_manifest(const ShardManifest& manifest) {
   return out;
 }
 
-ShardManifest decode_manifest(const std::string& bytes) {
-  if (bytes.size() < 12 + 8) fail("truncated manifest");
-  if (std::memcmp(bytes.data(), kManifestMagic, sizeof(kManifestMagic)) != 0)
+ShardManifest decode_manifest(std::span<const char> bytes) {
+  io::ByteReader in(bytes, "shard manifest: truncated manifest");
+  if (std::memcmp(in.take(sizeof(kManifestMagic)).data(), kManifestMagic,
+                  sizeof(kManifestMagic)) != 0)
     fail("bad magic");
-  std::size_t pos = sizeof(kManifestMagic);
-  const auto version = get<std::uint32_t>(bytes, pos);
+  const auto version = in.get<std::uint32_t>();
   if (version != kManifestVersion)
     fail("unsupported manifest version " + std::to_string(version));
-  const auto n_shards = get<std::uint32_t>(bytes, pos);
+  const auto n_shards = in.get<std::uint32_t>();
   if (static_cast<std::uint64_t>(n_shards) * 36 > bytes.size())
     fail("implausible shard count");
 
@@ -80,53 +74,34 @@ ShardManifest decode_manifest(const std::string& bytes) {
   manifest.shards.reserve(n_shards);
   for (std::uint32_t i = 0; i < n_shards; ++i) {
     ShardInfo s;
-    const auto name_len = get<std::uint32_t>(bytes, pos);
-    if (name_len > bytes.size() - pos) fail("truncated manifest");
-    s.file.assign(bytes.data() + pos, name_len);
-    pos += name_len;
+    const std::span<const char> name = in.take(in.get<std::uint32_t>());
+    s.file.assign(name.data(), name.size());
     if (!valid_shard_name(s.file)) fail("invalid shard name " + s.file);
-    s.bytes = get<std::uint64_t>(bytes, pos);
-    s.n_drives = get<std::uint64_t>(bytes, pos);
-    s.n_records = get<std::uint64_t>(bytes, pos);
-    s.n_swaps = get<std::uint64_t>(bytes, pos);
+    s.bytes = in.get<std::uint64_t>();
+    s.n_drives = in.get<std::uint64_t>();
+    s.n_records = in.get<std::uint64_t>();
+    s.n_swaps = in.get<std::uint64_t>();
     manifest.shards.push_back(std::move(s));
   }
-  const std::size_t crc_pos = pos;
-  const auto stored_crc = get<std::uint32_t>(bytes, pos);
-  if (get<std::uint32_t>(bytes, pos) != 0) fail("nonzero reserved field");
-  if (pos != bytes.size()) fail("trailing bytes after manifest");
-  if (crc32(0, std::span<const char>(bytes.data(), crc_pos)) != stored_crc)
-    fail("manifest CRC mismatch");
+  const std::size_t crc_pos = in.pos();
+  const auto stored_crc = in.get<std::uint32_t>();
+  if (in.get<std::uint32_t>() != 0) fail("nonzero reserved field");
+  if (!in.done()) fail("trailing bytes after manifest");
+  if (crc32(0, bytes.first(crc_pos)) != stored_crc) fail("manifest CRC mismatch");
   return manifest;
 }
 
 void write_manifest(const std::string& dir, const ShardManifest& manifest) {
   const std::string image = encode_manifest(manifest);
-  const std::filesystem::path final_path = std::filesystem::path(dir) / kManifestName;
-  const std::filesystem::path tmp_path = final_path.string() + ".tmp";
-  {
-    std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
-    if (!out) fail("cannot write " + tmp_path.string());
+  io::commit_file(manifest_path(dir), [&](std::ostream& out) {
     out.write(image.data(), static_cast<std::streamsize>(image.size()));
-    out.flush();
-    if (!out) fail("write failed for " + tmp_path.string());
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp_path, final_path, ec);
-  if (ec) fail("cannot rename manifest into place: " + ec.message());
+  });
 }
 
 ShardManifest read_manifest(const std::string& dir) {
-  const std::filesystem::path path = std::filesystem::path(dir) / kManifestName;
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) fail("cannot open " + path.string());
-  const std::streamoff size = in.tellg();
-  in.seekg(0);
-  std::string bytes(static_cast<std::size_t>(std::max<std::streamoff>(size, 0)), '\0');
-  if (!bytes.empty() &&
-      !in.read(bytes.data(), static_cast<std::streamsize>(bytes.size())))
-    fail("cannot read " + path.string());
-  return decode_manifest(bytes);
+  const std::optional<std::vector<char>> bytes = io::read_file(manifest_path(dir));
+  if (!bytes) fail("cannot open " + manifest_path(dir));
+  return decode_manifest(*bytes);
 }
 
 void write_sharded(const std::string& dir, const trace::FleetTrace& fleet,

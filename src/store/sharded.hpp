@@ -6,9 +6,10 @@
 // naming the shards in scan order.  Shards are ordinary standalone SSDF2
 // files — every single-file tool (convert, inspect, fuzzers) works on a
 // shard unchanged — and the manifest is the unit of atomic growth: the
-// WAL→v3 compactor (daemon/compactor.hpp) writes a new shard file, then
-// rewrites the manifest via rename, so readers see either the old or the
-// new shard set, never a partial one.
+// WAL→v3 compactor (daemon/compactor.hpp) commits a new shard file, then
+// commits the rewritten manifest (io::commit_file: fsync, rename, fsync the
+// directory), so readers, and a crash at any point, see either the old or
+// the new shard set, never a partial one.
 //
 // Scan order is manifest order; dataset builds over a sharded store are
 // bit-identical to a single-file build of the concatenated fleet because
@@ -16,6 +17,7 @@
 // by file position.
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -44,9 +46,10 @@ struct ShardManifest {
 /// Serialize / parse the manifest image ("SSDM" magic, CRC-protected).
 /// Throws std::runtime_error on any malformed input.
 [[nodiscard]] std::string encode_manifest(const ShardManifest& manifest);
-[[nodiscard]] ShardManifest decode_manifest(const std::string& bytes);
+[[nodiscard]] ShardManifest decode_manifest(std::span<const char> bytes);
 
-/// Atomically (write-temp + rename) replace `dir`/manifest.ssdm.
+/// Atomically replace `dir`/manifest.ssdm through io::commit_file (temp
+/// file fsync'd, renamed over the manifest, directory fsync'd).
 void write_manifest(const std::string& dir, const ShardManifest& manifest);
 
 /// Read `dir`/manifest.ssdm.  Throws if missing or corrupt.

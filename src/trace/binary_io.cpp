@@ -5,8 +5,10 @@
 #include <istream>
 #include <ostream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "io/bytes.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_span.hpp"
 #include "store/column_table.hpp"
@@ -23,36 +25,14 @@ constexpr char kMagic[4] = {'S', 'S', 'D', 'F'};
 /// count hits "truncated stream" before it can trigger a huge allocation.
 constexpr std::size_t kRecordsPerBlock = 8192;
 
-template <typename T>
-void put(std::ostream& out, T value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  out.write(reinterpret_cast<const char*>(&value), sizeof(T));
-}
+constexpr const char* kTruncated = "binary_io: truncated stream";
 
-template <typename T>
-T get(std::istream& in) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  T value{};
-  in.read(reinterpret_cast<char*>(&value), sizeof(T));
-  if (!in) throw std::runtime_error("binary_io: truncated stream");
-  return value;
-}
-
-/// Fill `buf` with exactly `n` bytes or throw the truncation error.
-void read_block(std::istream& in, std::vector<char>& buf, std::size_t n) {
+/// Read exactly `n` bytes into `buf` and return a reader over them.
+io::ByteReader next(std::istream& in, std::vector<char>& buf, std::size_t n) {
   buf.resize(n);
   in.read(buf.data(), static_cast<std::streamsize>(n));
-  if (!in || static_cast<std::size_t>(in.gcount()) != n)
-    throw std::runtime_error("binary_io: truncated stream");
-}
-
-template <typename T>
-T load(const char*& p) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  T value;
-  std::memcpy(&value, p, sizeof(T));
-  p += sizeof(T);
-  return value;
+  if (!in || static_cast<std::size_t>(in.gcount()) != n) throw std::runtime_error(kTruncated);
+  return {buf, kTruncated};
 }
 
 /// v1 body decoder: the magic and version have already been consumed.
@@ -60,45 +40,42 @@ T load(const char*& p) {
 /// per field — the stream is touched O(n_records / kRecordsPerBlock) times
 /// per drive instead of once per column per record.
 FleetTrace read_binary_v1_body(std::istream& in) {
-  const auto n_drives = get<std::uint64_t>(in);
+  std::vector<char> buf;
+  const auto n_drives = next(in, buf, 8).get<std::uint64_t>();
   // Defensive cap: a 64-bit count from a corrupt stream must not OOM us.
   if (n_drives > (1ull << 32))
     throw std::runtime_error("binary_io: implausible drive count");
 
   FleetTrace fleet;
   fleet.drives.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(n_drives, 1u << 20)));
-  std::vector<char> buf;
   for (std::uint64_t d = 0; d < n_drives; ++d) {
     DriveHistory drive;
-    const auto model = get<std::uint8_t>(in);
+    io::ByteReader header = next(in, buf, 17);
+    const auto model = header.get<std::uint8_t>();
     if (model >= kNumModels) throw std::runtime_error("binary_io: bad model id");
     drive.model = static_cast<DriveModel>(model);
-    drive.drive_index = get<std::uint32_t>(in);
-    drive.deploy_day = get<std::int32_t>(in);
-    const auto n_records = get<std::uint64_t>(in);
+    drive.drive_index = header.get<std::uint32_t>();
+    drive.deploy_day = header.get<std::int32_t>();
+    const auto n_records = header.get<std::uint64_t>();
     if (n_records > (1ull << 32)) throw std::runtime_error("binary_io: bad record count");
     const auto n = static_cast<std::size_t>(n_records);
     drive.records.reserve(std::min(n, kRecordsPerBlock));
     for (std::size_t start = 0; start < n; start += kRecordsPerBlock) {
       const std::size_t count = std::min(kRecordsPerBlock, n - start);
-      read_block(in, buf, count * kRecordWireBytes);
-      const char* p = buf.data();
+      io::ByteReader rows = next(in, buf, count * kRecordWireBytes);
       for (std::size_t r = 0; r < count; ++r) {
         DailyRecord& rec = drive.records.emplace_back();
         store::for_each_record_column([&](std::size_t, auto column) {
-          column.set(rec, load<typename decltype(column)::value_type>(p));
+          column.set(rec, rows.get<typename decltype(column)::value_type>());
         });
       }
     }
-    const auto n_swaps = get<std::uint64_t>(in);
+    const auto n_swaps = next(in, buf, 8).get<std::uint64_t>();
     if (n_swaps > (1ull << 20)) throw std::runtime_error("binary_io: bad swap count");
-    if (n_swaps > 0) {
-      const auto ns = static_cast<std::size_t>(n_swaps);
-      read_block(in, buf, ns * sizeof(std::int32_t));
-      const char* p = buf.data();
-      drive.swaps.reserve(ns);
-      for (std::size_t s = 0; s < ns; ++s) drive.swaps.push_back({load<std::int32_t>(p)});
-    }
+    const auto ns = static_cast<std::size_t>(n_swaps);
+    io::ByteReader swaps = next(in, buf, ns * sizeof(std::int32_t));
+    drive.swaps.reserve(ns);
+    for (std::size_t s = 0; s < ns; ++s) drive.swaps.push_back({swaps.get<std::int32_t>()});
     fleet.drives.push_back(std::move(drive));
   }
   return fleet;
@@ -110,8 +87,7 @@ FleetTrace read_binary_v1_body(std::istream& in) {
 FleetTrace read_binary_columnar_body(std::istream& in, std::uint32_t version) {
   std::vector<char> image;
   image.insert(image.end(), kMagic, kMagic + sizeof(kMagic));
-  const char* vp = reinterpret_cast<const char*>(&version);
-  image.insert(image.end(), vp, vp + sizeof(version));
+  io::put(image, version);
   char buf[1 << 16];
   for (;;) {
     in.read(buf, sizeof(buf));
@@ -129,19 +105,23 @@ void write_binary(std::ostream& out, const FleetTrace& fleet) {
   static const obs::SiteId kSite = obs::intern_site("trace.write_binary");
   obs::Span span(kSite);
   detail::WriteByteCount bytes(out, "binary");
-  out.write(kMagic, sizeof(kMagic));
-  put<std::uint32_t>(out, kBinaryFormatVersion);
-  put<std::uint64_t>(out, fleet.drives.size());
+  std::string buf(kMagic, sizeof(kMagic));
+  io::put<std::uint32_t>(buf, kBinaryFormatVersion);
+  io::put<std::uint64_t>(buf, fleet.drives.size());
+  // One buffer per drive: its header, rows and swap days in one write.
   for (const DriveHistory& d : fleet.drives) {
-    put<std::uint8_t>(out, static_cast<std::uint8_t>(d.model));
-    put<std::uint32_t>(out, d.drive_index);
-    put<std::int32_t>(out, d.deploy_day);
-    put<std::uint64_t>(out, d.records.size());
+    out.write(buf.data(), static_cast<std::streamsize>(buf.size()));
+    buf.clear();
+    io::put<std::uint8_t>(buf, static_cast<std::uint8_t>(d.model));
+    io::put<std::uint32_t>(buf, d.drive_index);
+    io::put<std::int32_t>(buf, d.deploy_day);
+    io::put<std::uint64_t>(buf, d.records.size());
     for (const DailyRecord& r : d.records)
-      store::for_each_record_column([&](std::size_t, auto column) { put(out, column.get(r)); });
-    put<std::uint64_t>(out, d.swaps.size());
-    for (const SwapEvent& s : d.swaps) put<std::int32_t>(out, s.day);
+      store::for_each_record_column([&](std::size_t, auto column) { io::put(buf, column.get(r)); });
+    io::put<std::uint64_t>(buf, d.swaps.size());
+    for (const SwapEvent& s : d.swaps) io::put<std::int32_t>(buf, s.day);
   }
+  out.write(buf.data(), static_cast<std::streamsize>(buf.size()));
 }
 
 void write_binary_v2(std::ostream& out, const FleetTrace& fleet,
@@ -167,7 +147,8 @@ FleetTrace read_binary(std::istream& in) {
   in.read(magic, sizeof(magic));
   if (!in || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0)
     throw std::runtime_error("binary_io: bad magic (not an ssdfail binary trace)");
-  const auto version = get<std::uint32_t>(in);
+  std::vector<char> buf;
+  const auto version = next(in, buf, 4).get<std::uint32_t>();
   if (version == kBinaryFormatVersion) return read_binary_v1_body(in);
   if (version == kColumnarFormatVersion || version == kColumnarV3FormatVersion)
     return read_binary_columnar_body(in, version);
@@ -185,7 +166,8 @@ std::uint32_t peek_binary_version(std::istream& in) {
     in.seekg(start);
     throw std::runtime_error("binary_io: bad magic (not an ssdfail binary trace)");
   }
-  const auto version = get<std::uint32_t>(in);
+  std::vector<char> buf;
+  const auto version = next(in, buf, 4).get<std::uint32_t>();
   in.seekg(start);
   return version;
 }

@@ -43,14 +43,14 @@ TEST(FeatureExtractor, DailyAndCumulativeColumns) {
   FeatureExtractor::State st;
   std::vector<float> row(FeatureExtractor::count());
   FeatureExtractor::advance(st, r1);
-  FeatureExtractor::extract(d, r1, st, row);
+  FeatureExtractor::extract(d.deploy_day, r1, st, row);
   EXPECT_FLOAT_EQ(row[FeatureExtractor::index_of("read_count")], 100.0f);
   EXPECT_FLOAT_EQ(row[FeatureExtractor::index_of("cum_read_count")], 100.0f);
   EXPECT_FLOAT_EQ(row[FeatureExtractor::index_of("uncorrectable_error")], 3.0f);
   EXPECT_FLOAT_EQ(row[FeatureExtractor::index_of("drive_age_days")], 0.0f);
 
   FeatureExtractor::advance(st, r2);
-  FeatureExtractor::extract(d, r2, st, row);
+  FeatureExtractor::extract(d.deploy_day, r2, st, row);
   EXPECT_FLOAT_EQ(row[FeatureExtractor::index_of("read_count")], 200.0f);
   EXPECT_FLOAT_EQ(row[FeatureExtractor::index_of("cum_read_count")], 300.0f);
   EXPECT_FLOAT_EQ(row[FeatureExtractor::index_of("uncorrectable_error")], 0.0f);
@@ -72,12 +72,12 @@ TEST(FeatureExtractor, BadBlockDeltaAndCumulative) {
   FeatureExtractor::State st;
   std::vector<float> row(FeatureExtractor::count());
   FeatureExtractor::advance(st, r1);
-  FeatureExtractor::extract(d, r1, st, row);
+  FeatureExtractor::extract(d.deploy_day, r1, st, row);
   EXPECT_FLOAT_EQ(row[FeatureExtractor::index_of("new_bad_blocks")], 5.0f);
   EXPECT_FLOAT_EQ(row[FeatureExtractor::index_of("cum_bad_block_count")], 7.0f);
 
   FeatureExtractor::advance(st, r2);
-  FeatureExtractor::extract(d, r2, st, row);
+  FeatureExtractor::extract(d.deploy_day, r2, st, row);
   EXPECT_FLOAT_EQ(row[FeatureExtractor::index_of("new_bad_blocks")], 4.0f);
   EXPECT_FLOAT_EQ(row[FeatureExtractor::index_of("cum_bad_block_count")], 11.0f);
 }
@@ -92,7 +92,7 @@ TEST(FeatureExtractor, CorrErrRate) {
   FeatureExtractor::State st;
   std::vector<float> row(FeatureExtractor::count());
   FeatureExtractor::advance(st, r);
-  FeatureExtractor::extract(d, r, st, row);
+  FeatureExtractor::extract(d.deploy_day, r, st, row);
   EXPECT_FLOAT_EQ(row[FeatureExtractor::index_of("corr_err_rate")], 0.25f);
 }
 
@@ -104,7 +104,7 @@ TEST(FeatureExtractor, ReadOnlyFlag) {
   FeatureExtractor::State st;
   std::vector<float> row(FeatureExtractor::count());
   FeatureExtractor::advance(st, r);
-  FeatureExtractor::extract(d, r, st, row);
+  FeatureExtractor::extract(d.deploy_day, r, st, row);
   EXPECT_FLOAT_EQ(row[FeatureExtractor::index_of("status_read_only")], 1.0f);
 }
 
@@ -113,7 +113,7 @@ TEST(FeatureExtractor, WrongSpanSizeThrows) {
   DailyRecord r;
   FeatureExtractor::State st;
   std::vector<float> too_small(3);
-  EXPECT_THROW(FeatureExtractor::extract(d, r, st, too_small), std::invalid_argument);
+  EXPECT_THROW(FeatureExtractor::extract(d.deploy_day, r, st, too_small), std::invalid_argument);
 }
 
 TEST(DriveFeatureCursor, RejectsOutOfOrderRecords) {

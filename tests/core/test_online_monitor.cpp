@@ -8,7 +8,9 @@
 #include "core/dataset_builder.hpp"
 #include "core/failure_timeline.hpp"
 #include "ml/downsample.hpp"
+#include "ml/flat_forest.hpp"
 #include "ml/model_zoo.hpp"
+#include "ml/random_forest.hpp"
 #include "sim/fleet_simulator.hpp"
 
 namespace ssdfail::core {
@@ -47,7 +49,7 @@ TEST(FleetMonitor, ScoresMatchBatchPipeline) {
         monitor.observe(drive.model, drive.drive_index, drive.deploy_day, rec);
     ASSERT_FALSE(streaming.dropped) << "day " << rec.day;
     FeatureExtractor::advance(state, rec);
-    FeatureExtractor::extract(drive, rec, state, row.row(0));
+    FeatureExtractor::extract(drive.deploy_day, rec, state, row.row(0));
     const float batch = fitted_model()->predict_proba(row)[0];
     ASSERT_FLOAT_EQ(streaming.risk, batch) << "day " << rec.day;
   }
@@ -395,6 +397,52 @@ TEST(FleetMonitor, RisingRiskBeforeFailure) {
   }
   ASSERT_GE(counted, 20);
   EXPECT_GT(risk_at_failure / counted, risk_before / counted + 0.1);
+}
+
+/// Restores the process-wide engine selection on scope exit.
+struct EngineGuard {
+  ml::InferenceEngine saved = ml::inference_engine();
+  ~EngineGuard() { ml::set_inference_engine(saved); }
+};
+
+TEST(FleetMonitor, ScoresIdenticallyOnBothEngines) {
+  // The monitor must score bit-identically on the pointer walker and the
+  // compiled flat engine.
+  const EngineGuard guard;
+  sim::FleetConfig cfg;
+  cfg.drives_per_model = 5;
+  cfg.seed = 7;
+  cfg.keep_ground_truth = false;
+  const trace::FleetTrace fleet = sim::FleetSimulator(cfg).generate_all();
+  DatasetBuildOptions opts;
+  opts.lookahead_days = 7;
+  opts.negative_keep_prob = 0.1;
+  opts.seed = 3;
+  ml::RandomForest::Params params;
+  params.n_trees = 10;
+  auto model = std::make_shared<ml::RandomForest>(params);
+  model->fit(build_dataset(fleet, opts));
+
+  const auto replay = [&](ml::InferenceEngine engine) {
+    ml::set_inference_engine(engine);
+    FleetMonitor monitor(model, 0.5, 4);
+    std::vector<float> risks;
+    for (const auto& drive : fleet.drives) {
+      std::size_t fed = 0;
+      for (const auto& rec : drive.records) {
+        if (fed++ == 30) break;  // enough days to exercise cumulative state
+        risks.push_back(monitor
+                            .observe(drive.model, drive.drive_index,
+                                     drive.deploy_day, rec)
+                            .risk);
+      }
+    }
+    return risks;
+  };
+
+  const std::vector<float> flat = replay(ml::InferenceEngine::kFlat);
+  const std::vector<float> walker = replay(ml::InferenceEngine::kWalker);
+  EXPECT_EQ(flat, walker);
 }
 
 }  // namespace
