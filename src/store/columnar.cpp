@@ -9,7 +9,6 @@
 #include <ostream>
 #include <stdexcept>
 #include <string>
-#include <type_traits>
 #include <utility>
 
 #include "io/bytes.hpp"
@@ -339,28 +338,20 @@ void ColumnarFleetView::Impl::ensure_decoded(std::size_t index) const {
   std::call_once(lc.once, [&] {
     io::ByteReader cur(bytes.subspan(lc.frames_begin, lc.frames_end - lc.frames_begin),
                        kTruncated);
-    std::vector<std::uint64_t> decoded;
-    const auto read_frame = [&](std::size_t n, std::size_t elem_bytes,
-                                bool is_signed) {
+    ChunkView& view = chunks[index];
+    for_each_column([&](std::size_t c, auto column) {
+      using T = typename decltype(column)::value_type;
+      const std::size_t n = column.count(static_cast<std::size_t>(lc.n_records),
+                                         static_cast<std::size_t>(lc.n_swaps));
       cur.align8();
       const auto encoding = cur.get<std::uint32_t>();
       if (cur.get<std::uint32_t>() != 0) fail("nonzero reserved field in frame");
       const auto payload_bytes = cur.get<std::uint64_t>();
       if (payload_bytes > cur.remaining()) fail("truncated file (frame overruns chunk)");
       const std::span<const char> payload = cur.take(static_cast<std::size_t>(payload_bytes));
-      decode_column(static_cast<ColumnEncoding>(encoding), payload, n, elem_bytes,
-                    is_signed, decoded);
-    };
-    ChunkView& view = chunks[index];
-    for_each_column([&](std::size_t c, auto column) {
-      using T = typename decltype(column)::value_type;
-      const std::size_t n = column.count(static_cast<std::size_t>(lc.n_records),
-                                         static_cast<std::size_t>(lc.n_swaps));
-      read_frame(n, sizeof(T), std::is_signed_v<T>);
       lc.columns[c] = std::make_unique_for_overwrite<std::byte[]>(n * sizeof(T));
       T* out = reinterpret_cast<T*>(lc.columns[c].get());
-      for (std::size_t i = 0; i < n; ++i)
-        out[i] = static_cast<T>(decoded[i]);  // range-checked by decode_column
+      decode_column(static_cast<ColumnEncoding>(encoding), payload, n, out);
       column.span(view) = {out, n};
     });
     cur.align8();

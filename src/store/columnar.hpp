@@ -24,12 +24,14 @@
 //        spans point straight into the file (zero copy).
 //   v3 — compressed + scan-optimized: each column is independently
 //        encoded (delta+bitpack / bitpack / RLE / raw, whichever is
-//        smallest — store/encoding.hpp), and the footer directory carries
+//        smallest; the writer sizes all four in one pass and encodes only
+//        the winner — store/encoding.hpp), and the footer directory carries
 //        a per-chunk ZONE MAP (per-column min/max, model mask, swap
 //        count) so scans can prove a chunk irrelevant and skip it before
 //        touching — or decoding — a single column byte (ScanPredicate).
-//        Chunks decode lazily into per-chunk scratch buffers on first
-//        access; the ChunkView API is identical, which is what keeps
+//        Chunks decode lazily, each frame straight into its typed
+//        per-chunk column buffer, on first access; the ChunkView API is
+//        identical, which is what keeps
 //        dataset builds bit-identical across v2 and v3 (pinned by
 //        tests/store/test_zone_map_pruning.cpp and the golden suite).
 //

@@ -3,7 +3,8 @@
 // SSDF2 v3 lightweight column codecs (docs/DATA_FORMAT.md §v3).
 //
 // Four encodings, no external dependencies, all operating on a column of
-// fixed-width little-endian integers widened to u64:
+// fixed-width little-endian integers (the encoder takes them widened to
+// u64, the decoder writes them at their own type T):
 //
 //   kRaw          — the v2 layout: n elements, sizeof(T) bytes each.
 //   kDeltaPack    — zigzag(v[i] - v[i-1]) (v[-1] = 0), block-bitpacked.
@@ -21,12 +22,15 @@
 // ceil(count * width / 8) bytes, bits packed LSB-first.  A width-0 block
 // is one byte for 128 zero values.
 //
-// The writer measures every applicable encoding and keeps the smallest
-// (encode_column); readers dispatch on the stored encoding id
-// (decode_column), bounds-check every read, and verify decoded values fit
-// the destination type — a corrupt payload raises std::runtime_error,
-// never undefined behavior (the chunk CRC catches corruption first in
-// the default configuration; these checks hold even with verification
+// The writer sizes all four encodings exactly in one statistics pass over
+// the column (per-block OR of the values and of the zigzag deltas, the
+// run count) and encodes only the winner (encode_column).  The reader
+// dispatches on the stored encoding id and decodes straight into the
+// typed column (decode_column<T>): bounds-checked reads, a range check
+// per block where the block width proves every value fits T and per
+// value otherwise — a corrupt payload raises std::runtime_error, never
+// undefined behavior (the chunk CRC catches corruption first in the
+// default configuration; these checks hold even with verification
 // disabled).
 
 #include <cstdint>
@@ -53,20 +57,25 @@ struct EncodedColumn {
 };
 
 /// Encode `values` (elements already widened to u64; `elem_bytes` is the
-/// on-disk element size: 1, 2, or 4) with every applicable encoding and
-/// return the smallest result.  Signed columns (i32 day/swap_day) must be
-/// widened with sign extension; the codec is value-preserving either way.
+/// on-disk element size: 1, 2, or 4) with the smallest encoding.  One
+/// pass sizes every encoding exactly; only the winner's payload is built.
+/// Ties go to the earliest of raw, delta+bitpack, bitpack, RLE.  Signed
+/// columns (i32 day/swap_day) must be widened with sign extension; the
+/// codec is value-preserving either way.
 [[nodiscard]] EncodedColumn encode_column(std::span<const std::uint64_t> values,
                                           std::size_t elem_bytes);
 
-/// Decode `payload` into exactly `n` values.  Throws std::runtime_error
-/// on any structural defect: truncated payload, width > 64, run lengths
-/// not summing to n, or a decoded value outside the `elem_bytes`-sized
-/// destination (signed when `is_signed`, matching the widening convention
-/// of encode_column).  Trailing unread payload bytes are also an error.
+/// Decode `payload` into exactly `n` values of the column type T at `out`
+/// (instantiated for std::uint8_t, std::uint16_t, std::uint32_t and
+/// std::int32_t; elements are sizeof(T) bytes on disk, and signed values
+/// were widened with sign extension by encode_column's caller).  Throws
+/// std::runtime_error on any structural defect: truncated payload,
+/// trailing unread bytes, width > 64, a zero run or runs overrunning n,
+/// a decoded value outside T's range, or an unknown encoding.  On a throw
+/// `out` holds a partial column.
+template <typename T>
 void decode_column(ColumnEncoding encoding, std::span<const char> payload,
-                   std::size_t n, std::size_t elem_bytes, bool is_signed,
-                   std::vector<std::uint64_t>& out);
+                   std::size_t n, T* out);
 
 /// Human-readable encoding name (bench/CLI reporting).
 [[nodiscard]] const char* encoding_name(ColumnEncoding e) noexcept;
