@@ -213,8 +213,9 @@ BENCHMARK(BM_FlatForestPredict);
 /// scores the same matrix through the pointer walk and the compiled flat
 /// engine inside each iteration, and the outputs are checked bit-identical
 /// while timing.  Exports walker_rows_per_s / flat_rows_per_s /
-/// flat_speedup_x; CI's quick-bench step fails if flat_speedup_x < 1
-/// (ISSUE 6 targets >= 5x single-thread).
+/// flat_speedup_x, and flat_avx512 (1 when the host runs the flat engine's
+/// AVX-512 block walk, 0 when it takes the scalar walk); CI's engine-bench
+/// step fails if flat_speedup_x < 0.9.
 void BM_ForestScoringSpeedup(benchmark::State& state) {
   const ml::RandomForest& forest = bench_forest();
   const ml::FlatForest engine = ml::FlatForest::compile(forest);
@@ -248,6 +249,11 @@ void BM_ForestScoringSpeedup(benchmark::State& state) {
     state.counters["flat_rows_per_s"] = static_cast<double>(rows) / flat_secs;
     state.counters["flat_speedup_x"] = walker_secs / flat_secs;
   }
+#if defined(__x86_64__)
+  state.counters["flat_avx512"] = __builtin_cpu_supports("avx512f") ? 1.0 : 0.0;
+#else
+  state.counters["flat_avx512"] = 0.0;
+#endif
 }
 BENCHMARK(BM_ForestScoringSpeedup);
 

@@ -722,8 +722,15 @@ int cmd_daemon(const Args& args) {
   cfg.shards = args.count<std::size_t>("shards", 4);
   cfg.ring_capacity = args.count<std::size_t>("ring", 1024);
   cfg.threshold = args.real("threshold", 0.9);
+  // A CLI run replays a finite stream, so `block` waits out a slow
+  // appender (a rotated, fsync'd WAL can stall one past the library's
+  // 100 ms) instead of shedding a record.  A blocked push returns as soon
+  // as an appender frees a cell, and the producers are joined before
+  // stop(), so the longer patience cannot delay the drain.
   if (args.choice("backpressure", "block", {"block", "shed"}) == "shed")
     cfg.backpressure = daemon::Backpressure::kShed;
+  else
+    cfg.block_timeout = std::chrono::seconds(10);
   if (args.choice("fsync", "every", {"every", "never"}) == "never")
     cfg.fsync = daemon::FsyncPolicy::kNever;
   cfg.wal_rotate_bytes = args.count<std::uint64_t>("wal-rotate", 0);

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <bit>
 #include <cmath>
+#include <cstddef>
 #include <limits>
 #include <stdexcept>
 #include <utility>
@@ -11,6 +12,10 @@
 #include "ml/gradient_boosting.hpp"
 #include "ml/random_forest.hpp"
 #include "stats/rng.hpp"
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
 
 namespace ssdfail::ml {
 namespace {
@@ -250,6 +255,185 @@ inline void walk_tree_tail(const char* nodes, const float* const* row_of,
     acc[r] += values[static_cast<std::size_t>(cur[r]) >> kNodeShift];
 }
 
+#if defined(__x86_64__)
+
+// GCC's AVX-512 intrinsics start many results from an "undefined" register
+// and then warn (-Wmaybe-uninitialized) wherever they inline.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
+
+/// One vector step's view of 16 lanes' current nodes.
+struct LaneNodes {
+  __m512 threshold;
+  __m512i feature;
+  __m512i left;
+};
+
+/// Gather the nodes the lanes in `m` sit on: the threshold (node + 0), and
+/// the (feature, left) pair (node + 4) as two 8-lane qword gathers split
+/// with vpermt2d.  Lanes outside `m` read zero.
+__attribute__((target("avx512f"))) inline LaneNodes gather_nodes(const char* nodes,
+                                                                 __m512i cur,
+                                                                 __mmask16 m) {
+  const __m512i even = _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24,
+                                         26, 28, 30);
+  const __m512i odd = _mm512_add_epi32(even, _mm512_set1_epi32(1));
+  const char* pairs = nodes + offsetof(FlatNode, feature);
+  const __m512i lo = _mm512_mask_i32gather_epi64(_mm512_setzero_si512(),
+                                                 static_cast<__mmask8>(m),
+                                                 _mm512_castsi512_si256(cur), pairs, 1);
+  const __m512i hi = _mm512_mask_i32gather_epi64(_mm512_setzero_si512(),
+                                                 static_cast<__mmask8>(m >> 8),
+                                                 _mm512_extracti64x4_epi64(cur, 1), pairs, 1);
+  return {_mm512_mask_i32gather_ps(_mm512_setzero_ps(), m, cur, nodes, 1),
+          _mm512_permutex2var_epi32(lo, even, hi), _mm512_permutex2var_epi32(lo, odd, hi)};
+}
+
+/// A tree's first kTopNodes nodes, held in registers: one pair of
+/// registers per field.  BFS order puts every node of depth < 5 among
+/// them, so the top levels of a walk permute instead of gathering.
+struct TopNodes {
+  static constexpr std::size_t kTopNodes = 32;
+  __m512i field[3][2];  ///< threshold bits, feature, left; nodes 0-15, 16-31
+};
+
+/// Load and transpose the first `avail` (<= kTopNodes) nodes from `root`;
+/// the rest of the table reads zero and is never looked up.
+__attribute__((target("avx512f"))) inline TopNodes load_top(const char* nodes,
+                                                            std::int32_t root,
+                                                            std::size_t avail) {
+  constexpr std::size_t kNodesPerLoad = 64 / sizeof(FlatNode);
+  constexpr std::size_t kLoads = TopNodes::kTopNodes / kNodesPerLoad;
+  __m512i raw[kLoads];
+  for (std::size_t j = 0; j < kLoads; ++j) {
+    const std::size_t first = j * kNodesPerLoad;
+    const std::size_t n = avail > first ? std::min(kNodesPerLoad, avail - first) : 0;
+    // Four words per node; the mask keeps the load inside the node array.
+    raw[j] = n == 0 ? _mm512_setzero_si512()
+                    : _mm512_maskz_loadu_epi32(static_cast<__mmask16>((1u << (4 * n)) - 1),
+                                               nodes + root + first * sizeof(FlatNode));
+  }
+  // Word 4 * node + field of four consecutive loads, for nodes 0-7 in the
+  // low eight lanes (the high eight repeat them).
+  const __m512i word = _mm512_setr_epi32(0, 4, 8, 12, 16, 20, 24, 28, 0, 4, 8, 12, 16, 20,
+                                         24, 28);
+  TopNodes top;
+  for (int f = 0; f < 3; ++f) {
+    const __m512i sel = _mm512_add_epi32(word, _mm512_set1_epi32(f));
+    for (int h = 0; h < 2; ++h) {
+      const __m512i lo = _mm512_permutex2var_epi32(raw[4 * h], sel, raw[4 * h + 1]);
+      const __m512i hi = _mm512_permutex2var_epi32(raw[4 * h + 2], sel, raw[4 * h + 3]);
+      top.field[f][h] = _mm512_shuffle_i64x2(lo, hi, 0x44);
+    }
+  }
+  return top;
+}
+
+__attribute__((target("avx512f"))) inline LaneNodes lookup_top(const TopNodes& top,
+                                                               __m512i local) {
+  return {_mm512_castsi512_ps(
+              _mm512_permutex2var_epi32(top.field[0][0], local, top.field[0][1])),
+          _mm512_permutex2var_epi32(top.field[1][0], local, top.field[1][1]),
+          _mm512_permutex2var_epi32(top.field[2][0], local, top.field[2][1])};
+}
+
+/// AVX-512 walk of one full kBlockRows block through every tree.  Each
+/// lane carries one row's byte offset into the node array; four 16-lane
+/// vectors (64 rows) step together so their loads overlap.  One step
+/// fetches each lane's node (from the tree's top-node registers while
+/// every lane is among them, else by gathers), gathers the row value at
+/// row * cols + feature, then takes next = left + (!(v <= t) << 4) with
+/// an ordered compare, so NaN goes right exactly as in walk_step.
+///
+/// A lane that did not move sits on a leaf: BFS puts both children after
+/// their parent, so an internal node always moves its lane and a leaf
+/// never does, whatever the threshold holds (a loaded v1 stream may put
+/// NaN on an internal node; the step routes right there, as the walker
+/// does).  So each vector keeps a mask of the lanes that moved on its last
+/// step, fetches for those lanes only, and stops once the mask is empty;
+/// the depth cap stays as in the scalar walk.  Leaf values are added into
+/// the double accumulators tree by tree, the order the scalar walk uses,
+/// so every sum is bit-identical.
+__attribute__((target("avx512f"))) void walk_block_avx512(
+    const char* nodes, std::size_t node_count, const double* values,
+    const std::int32_t* roots, const std::uint32_t* depths, std::size_t trees,
+    const float* rows, std::int32_t cols, double* acc) {
+  constexpr int kLanes = 16;
+  constexpr int kVecs = 4;
+  constexpr int kGroups = static_cast<int>(FlatForest::kBlockRows) / (kLanes * kVecs);
+  static_assert(FlatForest::kBlockRows % (kLanes * kVecs) == 0);
+  const __m512i one_node = _mm512_set1_epi32(std::int32_t{1} << kNodeShift);
+  const __m512i top_bytes =
+      _mm512_set1_epi32(static_cast<std::int32_t>(TopNodes::kTopNodes) << kNodeShift);
+  // Element index of each lane's row start, relative to the block's first row.
+  const __m512i lane = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14,
+                                         15);
+  __m512i row_start[kGroups][kVecs];
+  for (int g = 0; g < kGroups; ++g)
+    for (int k = 0; k < kVecs; ++k)
+      row_start[g][k] = _mm512_mullo_epi32(
+          _mm512_add_epi32(lane, _mm512_set1_epi32((g * kVecs + k) * kLanes)),
+          _mm512_set1_epi32(cols));
+  for (std::size_t t = 0; t < trees; ++t) {
+    const __m512i root = _mm512_set1_epi32(roots[t]);
+    const std::size_t root_id = static_cast<std::size_t>(roots[t]) >> kNodeShift;
+    const TopNodes top = load_top(nodes, roots[t],
+                                  std::min(TopNodes::kTopNodes, node_count - root_id));
+    for (int g = 0; g < kGroups; ++g) {
+      __m512i cur[kVecs];
+      __mmask16 live[kVecs];
+      for (int k = 0; k < kVecs; ++k) {
+        cur[k] = root;
+        live[k] = 0xFFFF;
+      }
+      for (std::uint32_t d = 0; d < depths[t]; ++d) {
+        bool moving = false;
+        for (int k = 0; k < kVecs; ++k) {
+          const __mmask16 m = live[k];
+          if (m == 0) continue;
+          const __m512i rel = _mm512_sub_epi32(cur[k], root);
+          const LaneNodes node =
+              _mm512_mask_cmplt_epu32_mask(m, rel, top_bytes) == m
+                  ? lookup_top(top, _mm512_srli_epi32(rel, kNodeShift))
+                  : gather_nodes(nodes, cur[k], m);
+          const __m512 v = _mm512_mask_i32gather_ps(
+              _mm512_setzero_ps(), m, _mm512_add_epi32(row_start[g][k], node.feature),
+              rows, 4);
+          const __mmask16 le = _mm512_cmp_ps_mask(v, node.threshold, _CMP_LE_OQ);
+          const __m512i next =
+              _mm512_mask_add_epi32(node.left, _mm512_knot(le), node.left, one_node);
+          live[k] = _mm512_mask_cmpneq_epi32_mask(m, next, cur[k]);
+          cur[k] = _mm512_mask_mov_epi32(cur[k], m, next);
+          moving = moving || live[k] != 0;
+        }
+        if (!moving) break;
+      }
+      for (int k = 0; k < kVecs; ++k) {
+        const __m512i id = _mm512_srli_epi32(cur[k], kNodeShift);
+        double* a = acc + (g * kVecs + k) * kLanes;
+        const __m512d lo = _mm512_i32gather_pd(_mm512_castsi512_si256(id), values, 8);
+        const __m512d hi = _mm512_i32gather_pd(_mm512_extracti64x4_epi64(id, 1), values, 8);
+        _mm512_storeu_pd(a, _mm512_add_pd(_mm512_loadu_pd(a), lo));
+        _mm512_storeu_pd(a + 8, _mm512_add_pd(_mm512_loadu_pd(a + 8), hi));
+      }
+    }
+  }
+}
+
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
+
+/// Whether this host runs walk_block_avx512 (checked once per process).
+bool has_avx512() noexcept {
+  static const bool supported = __builtin_cpu_supports("avx512f") != 0;
+  return supported;
+}
+
+#endif  // __x86_64__
+
 }  // namespace
 
 void FlatForest::predict_into(const Matrix& x, std::size_t begin, std::size_t count,
@@ -266,6 +450,13 @@ void FlatForest::predict_into(const Matrix& x, std::size_t begin, std::size_t co
   const double* values = values_.data();
   double acc[kBlockRows];
   const float* row_of[kBlockRows];
+#if defined(__x86_64__)
+  // The vector walk's gather indices (row * cols + feature) are int32.
+  const bool vector_blocks =
+      has_avx512() &&
+      n_features_ <= static_cast<std::size_t>(std::numeric_limits<std::int32_t>::max()) /
+                         kBlockRows;
+#endif
   for (std::size_t b = 0; b < count; b += kBlockRows) {
     const std::size_t nb = std::min(kBlockRows, count - b);
     // Per-row base pointers hoist the row * cols multiply out of the walk.
@@ -273,6 +464,14 @@ void FlatForest::predict_into(const Matrix& x, std::size_t begin, std::size_t co
       row_of[r] = data + (begin + b + r) * cols;
       acc[r] = bias_;
     }
+#if defined(__x86_64__)
+    if (nb == kBlockRows && vector_blocks) {
+      walk_block_avx512(nodes, nodes_.size(), values, roots_.data(), depths_.data(),
+                        roots_.size(), row_of[0], static_cast<std::int32_t>(cols), acc);
+      finalize_block(acc, nb, out + b);
+      continue;
+    }
+#endif
     for (std::size_t t = 0; t < roots_.size(); ++t) {
       if (nb == kBlockRows)
         walk_tree<kBlockRows>(nodes, row_of, static_cast<std::uint32_t>(roots_[t]),

@@ -16,14 +16,33 @@
 //     next = left + (!(v <= threshold) << 4).
 //   - Leaves are SELF-PARKING: threshold = NaN (every comparison fails, so
 //     the step lands one node after left == the leaf itself) and feature = 0.
-//     Every tree can be walked for exactly its max depth with no per-step
-//     leaf test — the index simply stops moving — which turns the inner
-//     loop into a fixed-trip-count chain of compare-and-add steps.
-//   - Scoring walks BLOCKS of rows per tree (instead of all trees per
-//     row): the tree's hot top levels stay in L1 across the block and the
-//     per-row index chains are independent, so the CPU overlaps them.
+//     The scalar walk takes every tree for exactly its max depth with no
+//     per-step leaf test — the index simply stops moving — which turns
+//     its inner loop into a fixed-trip-count chain of compare-and-add
+//     steps.
+//   - Batch scoring takes the rows in blocks of kBlockRows and walks each
+//     block through one tree at a time, so the tree's hot top levels stay
+//     in L1 across the block.  The scalar walk steps 16 rows at a time:
+//     their index chains are independent, so the CPU overlaps the
+//     dependent node loads.
+//   - On a host with AVX-512F, every full block takes a vector walk
+//     instead: 64 rows per tree step, four 16-lane vectors of byte
+//     offsets.  A step fetches each lane's node, gathers its row value
+//     and takes the same ordered compare.  Nodes come from registers
+//     holding the tree's first 32 nodes (all of depth < 5, by BFS) while
+//     every lane is among them, else from one gather of thresholds and
+//     two of (feature, left) pairs.  A lane that
+//     does not move sits on a leaf (BFS puts both children after their
+//     parent), so each vector drops its parked lanes and stops once no
+//     lane moved, still capped at the tree's depth.  A NaN threshold is
+//     NOT taken for a leaf: a v1 model stream can put one on an internal
+//     node, where both walks route right.  The choice is one cached
+//     __builtin_cpu_supports("avx512f") check per process, plus an int32
+//     bound on the gather index (kBlockRows * n_features); tail blocks,
+//     predict_row and other hosts keep the scalar walk, which is the
+//     in-process oracle the tests hold the vector walk to.
 //
-// Bit-identity contract: for every input, FlatForest reproduces the
+// Bit-identity contract: for every input, both walks reproduce the
 // pointer-walk path EXACTLY — same comparison (v <= threshold, so NaN
 // routes right; see kNanRoutesRight), same per-row accumulation order
 // (double accumulator over trees in tree order), same finalization
@@ -158,7 +177,8 @@ class FlatForest {
   /// Below this many rows predict_proba stays on the calling thread.
   static constexpr std::size_t kSerialPredictRows = 64;
 
-  /// Rows walked per tree in one block (the register-resident index set).
+  /// Rows walked per tree in one block; only full blocks take the vector
+  /// walk.
   static constexpr std::size_t kBlockRows = 128;
 
  private:

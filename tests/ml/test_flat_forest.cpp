@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -86,9 +87,11 @@ void expect_identical(const std::vector<float>& a, const std::vector<float>& b) 
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]) << "row " << i;
 }
 
-// Row counts straddling the traversal block (16), the serial cutoff (64),
-// and the parallel chunk (256).
-const std::size_t kProbeSizes[] = {1, 7, 16, 17, 63, 64, 65, 200, 300};
+// Row counts straddling the scalar step group (16), the serial cutoff (64),
+// the row block (128, the only size the vector walk scores), and the
+// parallel chunk (256).
+const std::size_t kProbeSizes[] = {1,   7,   16,  17,  63,  64,  65,  127,
+                                   128, 129, 192, 200, 257, 300, 1000};
 
 TEST(FlatForest, BitIdenticalToForestWalker) {
   const RandomForest forest = fitted_forest();
@@ -116,7 +119,7 @@ TEST(FlatForest, BitIdenticalOnNanAndInfRows) {
   const GradientBoosting boosting = fitted_boosting();
   const FlatForest flat_forest = FlatForest::compile(forest);
   const FlatForest flat_boosting = FlatForest::compile(boosting);
-  for (const std::size_t rows : {1u, 16u, 100u}) {
+  for (const std::size_t rows : {1u, 16u, 100u, 128u, 129u, 300u}) {
     const Matrix probe = hostile_matrix(rows, 6, 30 + rows);
     expect_identical(flat_forest.predict_proba(probe), forest.predict_proba(probe));
     expect_identical(flat_boosting.predict_proba(probe), boosting.predict_proba(probe));
@@ -151,6 +154,37 @@ TEST(FlatForest, PredictRowMatchesBatchPath) {
   const auto batch = engine.predict_proba(probe);
   for (std::size_t r = 0; r < probe.rows(); ++r)
     EXPECT_EQ(engine.predict_row(probe.row(r)), batch[r]) << "row " << r;
+}
+
+// predict_row always takes the scalar walk, and full 128-row blocks of a
+// batch take the vector walk wherever the host has one, so this pins the
+// two walks against each other on hostile rows.
+TEST(FlatForest, VectorBlocksMatchTheScalarRowWalk) {
+  const FlatForest flat_forest = FlatForest::compile(fitted_forest());
+  const FlatForest flat_boosting = FlatForest::compile(fitted_boosting());
+  const Matrix probe = hostile_matrix(1000, 6, 45);
+  for (const FlatForest* engine : {&flat_forest, &flat_boosting}) {
+    const auto batch = engine->predict_proba(probe);
+    for (std::size_t r = 0; r < probe.rows(); ++r)
+      EXPECT_EQ(engine->predict_row(probe.row(r)), batch[r]) << "row " << r;
+  }
+}
+
+// One-class labels make every tree a depth-0 root leaf: no walk takes a
+// step, and each row scores the leaf.
+TEST(FlatForest, StumpForestScoresItsLeaves) {
+  Dataset train = make_task(200, 6, 46);
+  std::fill(train.y.begin(), train.y.end(), 1.0f);
+  RandomForest::Params params;
+  params.n_trees = 7;
+  RandomForest forest(params);
+  forest.fit(train);
+  const FlatForest engine = FlatForest::compile(forest);
+  EXPECT_EQ(engine.max_depth(), 0u);
+  const Matrix probe = hostile_matrix(256, 6, 47);
+  const auto scores = engine.predict_proba(probe);
+  expect_identical(scores, forest.predict_proba(probe));
+  for (const float s : scores) EXPECT_EQ(s, 1.0f);
 }
 
 TEST(FlatForest, SerialAndParallelScoresAreBitIdentical) {

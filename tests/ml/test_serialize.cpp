@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "ml/flat_forest.hpp"
@@ -292,6 +293,62 @@ TEST(Serialize, VersionOneStreamsStillLoad) {
   const RandomForest loaded = load_random_forest(v1);
   const Matrix probe = probe_matrix(100, 4, 17);
   EXPECT_EQ(loaded.predict_proba(probe), forest.predict_proba(probe));
+}
+
+// v1 streams carry no engine manifest and the loader takes any float
+// threshold, so an internal node can reach the compiled engine holding
+// NaN.  The walker routes every row right there (NaN fails `<=`); the
+// engine must too, and must not take the node for a leaf (leaves are the
+// nodes that hold NaN in its compiled layout).
+TEST(Serialize, VersionOneNanThresholdsScoreLikeTheWalker) {
+  const Dataset train = make_task(300, 4, 16);
+  RandomForest::Params params;
+  params.n_trees = 5;
+  RandomForest forest(params);
+  forest.fit(train);
+  std::stringstream v2;
+  save_model(v2, forest);
+  std::string bytes = v2.str();
+  const std::uint32_t one = 1;
+  std::memcpy(bytes.data() + 4, &one, sizeof(one));
+  bytes.resize(bytes.size() - kManifestBytes);
+
+  // Walk the v1 body: 9 header bytes and 7 forest u64s, the tree count,
+  // then per tree 6 u64s, the node count, 20-byte nodes (i32 feature, f32
+  // threshold, i32 left, i32 right, f32 value) and the f64 importances.
+  // Every tree's root (node 0) gets a quiet-NaN threshold.
+  const auto u64_at = [&bytes](std::size_t at) {
+    std::uint64_t v = 0;
+    std::memcpy(&v, bytes.data() + at, sizeof(v));
+    return static_cast<std::size_t>(v);
+  };
+  constexpr std::size_t kNodeBytes = 20;
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  std::size_t pos = 9 + 7 * 8;
+  const std::size_t trees = u64_at(pos);
+  ASSERT_EQ(trees, params.n_trees);
+  pos += 8;
+  for (std::size_t t = 0; t < trees; ++t) {
+    pos += 6 * 8;
+    const std::size_t nodes = u64_at(pos);
+    pos += 8;
+    std::int32_t root_left = 0;
+    std::memcpy(&root_left, bytes.data() + pos + 8, sizeof(root_left));
+    ASSERT_NE(root_left, -1) << "tree " << t << " is a single leaf";
+    std::memcpy(bytes.data() + pos + 4, &nan, sizeof(nan));
+    pos += nodes * kNodeBytes;
+    pos += 8 + u64_at(pos) * 8;
+  }
+  ASSERT_EQ(pos, bytes.size());
+
+  std::stringstream v1(bytes);
+  const RandomForest loaded = load_random_forest(v1);
+  const FlatForest engine = FlatForest::compile(loaded);
+  // 256 rows: two full blocks, the size the vector walk scores.
+  const Matrix probe = probe_matrix(256, 4, 19);
+  const auto walker = loaded.predict_proba(probe);
+  EXPECT_NE(walker, forest.predict_proba(probe));  // the NaN roots took effect
+  EXPECT_EQ(engine.predict_proba(probe), walker);
 }
 
 TEST(SerializeFuzz, VersionOneStreamsWithBadChildLinksAreRejected) {
