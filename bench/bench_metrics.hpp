@@ -11,7 +11,7 @@
 //    and reports each counter family that moved as a per-iteration rate
 //    in state.counters.  Benches share one process (and one registry), so
 //    a before/after diff is what attributes increments to *this* bench.
-//    Label sets are summed per family — shard/monitor labels vary by
+//    Label sets are summed per family — shard/daemon labels vary by
 //    instance, and a stable key matters more to a JSON consumer than the
 //    breakdown.
 //

@@ -1,16 +1,18 @@
 // Cost of the observability layer itself (google-benchmark).
 //
-// The acceptance bar for src/obs/: the fully instrumented FleetMonitor
-// batched scoring path (spans + counters + latency histogram live) must
-// stay within 5% of the identical run with obs::set_enabled(false), and
-// the disabled primitives must be near-no-ops (a relaxed load + branch).
+// The acceptance bar for src/obs/: the fully instrumented serving path
+// (the telemetry daemon's counters, sanitizer mirrors and latency
+// histogram live) must stay within 5% of the identical run with
+// obs::set_enabled(false), and the disabled primitives must be near-no-ops
+// (a relaxed load + branch).
 //
 //   BM_MonitorBatchScoring/obs:<0|1>  the macro check: one fleet-day per
-//                                     iteration through an 8-shard monitor
-//                                     on an 8-worker pool; obs:1 is the
-//                                     instrumented path, obs:0 the same
-//                                     code with the global switch off.
-//                                     Compare real_time of the two rows.
+//                                     iteration pushed into an 8-shard
+//                                     in-memory TelemetryDaemon; obs:1 is
+//                                     the instrumented path, obs:0 the
+//                                     same code with the global switch
+//                                     off.  Compare real_time of the two
+//                                     rows.
 //   BM_CounterInc/obs:<0|1>           one striped-counter increment
 //   BM_HistogramObserve/obs:<0|1>     one fixed-bucket observation
 //   BM_SpanScope/obs:<0|1>            one enter/exit of a scoped span
@@ -22,19 +24,19 @@
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_metrics.hpp"
 #include "core/dataset_builder.hpp"
-#include "core/online_monitor.hpp"
+#include "daemon/daemon.hpp"
 #include "ml/downsample.hpp"
 #include "ml/model_zoo.hpp"
 #include "obs/exposition.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_span.hpp"
-#include "parallel/thread_pool.hpp"
 #include "sim/fleet_simulator.hpp"
 
 namespace {
@@ -60,7 +62,7 @@ const trace::FleetTrace& small_fleet() {
   return fleet;
 }
 
-std::shared_ptr<const ml::Classifier> monitor_model() {
+std::shared_ptr<const ml::Classifier> scoring_model() {
   static const std::shared_ptr<const ml::Classifier> model = [] {
     core::DatasetBuildOptions opts;
     opts.lookahead_days = 1;
@@ -73,30 +75,40 @@ std::shared_ptr<const ml::Classifier> monitor_model() {
   return model;
 }
 
-/// Mirror of bench_perf_components' BM_FleetMonitorScoring at 8 shards,
-/// parameterized on the global obs switch instead of the shard count.
+/// The serving path, parameterized on the global obs switch.  The
+/// producer blocks on full rings, so the loop runs at the appenders'
+/// pace; what is still queued when it ends (at most the rings' capacity)
+/// drains untimed in stop().
 void BM_MonitorBatchScoring(benchmark::State& state) {
   const bool instrumented = state.range(0) == 1;
-  static parallel::ThreadPool pool(8);
-  core::FleetMonitor monitor(monitor_model(), 0.9, 8);
+  daemon::DaemonConfig config;
+  config.shards = 8;
+  config.ring_capacity = 256;
+  config.threshold = 0.9;
+  config.block_timeout = std::chrono::seconds(10);  // never shed
   std::vector<core::FleetObservation> batch;
   for (const auto& d : small_fleet().drives)
     if (!d.records.empty())
       batch.push_back({d.model, d.drive_index, 0, d.records.front()});
 
   const ScopedObsEnabled guard(instrumented);
+  daemon::TelemetryDaemon daemon(scoring_model(), config);
+  daemon.start();
   std::int32_t day = 0;
-  std::uint64_t scored = 0;
+  std::uint64_t pushed = 0;
   for (auto _ : state) {
-    for (auto& obs : batch) obs.record.day = day;
-    const auto assessments = monitor.observe_batch(batch, pool);
-    benchmark::DoNotOptimize(assessments.data());
+    for (auto& obs : batch) {
+      obs.record.day = day;
+      (void)daemon.push(obs);
+    }
     ++day;
-    scored += batch.size();
+    pushed += batch.size();
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(scored));
+  daemon.stop();
+  if (daemon.stats().scored != pushed) state.SkipWithError("a pushed record was not scored");
+  state.SetItemsProcessed(static_cast<std::int64_t>(pushed));
   state.counters["records/s"] =
-      benchmark::Counter(static_cast<double>(scored), benchmark::Counter::kIsRate);
+      benchmark::Counter(static_cast<double>(pushed), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_MonitorBatchScoring)->ArgName("obs")->Arg(0)->Arg(1)->UseRealTime();
 

@@ -14,7 +14,7 @@
 #include "core/characterization.hpp"
 #include "core/dataset_builder.hpp"
 #include "core/failure_timeline.hpp"
-#include "core/online_monitor.hpp"
+#include "core/scoring_shard.hpp"
 #include "ml/downsample.hpp"
 #include "ml/flat_forest.hpp"
 #include "ml/metrics.hpp"
@@ -257,70 +257,38 @@ void BM_ForestScoringSpeedup(benchmark::State& state) {
 }
 BENCHMARK(BM_ForestScoringSpeedup);
 
-std::shared_ptr<const ml::Classifier> monitor_model() {
+/// The forest the scoring benches serve, compiled as the daemon serves it.
+std::shared_ptr<const ml::Classifier> scoring_model() {
   static const std::shared_ptr<const ml::Classifier> model = [] {
     auto forest = ml::make_model(ml::ModelKind::kRandomForest);
     forest->fit(ml::downsample_negatives(bench_dataset(), 1.0, 1));
-    return std::shared_ptr<const ml::Classifier>(std::move(forest));
+    return ml::make_serving_model(std::shared_ptr<const ml::Classifier>(std::move(forest)));
   }();
   return model;
 }
 
-// Fleet-scoring service throughput.  Arg(0) = per-record observe() path
-// (the pre-sharding baseline); Arg(k>0) = batched path with k shards on a
-// fixed 8-worker pool, so the shard count — not the worker count — is the
-// scaling knob.  Each iteration scores one fleet-day.  On multi-core
-// hardware the 8-shard batched path is expected to show >= 2x the
-// throughput of 1 shard (shards score in parallel).
-void BM_FleetMonitorScoring(benchmark::State& state) {
-  const auto shards = static_cast<std::size_t>(state.range(0));
-  static parallel::ThreadPool pool(8);
-  core::FleetMonitor monitor(monitor_model(), 0.9, std::max<std::size_t>(shards, 1));
-  std::vector<core::FleetObservation> batch;
-  for (const auto& d : small_fleet().drives)
-    if (!d.records.empty())
-      batch.push_back({d.model, d.drive_index, 0, d.records.front()});
-  std::int32_t day = 0;
-  std::uint64_t scored = 0;
-  const bench::RegistryDelta obs_delta;
-  for (auto _ : state) {
-    for (auto& obs : batch) obs.record.day = day;
-    if (shards == 0) {
-      for (const auto& obs : batch) {
-        const auto assessment =
-            monitor.observe(obs.drive_model, obs.drive_index, obs.deploy_day, obs.record);
-        benchmark::DoNotOptimize(assessment.risk);
-      }
-    } else {
-      const auto assessments = monitor.observe_batch(batch, pool);
-      benchmark::DoNotOptimize(assessments.data());
-    }
-    ++day;
-    scored += batch.size();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(scored));
-  state.counters["records/s"] =
-      benchmark::Counter(static_cast<double>(scored), benchmark::Counter::kIsRate);
-  // monitor_records_scored_total per iteration must equal the batch size —
-  // the monitor's own books crosschecking the harness's.
-  obs_delta.export_into(state, "monitor_");
-}
-BENCHMARK(BM_FleetMonitorScoring)->Arg(0)->Arg(1)->Arg(2)->Arg(8);
-
 // Sanitizer overhead under dirty data.  Arg = per-record corruption
 // percentage fed through the fault injector (0 = clean baseline, so the
 // delta vs Arg(0) is the cost of scoring through the sanitize-repair-
-// quarantine path rather than around it).  Batched path, 4 shards.
+// quarantine path rather than around it).  Each iteration scores one
+// fleet-day through four core::ScoringShard kernels on this thread,
+// routed by uid as the daemon routes records to its shards.  Shard
+// scaling is BM_DaemonIngest's producers x wal grid.
 void BM_CorruptStreamScoring(benchmark::State& state) {
   const auto corruption_pct = static_cast<double>(state.range(0));
-  static parallel::ThreadPool pool(8);
-  core::FleetMonitor monitor(monitor_model(), 0.9, 4);
+  constexpr std::size_t kShards = 4;
+  std::vector<std::unique_ptr<core::ScoringShard>> shards;
+  for (std::size_t s = 0; s < kShards; ++s)
+    shards.push_back(std::make_unique<core::ScoringShard>(
+        0.9, robustness::SanitizerConfig{64, &obs::MetricsRegistry::global()}));
+  const std::shared_ptr<const ml::Classifier> model = scoring_model();
   std::vector<core::FleetObservation> batch;
   for (const auto& d : small_fleet().drives)
     if (!d.records.empty())
       batch.push_back({d.model, d.drive_index, 0, d.records.front()});
   robustness::FaultInjector injector(
       99, robustness::FaultRates::uniform(corruption_pct / 100.0));
+  std::vector<std::vector<core::FleetObservation>> groups(kShards);
   std::int32_t day = 0;
   std::uint64_t emitted = 0;
   const bench::RegistryDelta obs_delta;
@@ -329,8 +297,11 @@ void BM_CorruptStreamScoring(benchmark::State& state) {
     for (auto& obs : batch) obs.record.day = day;
     const auto corrupted = injector.corrupt(batch);
     state.ResumeTiming();
-    const auto assessments = monitor.observe_batch(corrupted.observations, pool);
-    benchmark::DoNotOptimize(assessments.data());
+    for (auto& group : groups) group.clear();
+    for (const auto& obs : corrupted.observations)
+      groups[core::shard_of(obs.uid(), kShards)].push_back(obs);
+    for (std::size_t s = 0; s < kShards; ++s)
+      benchmark::DoNotOptimize(shards[s]->score(groups[s], model.get()).alerts);
     ++day;
     emitted += corrupted.observations.size();
   }
@@ -340,7 +311,6 @@ void BM_CorruptStreamScoring(benchmark::State& state) {
   // Repair/quarantine volume per iteration is what the corruption knob
   // actually bought, alongside the timing delta.
   obs_delta.export_into(state, "sanitizer_");
-  obs_delta.export_into(state, "monitor_");
 }
 BENCHMARK(BM_CorruptStreamScoring)->Arg(0)->Arg(1)->Arg(10)->Arg(30);
 

@@ -8,15 +8,19 @@
 //
 //   ./examples/fleet_health_monitor
 
+#include <chrono>
 #include <cstdio>
-#include <map>
 #include <memory>
+#include <mutex>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "core/dataset_builder.hpp"
 #include "core/failure_timeline.hpp"
-#include "core/online_monitor.hpp"
 #include "core/policy.hpp"
 #include "core/prediction.hpp"
+#include "daemon/daemon.hpp"
 #include "ml/downsample.hpp"
 #include "ml/model_zoo.hpp"
 
@@ -57,30 +61,49 @@ int main() {
   live_config.seed = 2002;  // different seed: genuinely unseen drives
   const sim::FleetSimulator live_fleet(live_config);
 
-  // One in-memory monitor for the whole fleet, fed one drive-day at a time.
-  core::FleetMonitor monitor(std::shared_ptr<const ml::Classifier>(std::move(forest)),
-                             threshold);
+  // One in-memory scorer for the whole fleet (the telemetry daemon with no
+  // WAL), fed one drive-day at a time.  Alerts arrive per record from the
+  // daemon's appender threads.
+  std::mutex alerts_mutex;
+  std::unordered_map<std::uint64_t, std::vector<std::int32_t>> alert_days;
+  daemon::DaemonConfig config;
+  config.threshold = threshold;
+  config.block_timeout = std::chrono::seconds(10);  // a replay never sheds
+  config.on_assessment = [&](const daemon::DriveAssessment& a) {
+    if (!a.alert) return;
+    const std::scoped_lock lock(alerts_mutex);
+    alert_days[a.uid].push_back(a.day);
+  };
+  daemon::TelemetryDaemon monitor(std::shared_ptr<const ml::Classifier>(std::move(forest)),
+                                  config);
+  monitor.start();
+  std::vector<std::pair<std::uint64_t, core::DriveTimeline>> timelines;
+  timelines.reserve(live_fleet.drive_count());
+  std::uint64_t scored_days = 0;
+  for (std::size_t i = 0; i < live_fleet.drive_count(); ++i) {
+    const trace::DriveHistory drive = live_fleet.simulate(i);
+    timelines.emplace_back(drive.uid(), core::derive_timeline(drive));
+    for (const auto& rec : drive.records) {
+      (void)monitor.push({drive.model, drive.drive_index, drive.deploy_day, rec});
+      if (!core::in_failed_state(timelines.back().second, rec.day)) ++scored_days;
+    }
+  }
+  monitor.stop();  // drains every ring: each record's alert is in
+
   std::uint64_t tickets = 0;
   std::uint64_t caught = 0;
   std::uint64_t missed = 0;
-  std::uint64_t scored_days = 0;
-
-  for (std::size_t i = 0; i < live_fleet.drive_count(); ++i) {
-    const trace::DriveHistory drive = live_fleet.simulate(i);
-    const core::DriveTimeline timeline = core::derive_timeline(drive);
-
+  for (const auto& [uid, timeline] : timelines) {
+    // The ticket is the first alert outside a failed state (a drive's
+    // records reach the daemon in day order).
     bool ticketed = false;
     std::int32_t ticket_day = -1;
-    for (const auto& rec : drive.records) {
-      const core::RiskAssessment assessment =
-          monitor.observe(drive.model, drive.drive_index, drive.deploy_day, rec);
-      if (core::in_failed_state(timeline, rec.day)) continue;
-      ++scored_days;
-      if (!ticketed && assessment.alert) {
-        ticketed = true;
-        ticket_day = rec.day;
-        ++tickets;
-      }
+    for (const std::int32_t day : alert_days[uid]) {
+      if (core::in_failed_state(timeline, day)) continue;
+      ticketed = true;
+      ticket_day = day;
+      ++tickets;
+      break;
     }
     // Audit against the derived failures: a catch means the ticket came at
     // or before the failure day (early enough to act).

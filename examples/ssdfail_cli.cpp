@@ -17,8 +17,8 @@
 // `benchmark` trains the paper's random forest and reports cross-validated
 // AUC; `transfer` crosses device classes (core/transfer.hpp).  `train` fits a
 // model once and persists it (ml/serialize); `serve` loads it and replays
-// a fleet as a day-ordered stream through the sharded FleetMonitor,
-// printing the metrics snapshot — the always-on scoring service in
+// a fleet as a day-ordered stream through the telemetry daemon, in memory
+// (no WAL), and prints its counts — the always-on scoring service in
 // miniature.  `train` and `serve` accept `--fleet FILE` to use a recorded
 // binary fleet instead of simulating one; a v2 or v3 file feeds `train`
 // through the chunk-parallel dataset build (store/columnar.hpp).
@@ -67,7 +67,6 @@
 #include "daemon/compactor.hpp"
 #include "daemon/daemon.hpp"
 #include "core/fleet_analysis.hpp"
-#include "core/online_monitor.hpp"
 #include "core/prediction.hpp"
 #include "io/file.hpp"
 #include "io/table.hpp"
@@ -592,18 +591,92 @@ std::shared_ptr<const ml::Classifier> fallback_model(std::uint64_t seed) {
   return std::shared_ptr<const ml::Classifier>(std::move(baseline));
 }
 
+/// `block` backpressure for a CLI replay.  The stream is finite, so a full
+/// ring waits out a slow appender (a rotated, fsync'd WAL can stall one
+/// past the library's 100 ms) instead of shedding a record; a blocked push
+/// returns as soon as an appender frees a cell.
+void block_on_full_ring(daemon::DaemonConfig& cfg) {
+  cfg.backpressure = daemon::Backpressure::kBlock;
+  cfg.block_timeout = std::chrono::seconds(10);
+}
+
+/// Wait until every record accepted so far has been scored, quarantined
+/// or dropped as a duplicate: the fixed point a model swap or a metric
+/// tick needs.  Scored records count only under a model, so the daemon
+/// must have one.
+void wait_until_drained(const daemon::TelemetryDaemon& daemon) {
+  const auto drained = [&] {
+    const daemon::DaemonStats s = daemon.stats();
+    return s.scored + s.quarantined + s.duplicates_dropped + s.shed >= s.ingested;
+  };
+  while (!drained()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+}
+
+/// Upper bound of the histogram bucket where the cumulative count crosses
+/// q (the last finite bound for the +Inf bucket); 0 when nothing was seen.
+double histogram_quantile(const obs::Sample& histogram, double q) {
+  const double target = q * static_cast<double>(histogram.count);
+  std::uint64_t seen = 0;
+  for (std::size_t i = 0; i < histogram.bucket_bounds.size(); ++i) {
+    seen += histogram.buckets[i];
+    if (seen > 0 && static_cast<double>(seen) >= target) return histogram.bucket_bounds[i];
+  }
+  return histogram.count == 0 ? 0.0 : histogram.bucket_bounds.back();
+}
+
+/// The `serve` report: the daemon's counts once the replay has drained.
+/// `degraded` marks a replay that ended on the fallback model.
+void print_serve_report(const daemon::TelemetryDaemon& daemon, bool degraded) {
+  const daemon::DaemonStats stats = daemon.stats();
+  const robustness::SanitizerSnapshot sanitizer = daemon.sanitizer();
+  const obs::RegistrySnapshot registry = obs::MetricsRegistry::global().snapshot();
+  const obs::Sample* latency = registry.find("daemon_score_latency_us");
+  const auto quantile = [&](double q) {
+    return latency == nullptr ? 0.0 : histogram_quantile(*latency, q);
+  };
+  const auto n = [](std::uint64_t x) { return static_cast<unsigned long long>(x); };
+  const double alert_pct =
+      stats.scored > 0
+          ? 100.0 * static_cast<double>(stats.alerts) / static_cast<double>(stats.scored)
+          : 0.0;
+  const std::uint64_t out_of_order = sanitizer.quarantined[static_cast<std::size_t>(
+      trace::ViolationKind::kNonMonotoneDays)];
+  std::printf("serve metrics (%zu shard%s)%s\n"
+              "  records scored      %llu\n"
+              "  alerts raised       %llu (%.2f%%)\n"
+              "  drives tracked      %zu (created %llu, retired %llu)\n"
+              "  out-of-order drops  %llu\n"
+              "  records repaired    %llu (duplicates dropped %llu)\n"
+              "  records quarantined %llu (dead-lettered %zu, overflow %llu)\n"
+              "  non-finite scores   %llu (clamped to 1.0)\n"
+              "  score latency/rec   p50 %.0fus  p90 %.0fus  p99 %.0fus\n",
+              daemon.shards(), daemon.shards() == 1 ? "" : "s",
+              degraded ? "  [DEGRADED: fallback model]" : "", n(stats.scored),
+              n(stats.alerts), alert_pct, stats.drives_tracked,
+              n(stats.drives_tracked + stats.drives_retired), n(stats.drives_retired),
+              n(out_of_order), n(sanitizer.records_repaired + sanitizer.duplicates_dropped),
+              n(sanitizer.duplicates_dropped), n(sanitizer.records_quarantined),
+              sanitizer.dead_letters.size(), n(sanitizer.dead_letter_overflow),
+              n(stats.non_finite), quantile(0.5), quantile(0.9), quantile(0.99));
+  // Per-kind breakdown, printed only for the kinds that actually occurred.
+  for (trace::ViolationKind kind : trace::kAllViolationKinds) {
+    const auto k = static_cast<std::size_t>(kind);
+    if (sanitizer.repaired[k] == 0 && sanitizer.quarantined[k] == 0) continue;
+    std::printf("    %-28s repaired %llu  quarantined %llu\n",
+                std::string(trace::violation_name(kind)).c_str(), n(sanitizer.repaired[k]),
+                n(sanitizer.quarantined[k]));
+  }
+}
+
 int cmd_serve(const Args& args) {
   const std::string model_path = args.required("model-file");
-  const std::string engine_name = args.choice(
-      "engine", std::string(ml::inference_engine_name(ml::inference_engine())),
-      {"flat", "walker"});
   const sim::FleetConfig cfg = config_from(args, 200);
-  const double threshold = args.real("threshold", 0.9);
-  const auto shards = args.count<std::size_t>("shards", 8);
+  daemon::DaemonConfig dcfg;  // no wal_dir: scoring in memory, nothing logged
+  dcfg.threshold = args.real("threshold", 0.9);
+  dcfg.shards = args.count<std::size_t>("shards", 8);
+  block_on_full_ring(dcfg);
   const auto chaos_pct = args.count<unsigned>("chaos", 0);
   const std::string stream_path = args.get("metrics-stream", "");
-  const bool sequential = args.flag("sequential");
-  ml::set_inference_engine(*ml::parse_inference_engine(engine_name));
 
   std::shared_ptr<const ml::Classifier> model = try_load_model(model_path);
   bool degraded = model == nullptr;
@@ -611,14 +684,13 @@ int cmd_serve(const Args& args) {
     std::fprintf(stderr, "serve: DEGRADED — scoring on the threshold baseline\n");
     model = fallback_model(cfg.seed);
   } else {
-    std::printf("loaded %s from %s (engine %s)\n", model->name().c_str(),
-                model_path.c_str(), engine_name.c_str());
+    const bool flat = dynamic_cast<const ml::FlatForestClassifier*>(model.get()) != nullptr;
+    std::printf("loaded %s from %s%s\n", model->name().c_str(), model_path.c_str(),
+                flat ? " (engine flat)" : "");
   }
 
   const auto fleet = load_fleet(args, "serve", cfg);
   if (!fleet) return 1;
-  core::FleetMonitor monitor(model, threshold, shards);
-  monitor.set_degraded(degraded);
 
   // Optional per-replay-day metric stream: one JSON line per changed
   // sample, diffed by a manually ticked Snapshotter (the replay day is the
@@ -645,9 +717,9 @@ int cmd_serve(const Args& args) {
   std::int32_t backoff_days = 1;
 
   // Replay the fleet as the live stream a data-center operator would feed
-  // the service: one batch per calendar day, all drives reporting that day.
-  // A drive whose history ends (its slot was swapped out) retires after
-  // its last day.
+  // the service: all drives reporting one calendar day, then the next.  A
+  // drive whose history ends (its slot was swapped out) retires after its
+  // last day.
   const std::vector<core::FleetObservation> stream = core::day_ordered_stream(*fleet);
   std::unordered_map<std::uint64_t, std::int32_t> final_day;
   for (const core::FleetObservation& obs : stream) final_day[obs.uid()] = obs.record.day;
@@ -655,6 +727,8 @@ int cmd_serve(const Args& args) {
   const std::int32_t last_day = std::max(0, stream.empty() ? 0 : stream.back().record.day);
   std::int32_t next_retry_day = first_day + backoff_days;
   const auto t0 = std::chrono::steady_clock::now();
+  daemon::TelemetryDaemon daemon(model, dcfg);
+  daemon.start();
   std::vector<core::FleetObservation> day_batch;
   auto run_end = stream.begin();
   for (std::int32_t day = first_day; day <= last_day; ++day) {
@@ -662,10 +736,9 @@ int cmd_serve(const Args& args) {
       if (auto reloaded = try_load_model(model_path)) {
         std::printf("serve: model reload succeeded on day %d — leaving degraded mode\n",
                     day);
-        model = std::move(reloaded);
-        monitor.set_model(model);
+        wait_until_drained(daemon);  // the days before stay on the fallback
+        daemon.set_model(std::move(reloaded));
         degraded = false;
-        monitor.set_degraded(false);
       } else {
         backoff_days = std::min(backoff_days * 2, kMaxBackoffDays);
         next_retry_day = day + backoff_days;
@@ -679,16 +752,11 @@ int cmd_serve(const Args& args) {
       day_batch = injector.corrupt(day_batch).observations;
       if (day_batch.empty()) continue;
     }
-    if (sequential) {
-      for (const auto& obs : day_batch)
-        (void)monitor.observe(obs.drive_model, obs.drive_index, obs.deploy_day,
-                              obs.record);
-    } else {
-      (void)monitor.observe_batch(day_batch);
-    }
+    for (const core::FleetObservation& obs : day_batch) (void)daemon.push(obs);
     for (auto it = run_begin; it != run_end; ++it)
-      if (final_day.at(it->uid()) == day) monitor.retire(it->drive_model, it->drive_index);
+      if (final_day.at(it->uid()) == day) (void)daemon.retire(it->drive_model, it->drive_index);
     if (snapshotter) {
+      wait_until_drained(daemon);
       if (auto deltas = snapshotter->tick(obs::Snapshotter::Clock::now(), true)) {
         for (const auto& d : *deltas) {
           if (d.delta == 0.0) continue;
@@ -698,13 +766,12 @@ int cmd_serve(const Args& args) {
       }
     }
   }
+  daemon.stop();
   const double secs = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  const auto snapshot = monitor.metrics();
-  std::printf("replayed days %d..%d in %.1fs (%.0f records/s, %s path%s)\n", first_day,
-              last_day, secs, static_cast<double>(snapshot.records_scored) / secs,
-              sequential ? "sequential" : "batched",
+  std::printf("replayed days %d..%d in %.1fs (%.0f records/s%s)\n", first_day, last_day, secs,
+              static_cast<double>(daemon.stats().scored) / secs,
               chaos_pct > 0 ? ", chaos on" : "");
-  std::fputs(snapshot.to_text().c_str(), stdout);
+  print_serve_report(daemon, degraded);
   if (!stream_path.empty())
     std::printf("streamed per-day metric deltas to %s\n", stream_path.c_str());
   return write_metrics_out(args) ? 0 : 1;
@@ -722,15 +789,10 @@ int cmd_daemon(const Args& args) {
   cfg.shards = args.count<std::size_t>("shards", 4);
   cfg.ring_capacity = args.count<std::size_t>("ring", 1024);
   cfg.threshold = args.real("threshold", 0.9);
-  // A CLI run replays a finite stream, so `block` waits out a slow
-  // appender (a rotated, fsync'd WAL can stall one past the library's
-  // 100 ms) instead of shedding a record.  A blocked push returns as soon
-  // as an appender frees a cell, and the producers are joined before
-  // stop(), so the longer patience cannot delay the drain.
   if (args.choice("backpressure", "block", {"block", "shed"}) == "shed")
     cfg.backpressure = daemon::Backpressure::kShed;
   else
-    cfg.block_timeout = std::chrono::seconds(10);
+    block_on_full_ring(cfg);
   if (args.choice("fsync", "every", {"every", "never"}) == "never")
     cfg.fsync = daemon::FsyncPolicy::kNever;
   cfg.wal_rotate_bytes = args.count<std::uint64_t>("wal-rotate", 0);
@@ -860,10 +922,6 @@ int cmd_daemon(const Args& args) {
       const auto it = last_index_of_retired.find(stream[i].uid());
       if (it != last_index_of_retired.end()) it->second = i;  // last record wins
     }
-    const auto drained = [&] {
-      const daemon::DaemonStats s = daemon.stats();
-      return s.scored + s.quarantined + s.duplicates_dropped + s.shed >= s.ingested;
-    };
     std::int64_t last_step_day = std::numeric_limits<std::int64_t>::min() / 2;
     std::size_t i = 0;
     while (i < stream.size() && g_daemon_stop == 0) {
@@ -874,7 +932,7 @@ int cmd_daemon(const Args& args) {
         if (it != last_index_of_retired.end() && it->second == i)
           daemon.retire(stream[i].drive_model, stream[i].drive_index);
       }
-      while (!drained()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      wait_until_drained(daemon);
       if (day - last_step_day >= step_days) {
         const online::StepReport report = learner->step();
         last_step_day = day;
@@ -997,7 +1055,7 @@ int cmd_drift(const Args& args) {
 }
 
 /// Built-in end-to-end smoke that exercises every instrumented layer —
-/// simulator, trace I/O, training (CV + forest), thread pool, monitor,
+/// simulator, trace I/O, training (CV + forest), thread pool, daemon,
 /// sanitizer (via chaos) — then prints the Prometheus exposition.  CI's
 /// metrics-lint step validates this output (scripts/metrics_lint.py).
 int cmd_metrics(const Args& args) {
@@ -1022,14 +1080,21 @@ int cmd_metrics(const Args& args) {
   const auto model = ml::make_model(ml::ModelKind::kRandomForest);
   (void)core::evaluate_auc(*model, data);
 
-  // Monitor + sanitizer metrics: replay the fleet with chaos so repairs
-  // and quarantines occur.
+  // Daemon + sanitizer metrics: replay the fleet with chaos, in memory,
+  // so repairs and quarantines occur.
   auto scorer = ml::make_model(ml::ModelKind::kThresholdBaseline);
   scorer->fit(ml::downsample_negatives(data, 1.0, cfg.seed));
-  core::FleetMonitor monitor(std::shared_ptr<const ml::Classifier>(std::move(scorer)),
-                             0.9, 4);
-  (void)monitor.observe_batch(
-      chaos_injector(cfg.seed, 0.10).corrupt(core::day_ordered_stream(fleet)).observations);
+  daemon::DaemonConfig dcfg;
+  dcfg.shards = 4;
+  dcfg.threshold = 0.9;
+  block_on_full_ring(dcfg);
+  daemon::TelemetryDaemon daemon(std::shared_ptr<const ml::Classifier>(std::move(scorer)),
+                                 dcfg);
+  daemon.start();
+  for (const core::FleetObservation& obs :
+       chaos_injector(cfg.seed, 0.10).corrupt(core::day_ordered_stream(fleet)).observations)
+    (void)daemon.push(obs);
+  daemon.stop();
 
   const auto snapshot = dump_prometheus(out_path);
   if (!snapshot) return 1;
@@ -1072,7 +1137,6 @@ const Command kCommands[] = {
     {"serve", cmd_serve,
      "--model-file MODEL.bin [--drives N | --fleet FILE]\n"
      "[--days N] [--seed S] [--threshold T] [--shards K]\n"
-     "[--engine flat|walker] [--sequential]\n"
      "[--chaos PCT] [--metrics-out FILE]\n"
      "[--metrics-stream FILE]"},
     {"daemon", cmd_daemon,

@@ -53,8 +53,7 @@ class FeatureExtractor {
 };
 
 /// The per-drive online feature state of the streaming scoring kernel
-/// (core::ScoringShard, behind both FleetMonitor and the telemetry
-/// daemon): it advances cumulative state record-by-record and emits one
+/// (core::ScoringShard, behind the telemetry daemon): it advances cumulative state record-by-record and emits one
 /// feature row per accepted record, so the daemon's WAL recovery rebuilds
 /// state through the exact code path the live path used — the
 /// bit-identity the replay tests pin.

@@ -1,11 +1,10 @@
 #pragma once
 
 // The unit of fleet-scoring ingestion (beyond the paper: serving
-// infrastructure for its Section 5 models), factored out of
-// online_monitor.hpp so stream-level tooling (robustness::FaultInjector,
-// replay drivers) can consume the type without depending on the monitor
-// itself.  day_ordered_stream() is the one builder of a replay stream from
-// a materialized fleet.
+// infrastructure for its Section 5 models), kept apart from the daemon so
+// stream-level tooling (robustness::FaultInjector, replay tools) can
+// consume the type without depending on the scorer.  day_ordered_stream()
+// is the one builder of a replay stream from a materialized fleet.
 
 #include <algorithm>
 #include <cstdint>

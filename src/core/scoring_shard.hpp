@@ -1,11 +1,9 @@
 #pragma once
 
 // The online scoring kernel (beyond the paper: serving infrastructure for
-// its Section 5 models).  Both streaming front ends own one ScoringShard
-// per shard and differ only in what they do with its outcomes:
-// core::FleetMonitor (online_monitor.hpp) turns them into RiskAssessments
-// and monitor metrics, the telemetry daemon (daemon/daemon.hpp) into
-// health strikes, stats and its BatchObserver tap.
+// its Section 5 models).  The telemetry daemon (daemon/daemon.hpp) owns
+// one ScoringShard per shard and turns its outcomes into health strikes,
+// stats and its BatchObserver tap.
 //
 // Per batch the kernel
 //   1. sanitizes every record (robustness::RecordSanitizer: repair, drop
@@ -20,8 +18,8 @@
 // predict_proba scores rows independently, so a record's score does not
 // depend on how the stream was cut into batches or shards.
 //
-// Not thread-safe: the owner serializes calls (FleetMonitor's per-shard
-// mutex, the daemon's one appender thread per shard).
+// Not thread-safe: the owner serializes calls (the daemon's one appender
+// thread per shard).
 
 #include <cstdint>
 #include <span>

@@ -8,11 +8,30 @@ namespace ssdfail::daemon {
 namespace {
 
 /// Instance label so concurrent daemons (tests, benches) sharing a
-/// registry never clobber each other's gauges — the FleetMonitor idiom.
+/// registry never clobber each other's gauges.
 std::string next_daemon_label() {
   static std::atomic<std::uint64_t> next{0};
   return std::to_string(next.fetch_add(1, std::memory_order_relaxed));
 }
+
+/// daemon_score_latency_us buckets: 40 equal-width bins of 50us up to
+/// 2000us, plus the implicit +Inf bucket.
+const std::vector<double>& score_latency_bounds() {
+  static const std::vector<double> bounds = obs::equal_width_bounds(0.0, 2000.0, 40);
+  return bounds;
+}
+
+/// Holds a push() or retire() in flight on a shard (see appender_main).
+class InFlight {
+ public:
+  explicit InFlight(std::atomic<std::uint32_t>& count) : count_(count) { count_.fetch_add(1); }
+  ~InFlight() { count_.fetch_sub(1); }
+  InFlight(const InFlight&) = delete;
+  InFlight& operator=(const InFlight&) = delete;
+
+ private:
+  std::atomic<std::uint32_t>& count_;
+};
 
 }  // namespace
 
@@ -43,6 +62,9 @@ TelemetryDaemon::TelemetryDaemon(std::shared_ptr<const ml::Classifier> model,
                                 "Scores at or above the alert threshold");
   non_finite_metric_ = &reg.counter("daemon_non_finite_scores_total", {},
                                     "NaN/inf model scores clamped to 1.0");
+  score_latency_metric_ =
+      &reg.histogram("daemon_score_latency_us", score_latency_bounds(), {},
+                     "Per-record scoring latency, observed once per batch");
   segments_metric_ = &reg.counter("daemon_wal_segments_appended_total", {},
                                   "WAL segments appended across shards");
   wal_bytes_metric_ = &reg.counter("daemon_wal_appended_bytes_total", {},
@@ -189,12 +211,15 @@ void TelemetryDaemon::stop() {
 }
 
 PushResult TelemetryDaemon::push(const core::FleetObservation& obs) {
-  if (!running_.load(std::memory_order_relaxed) ||
-      stopping_.load(std::memory_order_relaxed)) {
+  Shard& shard = shard_for(obs.uid());
+  // Announce the push before checking stopping_ (both sequentially
+  // consistent): an appender that read stopping_ and then saw no push in
+  // flight knows every later push sees stopping_ and is rejected.
+  const InFlight in_flight(shard.in_flight);
+  if (!running_.load() || stopping_.load()) {
     rejected_.fetch_add(1, std::memory_order_relaxed);
     return PushResult::kRejected;
   }
-  Shard& shard = shard_for(obs.uid());
   const PushResult result =
       shard.ring.push(obs, config_.backpressure, config_.block_timeout);
   if (result == PushResult::kAccepted) {
@@ -210,8 +235,10 @@ PushResult TelemetryDaemon::push(const core::FleetObservation& obs) {
 PushResult TelemetryDaemon::retire(trace::DriveModel drive_model,
                                   std::uint32_t drive_index) {
   const core::FleetObservation drive{drive_model, drive_index, 0, {}};
+  Shard& shard = shard_for(drive.uid());
+  const InFlight in_flight(shard.in_flight);
   const auto open = [this] { return running_.load() && !stopping_.load(); };
-  if (!open() || !shard_for(drive.uid()).ring.push_retire(drive, open)) {
+  if (!open() || !shard.ring.push_retire(drive, open)) {
     rejected_.fetch_add(1, std::memory_order_relaxed);
     return PushResult::kRejected;
   }
@@ -251,7 +278,10 @@ void TelemetryDaemon::process_records(Shard& shard,
   }
   BatchObserver* const observer =
       recovering_.load(std::memory_order_relaxed) ? nullptr : config_.batch_observer;
+  const auto start = std::chrono::steady_clock::now();
   const core::ScoredBatch& scored = shard.scoring.score(batch, model.get());
+  const std::chrono::duration<double, std::micro> score_time =
+      std::chrono::steady_clock::now() - start;
 
   // Each record's health event lands at its position in the input: a
   // quarantine strike and a scored record for one drive reach its
@@ -298,7 +328,10 @@ void TelemetryDaemon::process_records(Shard& shard,
     scored_metric_->inc(accepted);
     alerts_.fetch_add(scored.alerts, std::memory_order_relaxed);
     alerts_metric_->inc(scored.alerts);
+    non_finite_.fetch_add(scored.non_finite, std::memory_order_relaxed);
     non_finite_metric_->inc(scored.non_finite);
+    score_latency_metric_->observe(score_time.count() / static_cast<double>(accepted),
+                                   accepted);
   }
 }
 
@@ -306,7 +339,7 @@ void TelemetryDaemon::process_retires(Shard& shard,
                                       std::span<const std::uint64_t> uids) {
   if (uids.empty()) return;
   for (const std::uint64_t uid : uids) {
-    (void)shard.scoring.retire(uid);
+    if (shard.scoring.retire(uid)) retired_.fetch_add(1, std::memory_order_relaxed);
     shard.health.retire(uid);
   }
   if (config_.batch_observer != nullptr && !recovering_.load(std::memory_order_relaxed))
@@ -320,8 +353,11 @@ void TelemetryDaemon::appender_main(Shard& shard) {
   for (;;) {
     batch.clear();
     retires.clear();
+    // Read before the pop: once stop() has begun and no push or retire is
+    // in flight, nothing more can enter the ring, so an empty pop is final.
+    const bool closing = stopping_.load() && shard.in_flight.load() == 0;
     if (shard.ring.pop_into(batch, retires, config_.max_batch) == 0) {
-      if (stopping_.load(std::memory_order_relaxed)) break;
+      if (closing) break;
       std::this_thread::sleep_for(config_.poll_interval);
       continue;
     }
@@ -381,8 +417,10 @@ DaemonStats TelemetryDaemon::stats() const {
   out.rejected = rejected_.load();
   out.scored = scored_.load();
   out.alerts = alerts_.load();
+  out.non_finite = non_finite_.load();
   out.quarantined = quarantined_.load();
   out.duplicates_dropped = duplicates_.load();
+  out.drives_retired = retired_.load();
   out.segments_appended = segments_.load();
   out.wal_bytes = wal_bytes_.load();
   out.wal_errors = wal_errors_.load();
@@ -402,6 +440,12 @@ std::uint64_t TelemetryDaemon::state_digest() const {
   std::uint64_t total = 0;
   for (const auto& shard : shards_)
     total += shard->scoring.cursor_digest() + shard->health.digest();
+  return total;
+}
+
+robustness::SanitizerSnapshot TelemetryDaemon::sanitizer() const {
+  robustness::SanitizerSnapshot total;
+  for (const auto& shard : shards_) total.merge(shard->scoring.sanitizer().snapshot());
   return total;
 }
 

@@ -11,9 +11,12 @@
 //                     |                                        score, clamp, alert]
 //                     |--> HealthTracker                     [escalate/page]
 //
-// The scoring kernel is the one core::FleetMonitor runs
-// (core/scoring_shard.hpp); the daemon only maps its per-record outcomes
-// onto health strikes, stats, counters and the BatchObserver tap.  The WAL
+// Every streaming scorer runs here: the CLI's `daemon`, `serve` and
+// `metrics`, the fleet-health example, and perfbench's ingest workload
+// (the in-memory ones with an empty wal_dir).  Scoring is the shared
+// kernel (core/scoring_shard.hpp); the daemon maps its per-record
+// outcomes onto health strikes, stats, counters and the BatchObserver
+// tap.  The WAL
 // records RAW observations before any processing, so startup recovery
 // replays them through the exact same kernel -> health path and lands on
 // bit-identical per-drive state (the state_digest() invariant; pinned
@@ -33,7 +36,10 @@
 // A watchdog thread samples each appender's heartbeat and counts shards
 // that sit on a non-empty ring without making progress
 // (`daemon_watchdog_stalls_total`); stop() drains every ring, fsyncs, and
-// joins all threads (the CLI wires SIGTERM/SIGINT to it).
+// joins all threads (the CLI wires SIGTERM/SIGINT to it).  An appender
+// exits only once stop() has begun AND no push() or retire() is in flight
+// on its shard, so a record accepted by a push that raced stop() is still
+// logged and scored.
 
 #include <array>
 #include <atomic>
@@ -138,8 +144,10 @@ struct DaemonStats {
   std::uint64_t rejected = 0;  ///< pushes after stop() began
   std::uint64_t scored = 0;
   std::uint64_t alerts = 0;
+  std::uint64_t non_finite = 0;  ///< NaN/inf scores clamped to 1.0
   std::uint64_t quarantined = 0;
   std::uint64_t duplicates_dropped = 0;
+  std::uint64_t drives_retired = 0;  ///< retires that dropped a tracked drive
   std::uint64_t segments_appended = 0;
   std::uint64_t wal_bytes = 0;
   std::uint64_t wal_errors = 0;
@@ -169,7 +177,8 @@ class TelemetryDaemon {
   void stop();
 
   /// Producer entry point (any thread).  Applies the configured
-  /// backpressure policy; returns kRejected once stop() has begun.
+  /// backpressure policy; returns kRejected once stop() has begun.  A
+  /// record it accepts is processed even when stop() races the push.
   PushResult push(const core::FleetObservation& obs);
 
   /// Route a drive swap through the pipeline: a retire marker queued in the
@@ -201,6 +210,10 @@ class TelemetryDaemon {
   /// agree.  Call while quiesced (before start() or after stop()).
   [[nodiscard]] std::uint64_t state_digest() const;
 
+  /// Every shard's sanitizer counters and dead letters, merged.  Call
+  /// while quiesced, like state_digest().
+  [[nodiscard]] robustness::SanitizerSnapshot sanitizer() const;
+
  private:
   struct Shard {
     explicit Shard(const DaemonConfig& config, obs::MetricsRegistry& registry,
@@ -216,6 +229,9 @@ class TelemetryDaemon {
 
     std::thread appender;
     std::atomic<std::uint64_t> heartbeat{0};  ///< bumps once per busy iteration
+    /// push()/retire() calls under way on this shard; its appender does
+    /// not exit while one is.
+    alignas(64) std::atomic<std::uint32_t> in_flight{0};
     /// Copies of scoring.drives_tracked() and health.counts() that the
     /// appender publishes after each batch, so stats() can read them while
     /// the appender mutates the originals.
@@ -262,8 +278,8 @@ class TelemetryDaemon {
 
   // Internal stat atomics (mirrored into registry counters as they move).
   std::atomic<std::uint64_t> ingested_{0}, shed_{0}, rejected_{0};
-  std::atomic<std::uint64_t> scored_{0}, alerts_{0};
-  std::atomic<std::uint64_t> quarantined_{0}, duplicates_{0};
+  std::atomic<std::uint64_t> scored_{0}, alerts_{0}, non_finite_{0};
+  std::atomic<std::uint64_t> quarantined_{0}, duplicates_{0}, retired_{0};
   std::atomic<std::uint64_t> segments_{0}, wal_bytes_{0}, wal_errors_{0};
   std::atomic<std::uint64_t> watchdog_stalls_{0};
   std::atomic<bool> wal_degraded_{false};
@@ -273,6 +289,7 @@ class TelemetryDaemon {
   obs::Counter* scored_metric_ = nullptr;
   obs::Counter* alerts_metric_ = nullptr;
   obs::Counter* non_finite_metric_ = nullptr;
+  obs::Histogram* score_latency_metric_ = nullptr;
   obs::Counter* segments_metric_ = nullptr;
   obs::Counter* wal_bytes_metric_ = nullptr;
   obs::Counter* wal_errors_metric_ = nullptr;

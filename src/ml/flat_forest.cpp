@@ -1,7 +1,6 @@
 #include "ml/flat_forest.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstddef>
@@ -31,27 +30,9 @@ constexpr std::int32_t kNodeShift = 4;
 static_assert(sizeof(FlatNode) == (std::size_t{1} << kNodeShift),
               "kNodeShift must match sizeof(FlatNode)");
 
-std::atomic<InferenceEngine> g_engine{InferenceEngine::kFlat};
-
 }  // namespace
 
-InferenceEngine inference_engine() noexcept {
-  return g_engine.load(std::memory_order_relaxed);
-}
-
-void set_inference_engine(InferenceEngine engine) noexcept {
-  g_engine.store(engine, std::memory_order_relaxed);
-}
-
-std::string_view inference_engine_name(InferenceEngine engine) noexcept {
-  return engine == InferenceEngine::kWalker ? "walker" : "flat";
-}
-
-std::optional<InferenceEngine> parse_inference_engine(std::string_view name) noexcept {
-  if (name == "walker") return InferenceEngine::kWalker;
-  if (name == "flat") return InferenceEngine::kFlat;
-  return std::nullopt;
-}
+void set_inference_engine(InferenceEngine /*engine*/) noexcept {}
 
 /// Friend of the walker models: reads the private node arrays the public
 /// APIs deliberately do not expose.

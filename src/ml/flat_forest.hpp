@@ -49,18 +49,17 @@
 // (RF: mean over trees; GB: sigmoid of prior + damped leaf sums).  The
 // golden pipeline suite pins this.
 //
-// Engine selection: make_serving_model() wraps fitted ensembles for the
-// monitor / CLI serve path.  The engine is `flat` unless
-// set_inference_engine() (what `serve --engine walker` calls) picks the
-// pointer walk, kept as an escape hatch.
+// Serving: make_serving_model() wraps every fitted ensemble that a
+// streaming scorer (the telemetry daemon, cross-validation scoring, the
+// online arena) serves.  There is no engine switch: the pointer walk
+// stays as each model's own predict_proba, the oracle the tests hold
+// this engine to.
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <new>
-#include <optional>
 #include <span>
-#include <string_view>
 #include <vector>
 
 #include "ml/classifier.hpp"
@@ -72,19 +71,16 @@ class RandomForest;
 class GradientBoosting;
 struct FlatForestCompiler;
 
-/// Which scoring implementation serving paths use.
+/// Former process-wide engine selection, kept only because
+/// perfbench/main.cpp still calls set_inference_engine(kFlat).
 enum class InferenceEngine : std::uint8_t {
-  kWalker = 0,  ///< original pointer-linked per-row tree walk
-  kFlat = 1,    ///< compiled flat-forest engine (this module)
+  kWalker = 0,
+  kFlat = 1,
 };
 
-/// Process-wide engine selection: kFlat until set_inference_engine()
-/// changes it.
-[[nodiscard]] InferenceEngine inference_engine() noexcept;
+/// Selects nothing: serving always uses the flat engine.  Kept for
+/// perfbench's call; remove both once that call goes.
 void set_inference_engine(InferenceEngine engine) noexcept;
-[[nodiscard]] std::string_view inference_engine_name(InferenceEngine engine) noexcept;
-[[nodiscard]] std::optional<InferenceEngine> parse_inference_engine(
-    std::string_view name) noexcept;
 
 /// One flattened tree node: 16 bytes, four per cache line.  `left` holds
 /// the left child's BYTE offset into the node array (id * 16): scaled
@@ -196,7 +192,7 @@ class FlatForest {
   std::uint32_t max_depth_ = 0;
 };
 
-/// Classifier adapter so the monitor / serve path can hold a FlatForest
+/// Classifier adapter so the serving path (the daemon) can hold a FlatForest
 /// behind the ml::Classifier interface.
 ///
 /// Two modes:

@@ -129,7 +129,6 @@ std::vector<Candidate> model_grid(ModelKind kind, std::uint64_t seed) {
 std::shared_ptr<const Classifier> make_serving_model(
     std::shared_ptr<const Classifier> model) {
   if (!model) return model;
-  if (inference_engine() != InferenceEngine::kFlat) return model;
   if (dynamic_cast<const FlatForestClassifier*>(model.get()) != nullptr) return model;
   if (const auto* rf = dynamic_cast<const RandomForest*>(model.get())) {
     if (rf->tree_count() == 0) return model;  // unfitted: nothing to compile

@@ -36,10 +36,9 @@ enum class ModelKind {
 /// The hyperparameter grid for one model kind (for grid_search()).
 [[nodiscard]] std::vector<Candidate> model_grid(ModelKind kind, std::uint64_t seed = 1);
 
-/// Wrap a fitted model for serving: when the selected inference engine is
-/// `flat` and `model` is a fitted tree ensemble (RandomForest or
-/// GradientBoosting), returns a FlatForestClassifier compiled from it;
-/// anything else (walker engine, non-ensemble classifiers, unfitted
+/// Wrap a fitted model for serving: when `model` is a fitted tree ensemble
+/// (RandomForest or GradientBoosting), returns a FlatForestClassifier
+/// compiled from it; anything else (non-ensemble classifiers, unfitted
 /// models, already-wrapped models, null) passes through unchanged.
 /// Scores are bit-identical either way — this only changes speed.
 [[nodiscard]] std::shared_ptr<const Classifier> make_serving_model(

@@ -376,7 +376,7 @@ std::shared_ptr<const Classifier> load_serving_classifier_file(const std::string
   // An ensemble already compiled its engine while loading; hand it to the
   // serving wrapper instead of recompiling.  Non-ensembles fall through to
   // make_serving_model.
-  if (!engine.empty() && inference_engine() == InferenceEngine::kFlat)
+  if (!engine.empty())
     return std::make_shared<const FlatForestClassifier>(std::move(fitted),
                                                         std::move(engine));
   return make_serving_model(std::move(fitted));

@@ -84,8 +84,8 @@ void save_model_file(const std::string& path, const LogisticRegression& model);
 [[nodiscard]] std::unique_ptr<Classifier> load_classifier_file(const std::string& path);
 
 /// Load a classifier and wrap it for serving (make_serving_model): tree
-/// ensembles come back compiled to the flat engine when that engine is
-/// selected.  The serve CLI and monitor bootstrap use this.
+/// ensembles come back compiled to the flat engine.  The CLI's `serve`
+/// and `daemon` and the online learner's promotion reload use this.
 [[nodiscard]] std::shared_ptr<const Classifier> load_serving_classifier_file(
     const std::string& path);
 

@@ -12,7 +12,7 @@
 //  - JSON lines: one self-contained JSON object per metric per line —
 //    grep-able, appendable (the Snapshotter's streaming format), and
 //    trivially consumed by the quick-bench harness:
-//      {"name":"monitor_records_scored_total","type":"counter",
+//      {"name":"daemon_records_ingested_total","type":"counter",
 //       "labels":{"shard":"3"},"value":12345}
 //    Histograms carry "buckets":[{"le":50,"count":n},...] (cumulative,
 //    final le is "+Inf"), "sum" and "count".

@@ -15,7 +15,7 @@
 // Metrics are interned lazily into labeled families:
 //
 //   obs::Counter& scored = obs::MetricsRegistry::global().counter(
-//       "monitor_records_scored_total", {{"shard", "3"}});
+//       "daemon_records_ingested_total", {{"shard", "3"}});
 //   scored.inc();            // lock-free; cache the reference, never re-intern
 //
 // Interning takes the registry mutex once; callers hold the returned
@@ -115,7 +115,7 @@ class Histogram {
   explicit Histogram(std::span<const double> bounds);
 
   /// Record `count` observations of `value` (weighted observe; the
-  /// monitor's batched path records one mean latency for N records).
+  /// daemon records one mean latency for a batch of N records).
   void observe(double value, std::uint64_t count = 1) noexcept;
 
   [[nodiscard]] std::size_t bucket_count() const noexcept { return buckets_.size(); }
@@ -221,8 +221,8 @@ class MetricsRegistry {
 [[nodiscard]] bool valid_metric_name(std::string_view name) noexcept;
 
 /// Equal-width bucket bounds lo+w, lo+2w, ..., hi (hi inclusive as the
-/// last finite bound) — the layout the monitor-latency façade uses so a
-/// registry histogram reconstructs a stats::Histogram bin-for-bin.
+/// last finite bound) — the layout of daemon_score_latency_us, which
+/// matches stats::Histogram(lo, hi, bins) bin-for-bin.
 [[nodiscard]] std::vector<double> equal_width_bounds(double lo, double hi,
                                                      std::size_t bins);
 

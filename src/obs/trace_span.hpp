@@ -5,7 +5,7 @@
 // A Span measures one scoped region against an interned *call-site* name:
 //
 //   void score_batch(...) {
-//     static const obs::SiteId kSite = obs::intern_site("monitor.observe_batch");
+//     static const obs::SiteId kSite = obs::intern_site("daemon.score_batch");
 //     obs::Span span(kSite);
 //     ...
 //   }
@@ -47,7 +47,7 @@ using SiteId = std::uint32_t;
 
 /// Intern a call-site name (idempotent; mutex-guarded — cache the id in a
 /// static at the call site).  Names use the same dotted convention as
-/// metrics: "layer.operation" (e.g. "cv.fold", "monitor.score_shard").
+/// metrics: "layer.operation" (e.g. "cv.fold", "forest.tree").
 [[nodiscard]] SiteId intern_site(std::string_view name);
 
 /// Name of an interned site ("" for 0 / unknown ids).

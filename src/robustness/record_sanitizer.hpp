@@ -21,9 +21,8 @@
 //
 // The sanitizer never throws on data; accepted records are guaranteed to
 // reach the feature cursors in strictly increasing day order.  One
-// instance is the first stage of one core::ScoringShard (a FleetMonitor
-// or daemon shard): it is NOT thread-safe, the shard's owner provides
-// exclusion.
+// instance is the first stage of one core::ScoringShard (one daemon
+// shard): it is NOT thread-safe, the shard's owner provides exclusion.
 
 #include <array>
 #include <cstdint>
@@ -44,7 +43,7 @@ struct SanitizerConfig {
   /// Registry to mirror counters into as process-wide families
   /// (`sanitizer_repaired_total{kind=...}` etc. — no per-shard labels;
   /// shards sharing a registry share children).  Null disables mirroring;
-  /// FleetMonitor and the daemon fill this in with their registry.
+  /// the daemon fills this in with its registry.
   obs::MetricsRegistry* registry = nullptr;
 };
 
@@ -69,7 +68,7 @@ struct DeadLetter {
 };
 
 /// Mergeable point-in-time counters (one block per scoring shard, summed by
-/// the FleetMonitor metrics snapshot).
+/// TelemetryDaemon::sanitizer()).
 struct SanitizerSnapshot {
   std::array<std::uint64_t, trace::kNumViolationKinds> repaired{};
   std::array<std::uint64_t, trace::kNumViolationKinds> quarantined{};

@@ -1,6 +1,7 @@
 // ScoringShard: the per-record outcome taxonomy of the shared online
 // scoring kernel (clean, repaired, quarantined by kind, duplicate), its
-// null-model (degraded) mode, and the non-finite score clamp.
+// null-model (degraded) mode, and the non-finite score clamp; and the
+// day-ordered replay stream the kernel's callers feed it.
 
 #include "core/scoring_shard.hpp"
 
@@ -8,6 +9,7 @@
 
 #include <limits>
 #include <memory>
+#include <utility>
 #include <vector>
 
 namespace ssdfail::core {
@@ -204,6 +206,40 @@ TEST(ScoringShard, ShardOfKeepsADriveOnOneShard) {
     EXPECT_LT(shard_of(uid, 7), 7u);
     EXPECT_EQ(shard_of(uid, 7), shard_of(uid, 7));
   }
+}
+
+TEST(DayOrderedStream, DayMajorAndFleetOrderWithinADay) {
+  trace::FleetTrace fleet;
+  fleet.drives.resize(3);
+  const std::vector<std::vector<std::int32_t>> days{{0, 2, 3}, {1, 2}, {0, 3}};
+  for (std::uint32_t d = 0; d < 3; ++d) {
+    fleet.drives[d].model = trace::DriveModel::MlcB;
+    fleet.drives[d].drive_index = 10 + d;
+    fleet.drives[d].deploy_day = -static_cast<std::int32_t>(d);
+    for (const std::int32_t day : days[d]) {
+      trace::DailyRecord rec;
+      rec.day = day;
+      fleet.drives[d].records.push_back(rec);
+    }
+  }
+  const std::vector<FleetObservation> stream = day_ordered_stream(fleet);
+  // (day, drive index) in stream order: days ascend, ties keep fleet order.
+  const std::vector<std::pair<std::int32_t, std::uint32_t>> expected{
+      {0, 10}, {0, 12}, {1, 11}, {2, 10}, {2, 11}, {3, 10}, {3, 12}};
+  ASSERT_EQ(stream.size(), expected.size());
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    EXPECT_EQ(stream[i].record.day, expected[i].first) << "position " << i;
+    EXPECT_EQ(stream[i].drive_index, expected[i].second) << "position " << i;
+    EXPECT_EQ(stream[i].drive_model, trace::DriveModel::MlcB);
+    EXPECT_EQ(stream[i].deploy_day, 10 - static_cast<std::int32_t>(expected[i].second));
+  }
+}
+
+TEST(DayOrderedStream, EmptyFleetGivesAnEmptyStream) {
+  EXPECT_TRUE(day_ordered_stream(trace::FleetTrace{}).empty());
+  trace::FleetTrace recordless;
+  recordless.drives.resize(2);
+  EXPECT_TRUE(day_ordered_stream(recordless).empty());
 }
 
 }  // namespace

@@ -47,9 +47,8 @@ GOLDEN_CASES = [
     ("transfer", "transfer --drives 60", 0),
     ("transfer-gate", "transfer --drives 60 --gate", 3),
     ("serve-batched", "serve --model-file model.bin --drives 20 --seed 21", 0),
-    ("serve-sequential", "serve --model-file model.bin --drives 20 --seed 21 --sequential", 0),
     ("serve-chaos", "serve --model-file model.bin --drives 20 --seed 21 --chaos 5 --shards 3", 0),
-    ("serve-fleet", "serve --model-file model.bin --fleet c3.bin --engine walker", 0),
+    ("serve-fleet", "serve --model-file model.bin --fleet c3.bin", 0),
     ("serve-degraded", "serve --model-file missing.bin --drives 20 --seed 21", 0),
     ("daemon-live", "daemon --wal-dir wal --drives 20 --seed 3 --model-file model.bin "
                     "--shards 2 --fsync never --state-digest-out live.txt", 0),

@@ -304,16 +304,7 @@ TEST(FlatForestClassifier, RejectsNonEnsembles) {
                std::invalid_argument);
 }
 
-/// Restores the process-wide engine selection on scope exit.
-struct EngineGuard {
-  InferenceEngine saved = inference_engine();
-  ~EngineGuard() { set_inference_engine(saved); }
-};
-
-TEST(MakeServingModel, WrapsEnsemblesOnlyUnderFlatEngine) {
-  const EngineGuard guard;
-  set_inference_engine(InferenceEngine::kFlat);
-
+TEST(MakeServingModel, WrapsFittedEnsemblesOnly) {
   auto forest = std::make_shared<RandomForest>(fitted_forest());
   const auto serving = make_serving_model(forest);
   ASSERT_NE(serving, nullptr);
@@ -328,23 +319,6 @@ TEST(MakeServingModel, WrapsEnsemblesOnlyUnderFlatEngine) {
   auto unfitted = std::make_shared<RandomForest>();
   EXPECT_EQ(make_serving_model(unfitted).get(), unfitted.get());
   EXPECT_EQ(make_serving_model(nullptr), nullptr);
-
-  // Under the walker engine everything passes through.
-  set_inference_engine(InferenceEngine::kWalker);
-  EXPECT_EQ(make_serving_model(forest).get(), forest.get());
-}
-
-TEST(InferenceEngineConfig, ParseAndNameRoundTrip) {
-  EXPECT_EQ(parse_inference_engine("flat"), InferenceEngine::kFlat);
-  EXPECT_EQ(parse_inference_engine("walker"), InferenceEngine::kWalker);
-  EXPECT_EQ(parse_inference_engine("quantum"), std::nullopt);
-  EXPECT_EQ(inference_engine_name(InferenceEngine::kFlat), "flat");
-  EXPECT_EQ(inference_engine_name(InferenceEngine::kWalker), "walker");
-  const EngineGuard guard;
-  set_inference_engine(InferenceEngine::kWalker);
-  EXPECT_EQ(inference_engine(), InferenceEngine::kWalker);
-  set_inference_engine(InferenceEngine::kFlat);
-  EXPECT_EQ(inference_engine(), InferenceEngine::kFlat);
 }
 
 }  // namespace

@@ -468,14 +468,7 @@ TEST(SerializeFuzz, ManifestHashCorruptionIsRejected) {
   EXPECT_THROW((void)load_random_forest(corrupt), std::runtime_error);
 }
 
-/// Restores the process-wide engine selection on scope exit.
-struct EngineGuard {
-  InferenceEngine saved = inference_engine();
-  ~EngineGuard() { set_inference_engine(saved); }
-};
-
 TEST(SerializeFile, ServingLoaderCompilesUnderFlatEngine) {
-  const EngineGuard guard;
   const std::string path = testing::TempDir() + "ssdfail_model_serving.bin";
   const Dataset train = make_task(300, 4, 23);
   RandomForest::Params params;
@@ -484,18 +477,12 @@ TEST(SerializeFile, ServingLoaderCompilesUnderFlatEngine) {
   forest.fit(train);
   save_model_file(path, forest);
 
-  set_inference_engine(InferenceEngine::kFlat);
   const auto serving = load_serving_classifier_file(path);
   ASSERT_NE(serving, nullptr);
   EXPECT_NE(dynamic_cast<const FlatForestClassifier*>(serving.get()), nullptr);
   EXPECT_EQ(serving->name(), "random_forest");
   const Matrix probe = probe_matrix(100, 4, 24);
   EXPECT_EQ(serving->predict_proba(probe), forest.predict_proba(probe));
-
-  set_inference_engine(InferenceEngine::kWalker);
-  const auto walker = load_serving_classifier_file(path);
-  EXPECT_EQ(dynamic_cast<const FlatForestClassifier*>(walker.get()), nullptr);
-  EXPECT_EQ(walker->predict_proba(probe), forest.predict_proba(probe));
   std::remove(path.c_str());
 }
 
