@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <map>
 #include <stdexcept>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -55,10 +55,12 @@ CompactionResult compact_sealed_wals(const std::string& wal_dir,
   const std::vector<std::string> sealed = list_sealed_wals(wal_dir);
   if (sealed.empty()) return result;
 
-  // Replay every sealed file into per-drive histories.  std::map keys the
-  // output by uid, which makes the shard's drive order deterministic no
-  // matter how the daemon sharded the stream.
-  std::map<std::uint64_t, trace::DriveHistory> drives;
+  // Replay every sealed file into per-drive histories, in first-seen
+  // order; `slots` finds a drive's history by uid.  Sorting by uid at the
+  // end makes the shard's drive order deterministic no matter how the
+  // daemon sharded the stream.
+  std::unordered_map<std::uint64_t, std::size_t> slots;
+  std::vector<trace::DriveHistory> drives;
   const auto fold = [&](const WalSegment& segment) {
     if (segment.type == SegmentType::kRecords) {
       for (const core::FleetObservation& obs : segment.records) {
@@ -70,12 +72,14 @@ CompactionResult compact_sealed_wals(const std::string& wal_dir,
           ++result.bad_model_dropped;
           continue;
         }
-        trace::DriveHistory& drive = drives[obs.uid()];
-        if (drive.records.empty() && drive.swaps.empty()) {
-          drive.model = obs.drive_model;
-          drive.drive_index = obs.drive_index;
-          drive.deploy_day = obs.deploy_day;
+        const auto [slot, added] = slots.try_emplace(obs.uid(), drives.size());
+        if (added) {
+          trace::DriveHistory& fresh = drives.emplace_back();
+          fresh.model = obs.drive_model;
+          fresh.drive_index = obs.drive_index;
+          fresh.deploy_day = obs.deploy_day;
         }
+        trace::DriveHistory& drive = drives[slot->second];
         // The store requires strictly day-ordered records; the WAL holds
         // the raw pre-sanitizer stream, so enforce the invariant here the
         // same way the serving path's sanitizer does: drop non-advancers.
@@ -88,9 +92,9 @@ CompactionResult compact_sealed_wals(const std::string& wal_dir,
       }
     } else {
       for (const std::uint64_t uid : segment.retired_uids) {
-        const auto it = drives.find(uid);
-        if (it == drives.end()) continue;  // retire before any record: no day to pin
-        trace::DriveHistory& drive = it->second;
+        const auto it = slots.find(uid);
+        if (it == slots.end()) continue;  // retire before any record: no day to pin
+        trace::DriveHistory& drive = drives[it->second];
         if (drive.records.empty()) continue;
         const std::int32_t day = drive.records.back().day;
         if (!drive.swaps.empty() && day <= drive.swaps.back().day) continue;
@@ -115,9 +119,11 @@ CompactionResult compact_sealed_wals(const std::string& wal_dir,
     return result;
   }
 
+  std::vector<std::pair<std::uint64_t, std::size_t>> by_uid(slots.begin(), slots.end());
+  std::ranges::sort(by_uid);
   trace::FleetTrace fleet;
   fleet.drives.reserve(drives.size());
-  for (auto& [uid, drive] : drives) fleet.drives.push_back(std::move(drive));
+  for (const auto& [uid, slot] : by_uid) fleet.drives.push_back(std::move(drives[slot]));
   result.drives = fleet.drives.size();
 
   // Shard commit, manifest commit, WAL removal: each is durable before the

@@ -137,13 +137,19 @@ inline constexpr auto kColumnTable = std::tuple{
 static_assert(std::tuple_size_v<decltype(kColumnTable)> == kNumZoneColumns);
 static_assert(trace::kNumErrorTypes == 10 && trace::kNumExtCounterFields == 4);
 
-/// Call f(c, column) for every column in table order; `c` is its
+/// Call f(c, column) for the columns Lo..Hi-1 in table order; `c` is its
 /// ZoneColumn index and `column` a Column<...> value.
+template <std::size_t Lo, std::size_t Hi, typename F>
+void for_each_column_in(F&& f) {
+  [&]<std::size_t... C>(std::index_sequence<C...>) {
+    (f(Lo + C, std::get<Lo + C>(kColumnTable)), ...);
+  }(std::make_index_sequence<Hi - Lo>{});
+}
+
+/// Call f(c, column) for every column in table order.
 template <typename F>
 void for_each_column(F&& f) {
-  [&]<std::size_t... C>(std::index_sequence<C...>) {
-    (f(C, std::get<C>(kColumnTable)), ...);
-  }(std::make_index_sequence<kNumZoneColumns>{});
+  for_each_column_in<0, kNumZoneColumns>(f);
 }
 
 /// for_each_column over the DailyRecord columns only (all but swap_day).

@@ -8,6 +8,10 @@
 // CRC-32 detects every single-bit error and every burst shorter than 32
 // bits, which is exactly the tripwire the fuzz suite leans on
 // (tests/trace/test_binary_io_fuzz.cpp).
+//
+// On x86-64 hosts with PCLMULQDQ, spans of 64 bytes or more are folded
+// with carry-less multiplies; everything else goes through a slicing-by-8
+// table.  Both produce the same values.
 
 #include <cstdint>
 #include <span>
@@ -17,5 +21,14 @@ namespace ssdfail::store {
 /// Continue a CRC-32 over `bytes`; pass the previous return value to
 /// chain, or 0 to start.
 [[nodiscard]] std::uint32_t crc32(std::uint32_t crc, std::span<const char> bytes) noexcept;
+
+namespace detail {
+
+/// crc32 through the table path only, whatever the host supports: the
+/// oracle the folding path is tested against.
+[[nodiscard]] std::uint32_t crc32_table(std::uint32_t crc,
+                                        std::span<const char> bytes) noexcept;
+
+}  // namespace detail
 
 }  // namespace ssdfail::store

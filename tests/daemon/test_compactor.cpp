@@ -11,15 +11,19 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <thread>
 #include <utility>
 
 #include "core/dataset_builder.hpp"
+#include "core/scoring_shard.hpp"
 #include "daemon/daemon.hpp"
 #include "daemon/wal.hpp"
 #include "daemon_test_util.hpp"
+#include "stats/rng.hpp"
 #include "store/sharded.hpp"
 
 namespace ssdfail::daemon {
@@ -309,6 +313,172 @@ TEST(Compactor, EndToEndDaemonRotationThenCompaction) {
   TelemetryDaemon after(std::make_shared<StubModel>(), cfg);
   after.start();
   after.stop();
+}
+
+/// One seeded day-ordered stream over drives of every model, reported in
+/// a shuffled order each day (so first-seen order is not uid order), with
+/// gaps and retires, plus the uid-sorted histories a compaction of it must
+/// produce.
+struct RetiringStream {
+  struct Day {
+    std::vector<core::FleetObservation> records;
+    std::vector<std::uint64_t> retires;  ///< logged after the day's records
+  };
+  std::vector<Day> days;
+  trace::FleetTrace expected;
+};
+
+RetiringStream make_retiring_stream(std::uint64_t seed) {
+  constexpr std::uint32_t kDrives = 40;
+  constexpr std::int32_t kDays = 45;
+  stats::Rng rng(seed);
+  struct Drive {
+    trace::DriveHistory history;
+    std::int32_t retire_day = -1;  ///< -1: never retired
+  };
+  std::vector<Drive> drives(kDrives);
+  for (std::uint32_t i = 0; i < kDrives; ++i) {
+    Drive& d = drives[i];
+    d.history.model = trace::kAllModels[rng.next_u32() % trace::kNumModels];
+    d.history.drive_index = rng.next_u32() % 2500 * kDrives + i;  // distinct uids
+    d.history.deploy_day = -static_cast<std::int32_t>(rng.next_u32() % 500);
+    if (rng.next_u32() % 3 == 0)
+      d.retire_day = static_cast<std::int32_t>(rng.next_u32() % kDays);
+  }
+  RetiringStream out;
+  out.days.resize(kDays);
+  for (std::int32_t day = 0; day < kDays; ++day) {
+    std::vector<std::size_t> order(kDrives);
+    for (std::size_t i = 0; i < kDrives; ++i) order[i] = i;
+    for (std::size_t i = kDrives - 1; i > 0; --i)
+      std::swap(order[i], order[rng.next_u32() % (i + 1)]);
+    for (const std::size_t i : order) {
+      Drive& d = drives[i];
+      if (d.retire_day >= 0 && day > d.retire_day) continue;
+      if (rng.next_u32() % 5 != 0) {  // a fifth of the drive-days go unreported
+        trace::DailyRecord rec;
+        rec.day = day;
+        rec.reads = rng.next_u32() % 5000;
+        rec.writes = rng.next_u32();
+        rec.erases = rng.next_u32() % 7;
+        rec.pe_cycles = 100 + static_cast<std::uint32_t>(day) * 3;
+        rec.bad_blocks = rng.next_u32() % 4;
+        rec.factory_bad_blocks = static_cast<std::uint16_t>(rng.next_u32());
+        rec.read_only = rng.next_u32() % 11 == 0;
+        rec.errors[rng.next_u32() % trace::kNumErrorTypes] = rng.next_u32() % 9;
+        rec.media_wear = rng.next_u32() % 100;
+        d.history.records.push_back(rec);
+        out.days[day].records.push_back(
+            {d.history.model, d.history.drive_index, d.history.deploy_day, rec});
+      }
+      if (day == d.retire_day) {
+        out.days[day].retires.push_back(d.history.uid());
+        // A retire pins to the last replayed day; none before any record.
+        if (!d.history.records.empty())
+          d.history.swaps.push_back({d.history.records.back().day});
+      }
+    }
+  }
+  for (Drive& d : drives)
+    if (!d.history.records.empty()) out.expected.drives.push_back(std::move(d.history));
+  std::ranges::sort(out.expected.drives, {}, &trace::DriveHistory::uid);
+  return out;
+}
+
+/// Write `stream` as sealed WALs the way a daemon of `shards` shards
+/// would: records routed by uid, appended in batches of up to `batch`
+/// records, each day's retires after that day's records, and every
+/// `seal_every` appends sealed into a new file.
+void write_sealed(const RetiringStream& stream, const std::string& dir, std::size_t shards,
+                  std::size_t batch, std::size_t seal_every) {
+  struct Shard {
+    std::unique_ptr<WalWriter> writer;
+    std::vector<core::FleetObservation> pending;
+    std::vector<std::uint64_t> retires;
+    std::size_t appends = 0;
+  };
+  std::vector<Shard> out(shards);
+  const auto open = [&](std::size_t s, std::uint64_t first_seq) {
+    out[s].writer = std::make_unique<WalWriter>(wal_path(dir, static_cast<std::uint32_t>(s)),
+                                                static_cast<std::uint32_t>(s),
+                                                FsyncPolicy::kNever, first_seq);
+  };
+  const auto seal = [&](std::size_t s) {
+    const std::uint64_t next = out[s].writer->next_seq();
+    out[s].writer->seal(sealed_wal_path(dir, static_cast<std::uint32_t>(s), next - 1));
+    open(s, next);
+  };
+  const auto appended = [&](std::size_t s) {
+    if (++out[s].appends % seal_every == 0) seal(s);
+  };
+  const auto flush = [&](std::size_t s) {
+    if (!out[s].pending.empty()) {
+      out[s].writer->append(out[s].pending);
+      out[s].pending.clear();
+      appended(s);
+    }
+  };
+  for (std::size_t s = 0; s < shards; ++s) open(s, 1);
+  for (const RetiringStream::Day& day : stream.days) {
+    for (const core::FleetObservation& obs : day.records) {
+      const std::size_t s = core::shard_of(obs.uid(), shards);
+      out[s].pending.push_back(obs);
+      if (out[s].pending.size() == batch) flush(s);
+    }
+    for (const std::uint64_t uid : day.retires)
+      out[core::shard_of(uid, shards)].retires.push_back(uid);
+    for (std::size_t s = 0; s < shards; ++s) {
+      if (out[s].retires.empty()) continue;
+      flush(s);
+      out[s].writer->append_retires(out[s].retires);
+      out[s].retires.clear();
+      appended(s);
+    }
+  }
+  for (std::size_t s = 0; s < shards; ++s) {
+    flush(s);
+    if (out[s].writer->segments_written() > 0) seal(s);
+    out[s].writer.reset();
+    std::filesystem::remove(wal_path(dir, static_cast<std::uint32_t>(s)));
+  }
+}
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+TEST(Compactor, ShardBytesDoNotDependOnWalSharding) {
+  // The shard is a function of the per-drive histories alone: however the
+  // daemon sharded and segmented the stream, drives come out sorted by
+  // uid, so the bytes equal a direct v3 write of the sorted histories.
+  const RetiringStream stream = make_retiring_stream(2024);
+  ASSERT_GT(stream.expected.total_swaps(), 0u);
+  TempDir scratch("sharding");
+  CompactorOptions options;
+  options.store.chunk_drives = 8;  // several chunks
+  const std::string direct = scratch.path() + "/direct.ssdf2";
+  store::write_columnar_file(direct, stream.expected, options.store);
+  const std::string want = file_bytes(direct);
+
+  struct Layout {
+    std::size_t shards, batch, seal_every;
+  };
+  for (const Layout layout : {Layout{1, 7, 3}, Layout{3, 16, 2}}) {
+    SCOPED_TRACE(layout.shards);
+    TempDir wal("sharding_wal_" + std::to_string(layout.shards));
+    TempDir store("sharding_store_" + std::to_string(layout.shards));
+    write_sealed(stream, wal.path(), layout.shards, layout.batch, layout.seal_every);
+    ASSERT_GE(sealed_count(wal.path()), layout.shards + 1);
+
+    const CompactionResult result = compact_sealed_wals(wal.path(), store.path(), options);
+    ASSERT_EQ(result.shards_written, 1u);
+    EXPECT_EQ(result.records, stream.expected.total_records());
+    EXPECT_EQ(result.retires, stream.expected.total_swaps());
+    EXPECT_EQ(result.drives, stream.expected.drives.size());
+    EXPECT_EQ(result.out_of_order_dropped, 0u);
+    EXPECT_TRUE(file_bytes(store.path() + "/" + result.shard_file) == want);
+  }
 }
 
 TEST(Compactor, CompactionRacingRotationNeitherLosesNorDuplicates) {

@@ -316,6 +316,65 @@ TEST(Crc32, MatchesKnownVectorAndChains) {
   // zlib-style chaining: crc(a ++ b) == crc(crc(a), b).
   EXPECT_EQ(crc32(crc32(0, {data, 4}), {data + 4, sizeof(data) - 4}),
             crc32(0, {data, sizeof(data)}));
+  EXPECT_EQ(detail::crc32_table(0, {data, sizeof(data)}), 0xCBF43926u);
+}
+
+/// Bit-at-a-time CRC-32 straight from the definition: the oracle for both
+/// the dispatched crc32 (carry-less-multiply folding where the host has
+/// it) and the table path.
+std::uint32_t crc32_bitwise(std::uint32_t crc, std::span<const char> bytes) {
+  std::uint32_t c = ~crc;
+  for (const char b : bytes) {
+    c ^= static_cast<std::uint8_t>(b);
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+  }
+  return ~c;
+}
+
+std::vector<char> random_bytes(std::size_t n, std::uint64_t seed) {
+  stats::Rng rng(seed);
+  std::vector<char> bytes(n);
+  for (char& b : bytes) b = static_cast<char>(rng.next_u32());
+  return bytes;
+}
+
+TEST(Crc32, EveryLengthAndOffsetMatchesBitwiseReference) {
+  // Lengths straddle the folding path's 64-byte entry and its 16-byte
+  // tail at every alignment of the start.
+  const std::vector<char> bytes = random_bytes(1100 + 16, 5);
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t len = 0; len <= 1100; ++len) {
+      const std::span<const char> span(bytes.data() + offset, len);
+      const std::uint32_t seed = static_cast<std::uint32_t>(len * 2654435761u);
+      const std::uint32_t want = crc32_bitwise(seed, span);
+      ASSERT_EQ(crc32(seed, span), want) << "offset " << offset << " len " << len;
+      ASSERT_EQ(detail::crc32_table(seed, span), want)
+          << "offset " << offset << " len " << len;
+    }
+  }
+}
+
+TEST(Crc32, LongSpansMatchBitwiseReference) {
+  // One 512-record WAL segment payload (47,104 bytes) and a 70 KB span.
+  for (const std::size_t len : {std::size_t{47104}, std::size_t{70} * 1024}) {
+    const std::vector<char> bytes = random_bytes(len, len);
+    const std::uint32_t want = crc32_bitwise(0, bytes);
+    EXPECT_EQ(crc32(0, bytes), want) << len;
+    EXPECT_EQ(detail::crc32_table(0, bytes), want) << len;
+  }
+}
+
+TEST(Crc32, ChainedCallsMatchOneCallAtEverySplit) {
+  const std::vector<char> bytes = random_bytes(300, 9);
+  const std::span<const char> all(bytes);
+  const std::uint32_t want = crc32_bitwise(0, all);
+  ASSERT_EQ(crc32(0, all), want);
+  for (std::size_t split = 0; split <= all.size(); ++split) {
+    const auto head = all.first(split);
+    const auto tail = all.subspan(split);
+    EXPECT_EQ(crc32(crc32(0, head), tail), want) << split;
+    EXPECT_EQ(detail::crc32_table(detail::crc32_table(0, head), tail), want) << split;
+  }
 }
 
 }  // namespace
