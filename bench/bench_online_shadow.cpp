@@ -78,8 +78,8 @@ core::FleetObservation observation_for(std::uint32_t drive, std::int32_t day) {
   return {trace::DriveModel::MlcA, drive, 0, rec};
 }
 
-/// Daemon + learner tap with `challengers` shadow models installed.  The
-/// learner's step thread is never started: only the hot-path tap runs.
+/// Daemon + learner tap with `challengers` shadow models installed.  No
+/// learner step() runs: only the hot-path tap is measured.
 struct ShadowRig {
   explicit ShadowRig(int challengers)
       : wal_dir((std::filesystem::temp_directory_path() /
@@ -88,8 +88,13 @@ struct ShadowRig {
     std::filesystem::remove_all(wal_dir);
     std::filesystem::create_directories(wal_dir);
     learner = std::make_unique<online::OnlineLearner>(nullptr, online::OnlineConfig{});
-    for (int c = 0; c < challengers; ++c)
-      learner->arena().set_challenger("c" + std::to_string(c), fixture_forest());
+    for (int c = 0; c < challengers; ++c) {
+      // Appended, not `"c" + std::to_string(c)`: GCC 12 flags that
+      // concatenation with a false -Wrestrict once inlined here.
+      std::string tag = "c";
+      tag += std::to_string(c);
+      learner->arena().set_challenger(tag, fixture_forest());
+    }
 
     daemon::DaemonConfig cfg;
     cfg.shards = 4;

@@ -565,7 +565,7 @@ int cmd_train(const Args& args) {
 /// instead of throwing, so `serve` can degrade rather than die.
 std::shared_ptr<const ml::Classifier> try_load_model(const std::string& path) {
   try {
-    // Compiles tree ensembles for the selected inference engine on load.
+    // Compiles tree ensembles into the flat serving engine on load.
     return ml::load_serving_classifier_file(path);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "serve: cannot load %s: %s\n", path.c_str(), e.what());
@@ -598,18 +598,6 @@ std::shared_ptr<const ml::Classifier> fallback_model(std::uint64_t seed) {
 void block_on_full_ring(daemon::DaemonConfig& cfg) {
   cfg.backpressure = daemon::Backpressure::kBlock;
   cfg.block_timeout = std::chrono::seconds(10);
-}
-
-/// Wait until every record accepted so far has been scored, quarantined
-/// or dropped as a duplicate: the fixed point a model swap or a metric
-/// tick needs.  Scored records count only under a model, so the daemon
-/// must have one.
-void wait_until_drained(const daemon::TelemetryDaemon& daemon) {
-  const auto drained = [&] {
-    const daemon::DaemonStats s = daemon.stats();
-    return s.scored + s.quarantined + s.duplicates_dropped + s.shed >= s.ingested;
-  };
-  while (!drained()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
 }
 
 /// Upper bound of the histogram bucket where the cumulative count crosses
@@ -736,7 +724,7 @@ int cmd_serve(const Args& args) {
       if (auto reloaded = try_load_model(model_path)) {
         std::printf("serve: model reload succeeded on day %d — leaving degraded mode\n",
                     day);
-        wait_until_drained(daemon);  // the days before stay on the fallback
+        daemon.drain();  // the days before stay on the fallback
         daemon.set_model(std::move(reloaded));
         degraded = false;
       } else {
@@ -756,7 +744,7 @@ int cmd_serve(const Args& args) {
     for (auto it = run_begin; it != run_end; ++it)
       if (final_day.at(it->uid()) == day) (void)daemon.retire(it->drive_model, it->drive_index);
     if (snapshotter) {
-      wait_until_drained(daemon);
+      daemon.drain();
       if (auto deltas = snapshotter->tick(obs::Snapshotter::Clock::now(), true)) {
         for (const auto& d : *deltas) {
           if (d.delta == 0.0) continue;
@@ -932,7 +920,7 @@ int cmd_daemon(const Args& args) {
         if (it != last_index_of_retired.end() && it->second == i)
           daemon.retire(stream[i].drive_model, stream[i].drive_index);
       }
-      wait_until_drained(daemon);
+      daemon.drain();
       if (day - last_step_day >= step_days) {
         const online::StepReport report = learner->step();
         last_step_day = day;

@@ -14,6 +14,13 @@ std::string next_daemon_label() {
   return std::to_string(next.fetch_add(1, std::memory_order_relaxed));
 }
 
+/// An idle appender waits this long for its ring to gather a batch.
+constexpr std::chrono::milliseconds kPollInterval{1};
+/// The watchdog samples every appender's progress at this cadence ...
+constexpr std::chrono::milliseconds kWatchdogInterval{20};
+/// ... and flags a shard whose ring is non-empty with no progress this long.
+constexpr std::chrono::milliseconds kStallTimeout{500};
+
 /// daemon_score_latency_us buckets: 40 equal-width bins of 50us up to
 /// 2000us, plus the implicit +Inf bucket.
 const std::vector<double>& score_latency_bounds() {
@@ -193,9 +200,16 @@ void TelemetryDaemon::start() {
   watchdog_ = std::thread(&TelemetryDaemon::watchdog_main, this);
 }
 
+void TelemetryDaemon::wake_all() {
+  std::scoped_lock lock(wake_mutex_);
+  wake_seq_.fetch_add(1);
+  wake_cv_.notify_all();
+}
+
 void TelemetryDaemon::stop() {
   if (!running_.load()) return;
   stopping_.store(true);
+  wake_all();
   for (auto& shard : shards_)
     if (shard->appender.joinable()) shard->appender.join();
   if (watchdog_.joinable()) watchdog_.join();
@@ -208,6 +222,32 @@ void TelemetryDaemon::stop() {
     }
   }
   running_.store(false);
+}
+
+void TelemetryDaemon::drain() {
+  if (!running_.load()) return;
+  std::vector<std::uint64_t> targets;
+  for (const auto& shard : shards_) targets.push_back(shard->ring.tickets());
+  // A shard is drained once its appender went idle with every target cell
+  // finished, or finished cells past the target (another producer keeps
+  // it busy).  Waiting for the idle pop rather than the last batch keeps
+  // the caller's next pushes out of that pop, so a push-drain loop is
+  // batched as if it had polled.
+  const auto drained = [&] {
+    for (std::size_t i = 0; i < shards_.size(); ++i) {
+      const Shard& s = *shards_[i];
+      if (s.idle_at.load() < targets[i] && s.processed.load() <= targets[i]) return false;
+    }
+    return true;
+  };
+  // Register before the first check (all sequentially consistent): an
+  // appender that then publishes progress either sees the waiter and
+  // notifies, or published before the check that reads it.
+  drain_waiters_.fetch_add(1);
+  wake_all();  // idle appenders pop now instead of after their poll
+  std::unique_lock lock(wake_mutex_);
+  drained_cv_.wait(lock, drained);
+  drain_waiters_.fetch_sub(1);
 }
 
 PushResult TelemetryDaemon::push(const core::FleetObservation& obs) {
@@ -350,15 +390,25 @@ void TelemetryDaemon::appender_main(Shard& shard) {
   std::vector<core::FleetObservation> batch;
   std::vector<std::uint64_t> retires;
   batch.reserve(config_.max_batch);
+  std::uint64_t processed = 0;
   for (;;) {
     batch.clear();
     retires.clear();
-    // Read before the pop: once stop() has begun and no push or retire is
-    // in flight, nothing more can enter the ring, so an empty pop is final.
+    // Both read before the pop.  Once stop() has begun and no push or
+    // retire is in flight, nothing more can enter the ring, so an empty
+    // pop is final.  A wake-up sent after the read ends the idle wait at
+    // once, so a drain() never waits out a poll behind its records.
+    const std::uint64_t wake = wake_seq_.load();
     const bool closing = stopping_.load() && shard.in_flight.load() == 0;
-    if (shard.ring.pop_into(batch, retires, config_.max_batch) == 0) {
+    const std::size_t cells = shard.ring.pop_into(batch, retires, config_.max_batch);
+    if (cells == 0) {
+      if (shard.idle_at.load(std::memory_order_relaxed) != processed) {
+        shard.idle_at.store(processed);
+        notify_drainers();
+      }
       if (closing) break;
-      std::this_thread::sleep_for(config_.poll_interval);
+      std::unique_lock lock(wake_mutex_);
+      wake_cv_.wait_for(lock, kPollInterval, [&] { return wake_seq_.load() != wake; });
       continue;
     }
     if (config_.appender_hook) config_.appender_hook(shard.index);
@@ -366,8 +416,18 @@ void TelemetryDaemon::appender_main(Shard& shard) {
     process_records(shard, batch);
     process_retires(shard, retires);
     publish_counts(shard);
-    shard.heartbeat.fetch_add(1, std::memory_order_relaxed);
+    processed += cells;
+    shard.processed.store(processed);
+    notify_drainers();
   }
+}
+
+void TelemetryDaemon::notify_drainers() {
+  if (drain_waiters_.load() == 0) return;
+  // Taking the lock orders this notify after a drain() that checked its
+  // predicate and is about to wait.
+  { std::scoped_lock lock(wake_mutex_); }
+  drained_cv_.notify_all();
 }
 
 void TelemetryDaemon::publish_counts(Shard& shard) {
@@ -387,20 +447,24 @@ void TelemetryDaemon::watchdog_main() {
   const auto start = std::chrono::steady_clock::now();
   for (auto& s : seen) s.changed = start;
 
-  while (!stopping_.load(std::memory_order_relaxed)) {
-    std::this_thread::sleep_for(config_.watchdog_interval);
+  for (;;) {
+    {
+      std::unique_lock lock(wake_mutex_);
+      if (wake_cv_.wait_for(lock, kWatchdogInterval, [this] { return stopping_.load(); }))
+        break;
+    }
     const auto now = std::chrono::steady_clock::now();
     for (std::size_t i = 0; i < shards_.size(); ++i) {
       Shard& shard = *shards_[i];
       const std::size_t depth = shard.ring.size_approx();
       shard.depth_metric->set(static_cast<double>(depth));
-      const std::uint64_t beat = shard.heartbeat.load(std::memory_order_relaxed);
+      const std::uint64_t beat = shard.processed.load(std::memory_order_relaxed);
       if (beat != seen[i].beat) {
         seen[i] = {beat, now, false};
         continue;
       }
       // One stall episode per freeze: flag once, clear when the beat moves.
-      if (depth > 0 && !seen[i].flagged && now - seen[i].changed > config_.stall_timeout) {
+      if (depth > 0 && !seen[i].flagged && now - seen[i].changed > kStallTimeout) {
         seen[i].flagged = true;
         watchdog_stalls_.fetch_add(1, std::memory_order_relaxed);
         stalls_metric_->inc();

@@ -33,17 +33,22 @@
 //   * corrupt WAL on startup -> replay truncates the torn tail, never
 //     throws (see daemon/wal.hpp's recovery contract).
 //
-// A watchdog thread samples each appender's heartbeat and counts shards
-// that sit on a non-empty ring without making progress
-// (`daemon_watchdog_stalls_total`); stop() drains every ring, fsyncs, and
-// joins all threads (the CLI wires SIGTERM/SIGINT to it).  An appender
-// exits only once stop() has begun AND no push() or retire() is in flight
-// on its shard, so a record accepted by a push that raced stop() is still
-// logged and scored.
+// A watchdog thread samples each appender's progress every 20 ms and
+// counts shards that sit on a non-empty ring without progress for 500 ms
+// (`daemon_watchdog_stalls_total`).  An idle appender waits up to 1 ms
+// for its ring to fill; push() never wakes it, so a busy stream is logged
+// and scored in batches.  One wake-up signal cuts those waits short:
+// drain() sends it and returns once everything accepted before the call
+// is processed; stop() sends it, drains every ring, fsyncs, and joins all
+// threads (the CLI wires SIGTERM/SIGINT to it).  An appender exits only
+// once stop() has begun AND no push() or retire() is in flight on its
+// shard, so a record accepted by a push that raced stop() is still logged
+// and scored.
 
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -119,10 +124,6 @@ struct DaemonConfig {
   obs::MetricsRegistry* registry = nullptr;
   std::size_t dead_letter_capacity = 64;  ///< per-shard sanitizer DLQ bound
 
-  std::chrono::milliseconds poll_interval{1};      ///< appender idle sleep
-  std::chrono::milliseconds watchdog_interval{20};
-  std::chrono::milliseconds stall_timeout{500};    ///< no progress + backlog = stall
-
   /// Observability sink for every processed record (tests, CLI --verbose).
   /// Called from appender threads; must be thread-safe if shards > 1.
   std::function<void(const DriveAssessment&)> on_assessment;
@@ -176,6 +177,15 @@ class TelemetryDaemon {
   /// pipeline, fsync WALs, join all threads.  Safe to call twice.
   void stop();
 
+  /// Block until every record and retire marker accepted before the call
+  /// has been WAL-logged, processed and published to stats() — the fixed
+  /// point a model swap, a metric tick or a learner step needs.  Wakes
+  /// idle appenders instead of waiting out their poll.  Holds with or
+  /// without a model; returns at once when the daemon is not running.
+  /// Must not be called from an appender callback (it would wait on
+  /// itself).
+  void drain();
+
   /// Producer entry point (any thread).  Applies the configured
   /// backpressure policy; returns kRejected once stop() has begun.  A
   /// record it accepts is processed even when stop() races the push.
@@ -198,7 +208,6 @@ class TelemetryDaemon {
   /// escalation.  An idle shard resets on its next batch.
   void set_model(std::shared_ptr<const ml::Classifier> model);
 
-  [[nodiscard]] bool running() const noexcept { return running_.load(); }
   [[nodiscard]] std::size_t shards() const noexcept { return shards_.size(); }
   /// Safe from any thread at any time.  While running, drives_tracked and
   /// health_counts are each shard's as of its last finished batch.
@@ -228,7 +237,12 @@ class TelemetryDaemon {
     std::uint64_t model_epoch = 0;
 
     std::thread appender;
-    std::atomic<std::uint64_t> heartbeat{0};  ///< bumps once per busy iteration
+    /// Ring cells (records and retire markers) the appender has finished:
+    /// logged, processed and published; and that count as of its last
+    /// empty pop.  drain() compares both with the ring's tickets; the
+    /// watchdog reads `processed` as the shard's heartbeat.
+    std::atomic<std::uint64_t> processed{0};
+    std::atomic<std::uint64_t> idle_at{0};
     /// push()/retire() calls under way on this shard; its appender does
     /// not exit while one is.
     alignas(64) std::atomic<std::uint32_t> in_flight{0};
@@ -251,6 +265,10 @@ class TelemetryDaemon {
 
   void appender_main(Shard& shard);
   void watchdog_main();
+  /// Bump wake_seq_ and wake every thread waiting on wake_cv_.
+  void wake_all();
+  /// Wake waiting drain() calls after an appender published progress.
+  void notify_drainers();
   void recover_shard(Shard& shard);
   void maybe_rotate_wal(Shard& shard);
   void wal_append(Shard& shard, std::span<const core::FleetObservation> batch,
@@ -275,6 +293,16 @@ class TelemetryDaemon {
   /// (recovery rebuilds daemon state, not downstream accumulators).
   std::atomic<bool> recovering_{false};
   std::thread watchdog_;
+
+  /// The one wake-up signal: idle appenders and the watchdog wait on
+  /// wake_cv_ with their timeouts; stop() and drain() bump wake_seq_
+  /// (under wake_mutex_) to cut those waits short.  drain() itself waits
+  /// on drained_cv_, which an appender notifies only while one waits.
+  std::mutex wake_mutex_;
+  std::condition_variable wake_cv_;
+  std::condition_variable drained_cv_;
+  std::atomic<std::uint64_t> wake_seq_{0};
+  std::atomic<std::uint32_t> drain_waiters_{0};
 
   // Internal stat atomics (mirrored into registry counters as they move).
   std::atomic<std::uint64_t> ingested_{0}, shed_{0}, rejected_{0};

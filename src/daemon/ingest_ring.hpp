@@ -108,6 +108,13 @@ class IngestRing {
     return drained;
   }
 
+  /// Tickets handed out so far: one per accepted record or retire marker.
+  /// Every cell a push() or push_retire() that returned true claimed has
+  /// a ticket below this.
+  [[nodiscard]] std::uint64_t tickets() const noexcept {
+    return tail_.load(std::memory_order_acquire);
+  }
+
   /// Racy size estimate (metrics / watchdog only).
   [[nodiscard]] std::size_t size_approx() const noexcept {
     const std::size_t tail = tail_.load(std::memory_order_relaxed);

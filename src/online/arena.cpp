@@ -6,22 +6,9 @@
 
 #include "ml/metrics.hpp"
 #include "ml/model_zoo.hpp"
-#include "stats/rng.hpp"
 
 namespace ssdfail::online {
 namespace {
-
-/// Replay-stable per-row sampling decision, same recipe as the dataset
-/// builder's row subsampling (stats::hash_fold chain -> one uniform).
-bool keeps_row(double prob, std::uint64_t seed, std::uint64_t uid,
-               std::int32_t day) noexcept {
-  if (prob >= 1.0) return true;
-  if (prob <= 0.0) return false;
-  stats::Rng rng(stats::hash_fold(
-      stats::hash_fold(stats::hash_fold(stats::kHashKeysInit, seed), uid),
-      static_cast<std::uint64_t>(static_cast<std::int64_t>(day))));
-  return rng.uniform() < prob;
-}
 
 double auc_of(const std::deque<float>& scores, const std::deque<float>& labels) {
   if (scores.size() != labels.size()) return 0.0;
@@ -82,14 +69,6 @@ void ModelArena::set_challenger(std::string tag,
   }
 }
 
-void ModelArena::clear_challengers() {
-  std::scoped_lock lock(mutex_);
-  challengers_.clear();
-  window_challengers_.clear();
-  for (auto& entry : drives_)
-    for (PendingRow& row : entry.second.pending) row.challenger_scores.clear();
-}
-
 std::size_t ModelArena::challenger_count() const {
   std::scoped_lock lock(mutex_);
   return challengers_.size();
@@ -122,7 +101,6 @@ void ModelArena::observe_batch(const ml::Matrix& features,
     if (a.dead && !log.failure_day) log.failure_day = a.day;
     watermark_ = std::max(watermark_, a.day);
     if (!a.scored) continue;  // degraded-mode rows carry no champion score
-    if (!keeps_row(config_.sample_prob, config_.seed, a.uid, a.day)) continue;
     PendingRow row;
     row.day = a.day;
     row.champion_score = a.score;

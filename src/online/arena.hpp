@@ -64,11 +64,6 @@ struct ArenaConfig {
   /// Additional matured rows required after a promotion before the next
   /// verdict (flap damping on top of the window reset).
   std::size_t cooldown_matured = 0;
-  /// Deterministic per-row sampling probability for arena bookkeeping
-  /// (1.0 keeps every scored row; lower bounds memory on huge fleets).
-  /// Keyed by hash(seed, uid, day) — replay-stable.
-  double sample_prob = 1.0;
-  std::uint64_t seed = 17;
 };
 
 /// One promotion-gate decision (kept in the audit trail when it promotes
@@ -105,7 +100,6 @@ class ModelArena {
   /// matured window and pending rows are dropped, because the gate is only
   /// fair on rows every competing model actually scored.
   void set_challenger(std::string tag, std::shared_ptr<const ml::Classifier> model);
-  void clear_challengers();
   [[nodiscard]] std::size_t challenger_count() const;
 
   /// Fold one scored daemon batch (appender threads; see daemon::

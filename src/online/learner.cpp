@@ -9,6 +9,13 @@
 #include "store/sharded.hpp"
 
 namespace ssdfail::online {
+namespace {
+
+/// Bound on batches queued for the shadow thread; beyond it, new batches
+/// are dropped (online_shadow_dropped_total) instead of blocking ingest.
+constexpr std::size_t kShadowQueueBatches = 64;
+
+}  // namespace
 
 OnlineLearner::OnlineLearner(daemon::TelemetryDaemon* daemon, OnlineConfig config)
     : daemon_(daemon),
@@ -40,7 +47,6 @@ OnlineLearner::OnlineLearner(daemon::TelemetryDaemon* daemon, OnlineConfig confi
 }
 
 OnlineLearner::~OnlineLearner() {
-  stop();
   {
     std::scoped_lock lock(shadow_mutex_);
     shadow_stop_ = true;
@@ -69,7 +75,7 @@ void OnlineLearner::on_retired(std::span<const std::uint64_t> uids) {
 void OnlineLearner::enqueue_shadow(ShadowWork work) {
   {
     std::scoped_lock lock(shadow_mutex_);
-    if (shadow_queue_.size() >= config_.shadow_queue_batches) {
+    if (shadow_queue_.size() >= kShadowQueueBatches) {
       // Never stall an appender: shed the whole batch and account for it.
       shadow_dropped_metric_->inc(
           work.retired.empty() ? work.records.size() : work.retired.size());
@@ -108,10 +114,6 @@ void OnlineLearner::drain_shadow() {
   std::unique_lock lock(shadow_mutex_);
   shadow_idle_cv_.wait(lock,
                        [this] { return shadow_queue_.empty() && !shadow_busy_; });
-}
-
-void OnlineLearner::set_drift_reference(FeatureSketches reference) {
-  drift_.set_reference(std::move(reference));
 }
 
 bool OnlineLearner::set_drift_reference_from_store() {
@@ -232,35 +234,6 @@ bool OnlineLearner::execute_promotion(const ArenaVerdict& verdict) {
   }
   last_promotion_day_metric_->set(static_cast<double>(verdict.watermark_day));
   return true;
-}
-
-void OnlineLearner::start() {
-  if (running_.exchange(true)) return;
-  {
-    std::scoped_lock lock(wake_mutex_);
-    stop_requested_ = false;
-  }
-  step_thread_ = std::thread([this] {
-    std::unique_lock lock(wake_mutex_);
-    while (!stop_requested_) {
-      if (wake_cv_.wait_for(lock, config_.step_interval,
-                            [this] { return stop_requested_; }))
-        break;
-      lock.unlock();
-      (void)step();
-      lock.lock();
-    }
-  });
-}
-
-void OnlineLearner::stop() {
-  if (!running_.exchange(false)) return;
-  {
-    std::scoped_lock lock(wake_mutex_);
-    stop_requested_ = true;
-  }
-  wake_cv_.notify_all();
-  if (step_thread_.joinable()) step_thread_.join();
 }
 
 }  // namespace ssdfail::online

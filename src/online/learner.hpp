@@ -8,8 +8,9 @@
 //   DriftDetector --alert--> Retrainer --challenger--> ModelArena
 //        (PSI/KS)           (v3 shards)            (shadow AUC gate)
 //
-// One step() of the control loop, run on a dedicated low-priority thread
-// (or driven manually by tests and the CLI):
+// One step() of the control loop, called by the learner's owner (the
+// CLI's `daemon --online` calls it every K stream days, right after
+// TelemetryDaemon::drain()):
 //
 //   1. compact sealed WALs into the v3 store (daemon/compactor.hpp) so
 //      retraining always sees fresh, label-complete history;
@@ -34,13 +35,12 @@
 // behind, whole batches are dropped — counted in
 // online_shadow_dropped_total — rather than ever stalling an appender.
 // step() drains the queue first, so the control loop always judges
-// everything the daemon had handed over before the step began.  The step
-// thread itself shares no locks with the appender path, and heavy work
-// (compaction, dataset build, boosting) runs entirely on this thread plus
-// the ThreadPool.
+// everything the daemon had handed over before the step began.  step()
+// shares no locks with the appender path, and its heavy work (compaction,
+// dataset build, boosting) runs on the caller's thread plus the
+// ThreadPool.
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -78,11 +78,6 @@ struct OnlineConfig {
   /// Retrain only while drift is alerting (default); off retrains on every
   /// step that has no challenger pending.
   bool retrain_on_alert_only = true;
-  /// Bound on batches queued for the shadow thread; beyond it, new batches
-  /// are dropped (online_shadow_dropped_total) instead of blocking ingest.
-  std::size_t shadow_queue_batches = 64;
-  /// Background step cadence (start()).
-  std::chrono::milliseconds step_interval{1000};
 
   /// Registry for online_* metrics; null uses the global one.
   obs::MetricsRegistry* registry = nullptr;
@@ -108,7 +103,7 @@ class OnlineLearner final : public daemon::BatchObserver {
   ~OnlineLearner() override;
 
   /// Late daemon wiring for construction-order cycles (DaemonConfig wants
-  /// the observer before the daemon exists).  Call before start()/step().
+  /// the observer before the daemon exists).  Call before step().
   void attach(daemon::TelemetryDaemon* daemon) noexcept { daemon_ = daemon; }
   OnlineLearner(const OnlineLearner&) = delete;
   OnlineLearner& operator=(const OnlineLearner&) = delete;
@@ -126,17 +121,12 @@ class OnlineLearner final : public daemon::BatchObserver {
   void drain_shadow();
 
   /// One control-loop iteration (compact -> drift -> retrain -> gate).
-  /// Serialized against itself; safe to call with the step thread running.
+  /// Serialized against itself.
   StepReport step();
 
-  /// Launch / join the background step thread.  start() is idempotent.
-  void start();
-  void stop();
-
-  /// Install the drift reference explicitly (training-time distribution).
-  void set_drift_reference(FeatureSketches reference);
   /// Sketch the current store and install it as the drift reference.
-  /// Returns false when the store cannot be opened.
+  /// Returns false when the store cannot be opened.  (An explicit
+  /// training-time reference goes through drift().set_reference().)
   bool set_drift_reference_from_store();
 
   [[nodiscard]] DriftDetector& drift() noexcept { return drift_; }
@@ -180,7 +170,7 @@ class OnlineLearner final : public daemon::BatchObserver {
       challenger_models_;
 
   /// Shadow tap: bounded queue + worker (runs from construction to
-  /// destruction, independent of the step thread).
+  /// destruction).
   std::mutex shadow_mutex_;
   std::condition_variable shadow_cv_;       ///< work available / stop
   std::condition_variable shadow_idle_cv_;  ///< queue empty and worker idle
@@ -189,11 +179,6 @@ class OnlineLearner final : public daemon::BatchObserver {
   bool shadow_stop_ = false;
   std::thread shadow_thread_;
 
-  std::thread step_thread_;
-  std::mutex wake_mutex_;
-  std::condition_variable wake_cv_;
-  bool stop_requested_ = false;
-  std::atomic<bool> running_{false};
   std::atomic<std::uint64_t> steps_{0};
 
   obs::Counter* steps_metric_ = nullptr;

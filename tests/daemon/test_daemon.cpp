@@ -1,4 +1,5 @@
-// TelemetryDaemon tests: graceful drain accounting, WAL recovery
+// TelemetryDaemon tests: graceful drain accounting, the drain() contract
+// (records and retires, with and without a model), WAL recovery
 // bit-identity, retire-through-the-WAL, degraded modes, the non-finite
 // score clamp, backpressure shedding, the watchdog, health state that
 // does not depend on how the rings batch a corrupted stream, retires and
@@ -15,6 +16,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <limits>
 #include <map>
 #include <memory>
@@ -51,6 +53,15 @@ DaemonConfig base_config(const std::string& wal_dir, obs::MetricsRegistry* regis
   cfg.registry = registry;
   cfg.threshold = 0.7;
   return cfg;
+}
+
+/// An appender_hook that parks each appender, after it pops a batch,
+/// until `release` is set.
+std::function<void(std::uint32_t)> hold_until(const std::atomic<bool>& release) {
+  return [&release](std::uint32_t) {
+    while (!release.load(std::memory_order_acquire))
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  };
 }
 
 TEST(TelemetryDaemon, GracefulDrainProcessesEveryAcceptedRecord) {
@@ -350,10 +361,7 @@ TEST(TelemetryDaemon, ShedPolicyCountsEveryDrop) {
   cfg.ring_capacity = 2;
   cfg.backpressure = Backpressure::kShed;
   std::atomic<bool> release{false};
-  cfg.appender_hook = [&](std::uint32_t) {
-    while (!release.load(std::memory_order_acquire))
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  };
+  cfg.appender_hook = hold_until(release);
   TelemetryDaemon daemon(std::make_shared<StubModel>(), cfg);
   daemon.start();
   const auto stream = make_stream(1, 100);
@@ -380,19 +388,14 @@ TEST(TelemetryDaemon, WatchdogCountsAStalledAppender) {
   auto cfg = base_config("", &registry);
   cfg.shards = 1;
   cfg.max_batch = 1;  // leave a backlog in the ring while the hook wedges
-  cfg.watchdog_interval = std::chrono::milliseconds(5);
-  cfg.stall_timeout = std::chrono::milliseconds(40);
   std::atomic<bool> release{false};
-  cfg.appender_hook = [&](std::uint32_t) {
-    while (!release.load(std::memory_order_acquire))
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  };
+  cfg.appender_hook = hold_until(release);
   TelemetryDaemon daemon(std::make_shared<StubModel>(), cfg);
   daemon.start();
   const auto stream = make_stream(2, 10);
   for (const auto& obs : stream) (void)daemon.push(obs);
   // The appender is wedged in the hook with a backlog; the watchdog must
-  // notice within a few intervals.
+  // notice once the stall outlasts its 500 ms patience.
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
   while (daemon.stats().watchdog_stalls == 0 &&
          std::chrono::steady_clock::now() < deadline)
@@ -415,10 +418,7 @@ TEST(TelemetryDaemon, HealthStateDoesNotDependOnBatchBoundaries) {
     cfg.ring_capacity = 2 * stream.size();
     cfg.max_batch = max_batch;
     std::atomic<bool> queued{!hold_until_queued};
-    cfg.appender_hook = [&](std::uint32_t) {
-      while (!queued.load(std::memory_order_acquire))
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    };
+    cfg.appender_hook = hold_until(queued);
     TelemetryDaemon daemon(std::make_shared<StubModel>(), cfg);
     daemon.start();
     for (const auto& obs : stream) EXPECT_EQ(daemon.push(obs), PushResult::kAccepted);
@@ -442,10 +442,7 @@ TEST(TelemetryDaemon, RetireLandsAfterTheDrivesQueuedRecords) {
   cfg.shards = 1;
   cfg.max_batch = 1;
   std::atomic<bool> queued{false};
-  cfg.appender_hook = [&](std::uint32_t) {
-    while (!queued.load(std::memory_order_acquire))
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  };
+  cfg.appender_hook = hold_until(queued);
   TelemetryDaemon daemon(std::make_shared<StubModel>(), cfg);
   daemon.start();
   const auto stream = make_stream(1, 20);
@@ -472,6 +469,46 @@ TEST(TelemetryDaemon, RetireIsRejectedWhenNotRunning) {
             0u);
 }
 
+/// drain() returns only once the held records AND the retire queued
+/// behind them are logged, processed and published: stats() read right
+/// after it must already show the retire.  `model` null runs degraded,
+/// where nothing counts as scored.  On a daemon that is not running,
+/// drain() returns at once.
+void expect_drain_covers_records_and_retires(std::shared_ptr<const ml::Classifier> model) {
+  TempDir dir("drain_contract");
+  obs::MetricsRegistry registry;
+  auto cfg = base_config(dir.path(), &registry);
+  std::atomic<bool> release{false};
+  cfg.appender_hook = hold_until(release);
+  const bool scoring = model != nullptr;
+  TelemetryDaemon daemon(std::move(model), cfg);
+  daemon.drain();  // not started
+  daemon.start();
+  const auto stream = make_stream(4, 10);
+  for (const auto& obs : stream) ASSERT_EQ(daemon.push(obs), PushResult::kAccepted);
+  ASSERT_EQ(daemon.retire(trace::DriveModel::MlcA, 0), PushResult::kAccepted);
+  release.store(true, std::memory_order_release);
+  daemon.drain();
+
+  const DaemonStats stats = daemon.stats();
+  EXPECT_EQ(stats.drives_retired, 1u);
+  EXPECT_EQ(stats.health_counts[static_cast<std::size_t>(HealthState::kSwapped)], 1u);
+  EXPECT_EQ(stats.drives_tracked, 3u);
+  EXPECT_EQ(stats.scored, scoring ? stream.size() : 0u);
+  EXPECT_GE(stats.segments_appended, 2u);  // a records and a retires segment
+  daemon.stop();
+  daemon.drain();  // stopped
+  EXPECT_EQ(daemon.stats().drives_retired, 1u);
+}
+
+TEST(TelemetryDaemon, DrainCoversRecordsAndRetiresAcceptedBeforeIt) {
+  expect_drain_covers_records_and_retires(std::make_shared<StubModel>());
+}
+
+TEST(TelemetryDaemon, DrainCoversRecordsAndRetiresWithoutAModel) {
+  expect_drain_covers_records_and_retires(nullptr);
+}
+
 TEST(TelemetryDaemon, PromotionResetsStrikesBeforeItsFirstBatch) {
   // Both models score every record at an alert strike and alert_days is 2.
   // The promotion lands on the iteration that holds the drive's second
@@ -486,11 +523,8 @@ TEST(TelemetryDaemon, PromotionResetsStrikesBeforeItsFirstBatch) {
   ASSERT_GE(score, cfg.health.alert_threshold);
   TelemetryDaemon* daemon_ptr = nullptr;
   int iteration = 0;
-  std::atomic<bool> promoted{false};
   cfg.appender_hook = [&](std::uint32_t) {
-    if (++iteration != 2) return;
-    daemon_ptr->set_model(std::make_shared<ConstantModel>(score));
-    promoted.store(true, std::memory_order_release);
+    if (++iteration == 2) daemon_ptr->set_model(std::make_shared<ConstantModel>(score));
   };
   std::vector<DriveAssessment> seen;  // one appender thread, read after stop()
   cfg.on_assessment = [&seen](const DriveAssessment& a) { seen.push_back(a); };
@@ -499,9 +533,7 @@ TEST(TelemetryDaemon, PromotionResetsStrikesBeforeItsFirstBatch) {
   daemon.start();
   for (const auto& obs : make_stream(1, 2))
     ASSERT_EQ(daemon.push(obs), PushResult::kAccepted);
-  // The promotion happens while the daemon is live, not during stop().
-  while (!promoted.load(std::memory_order_acquire))
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  daemon.drain();  // the promotion happens while the daemon is live, not in stop()
   daemon.stop();
 
   ASSERT_EQ(seen.size(), 2u);
@@ -524,7 +556,6 @@ TEST(TelemetryDaemon, PushRacingStopIsProcessedOrRejected) {
     cfg.shards = 1;
     cfg.ring_capacity = 2;
     cfg.block_timeout = std::chrono::seconds(10);
-    cfg.watchdog_interval = std::chrono::milliseconds(1);  // stop() joins it
     TelemetryDaemon daemon(std::make_shared<StubModel>(), cfg);
     daemon.start();
     constexpr std::uint32_t kProducers = 3;
@@ -626,15 +657,6 @@ void replay(const std::shared_ptr<const ml::Classifier>& model,
   daemon.start();
   for (const auto& obs : stream) ASSERT_EQ(daemon.push(obs), PushResult::kAccepted);
   daemon.stop();
-}
-
-/// Block until every accepted record has been processed.
-void wait_drained(const TelemetryDaemon& daemon) {
-  for (;;) {
-    const DaemonStats s = daemon.stats();
-    if (s.scored + s.quarantined + s.duplicates_dropped >= s.ingested) return;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
 }
 
 /// One drive's records as a stream.
@@ -742,31 +764,24 @@ TEST(TelemetryDaemon, AlertRespectsThreshold) {
 }
 
 TEST(TelemetryDaemon, AlertCounterIsMonotone) {
-  // Threshold 0: each record raises exactly one alert, and the counter a
-  // poller reads between records only ever steps up by one.
+  // Threshold 0: each record raises exactly one alert, and the counter
+  // read once each record has drained steps up by exactly one.
   obs::MetricsRegistry registry;
   TelemetryDaemon daemon(fitted_model(), memory_config(&registry, 3, 0.0));
   daemon.start();
   trace::DailyRecord rec;
   rec.reads = 10;
-  std::uint64_t previous = 0;
   for (std::int32_t day = 0; day < 20; ++day) {
     rec.day = day;
     ASSERT_EQ(daemon.push({trace::DriveModel::MlcD, 2, 0, rec}), PushResult::kAccepted);
-    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    std::uint64_t now = daemon.stats().alerts;
-    while (now == previous) {
-      ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "day " << day << " never alerted";
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      now = daemon.stats().alerts;
-    }
-    EXPECT_EQ(now, previous + 1) << "day " << day;
-    previous = now;
+    daemon.drain();
+    EXPECT_EQ(daemon.stats().alerts, static_cast<std::uint64_t>(day) + 1) << "day " << day;
   }
   daemon.stop();
   EXPECT_EQ(daemon.stats().scored, 20u);
   EXPECT_EQ(daemon.stats().alerts, 20u);
-  const obs::Sample* alerts = registry.snapshot().find("daemon_alerts_total");
+  const obs::RegistrySnapshot snapshot = registry.snapshot();
+  const obs::Sample* alerts = snapshot.find("daemon_alerts_total");
   ASSERT_NE(alerts, nullptr);
   EXPECT_EQ(alerts->value, 20.0);
 }
@@ -849,7 +864,7 @@ TEST(TelemetryDaemon, RetireAdjustsDriveCounts) {
   TelemetryDaemon daemon(fitted_model(), memory_config(&registry, 3, 0.5));
   daemon.start();
   for (const auto& obs : stream) ASSERT_EQ(daemon.push(obs), PushResult::kAccepted);
-  wait_drained(daemon);
+  daemon.drain();
   const DaemonStats before = daemon.stats();
   ASSERT_EQ(before.drives_tracked, 4u);
   ASSERT_EQ(before.drives_retired, 0u);
@@ -1182,7 +1197,7 @@ TEST(TelemetryDaemon, HotModelSwapKeepsFeatureStateAndScores) {
   swapped.start();
   for (std::size_t i = 0; i < half; ++i)
     ASSERT_EQ(swapped.push(stream[i]), PushResult::kAccepted);
-  wait_drained(swapped);
+  swapped.drain();
   swapped.set_model(fitted_model());
   for (std::size_t i = half; i < stream.size(); ++i)
     ASSERT_EQ(swapped.push(stream[i]), PushResult::kAccepted);

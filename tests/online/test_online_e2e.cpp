@@ -82,10 +82,6 @@ void run_online_loop(daemon::TelemetryDaemon& daemon, OnlineLearner& learner,
   if (route_retires)
     for (std::size_t i = 0; i < stream.size(); ++i)
       if (stream[i].record.dead) last_index_of_dead[stream[i].uid()] = i;
-  const auto drained = [&] {
-    const daemon::DaemonStats s = daemon.stats();
-    return s.scored + s.quarantined + s.duplicates_dropped + s.shed >= s.ingested;
-  };
   std::int64_t last_step_day = std::numeric_limits<std::int64_t>::min() / 2;
   std::size_t i = 0;
   while (i < stream.size()) {
@@ -96,7 +92,7 @@ void run_online_loop(daemon::TelemetryDaemon& daemon, OnlineLearner& learner,
       if (it != last_index_of_dead.end() && it->second == i)
         daemon.retire(stream[i].drive_model, stream[i].drive_index);
     }
-    while (!drained()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    daemon.drain();
     if (day - last_step_day >= step_days) {
       (void)learner.step();
       last_step_day = day;
