@@ -1,13 +1,13 @@
 // Shadow-scoring overhead on the daemon hot path (google-benchmark).
 //
-//   BM_OnlineShadow/challengers:<n>
+//   BM_OnlineShadow/challengers:<0|1>
 //
 // One iteration pushes one fleet-day (kDrives records) through a running
-// daemon whose BatchObserver tap is a full OnlineLearner with <n>
-// challengers installed in the arena: every batch is WAL-appended,
-// sanitized, champion-scored, drift-sketched, and shadow-scored by each
-// challenger on the appender threads.  challengers:0 is the tap-attached
-// baseline, so the per-challenger delta is exactly the compiled FlatForest
+// daemon whose BatchObserver tap is a full OnlineLearner, with the arena's
+// challenger slot empty (0) or filled (1): every batch is WAL-appended,
+// sanitized, champion-scored, drift-sketched, and shadow-scored by the
+// challenger on the learner's shadow thread.  challengers:0 is the
+// tap-attached baseline, so the delta is exactly the compiled FlatForest
 // shadow predict plus arena bookkeeping.  Registry counter deltas
 // (daemon_* and online_*) are exported per iteration.
 //
@@ -44,7 +44,7 @@ constexpr int kCheckRepeats = 5;         ///< min-of-N de-noises the check
 constexpr double kMaxOverhead = 0.10;    ///< budget for one challenger
 
 /// One boosted forest trained on simulated fleet history, shared by the
-/// champion and every challenger so the comparison is equal-cost.
+/// champion and the challenger so the comparison is equal-cost.
 std::shared_ptr<const ml::GradientBoosting> fixture_forest() {
   static const std::shared_ptr<const ml::GradientBoosting> model = [] {
     sim::FleetConfig fc;
@@ -78,23 +78,17 @@ core::FleetObservation observation_for(std::uint32_t drive, std::int32_t day) {
   return {trace::DriveModel::MlcA, drive, 0, rec};
 }
 
-/// Daemon + learner tap with `challengers` shadow models installed.  No
-/// learner step() runs: only the hot-path tap is measured.
+/// Daemon + learner tap, with a challenger in the arena's slot or not.
+/// No learner step() runs: only the hot-path tap is measured.
 struct ShadowRig {
-  explicit ShadowRig(int challengers)
+  explicit ShadowRig(bool challenger)
       : wal_dir((std::filesystem::temp_directory_path() /
-                 ("ssdfail_bench_online_shadow" + std::to_string(challengers)))
+                 ("ssdfail_bench_online_shadow" + std::to_string(challenger ? 1 : 0)))
                     .string()) {
     std::filesystem::remove_all(wal_dir);
     std::filesystem::create_directories(wal_dir);
     learner = std::make_unique<online::OnlineLearner>(nullptr, online::OnlineConfig{});
-    for (int c = 0; c < challengers; ++c) {
-      // Appended, not `"c" + std::to_string(c)`: GCC 12 flags that
-      // concatenation with a false -Wrestrict once inlined here.
-      std::string tag = "c";
-      tag += std::to_string(c);
-      learner->arena().set_challenger(tag, fixture_forest());
-    }
+    if (challenger) learner->arena().set_challenger("c", fixture_forest());
 
     daemon::DaemonConfig cfg;
     cfg.shards = 4;
@@ -126,7 +120,7 @@ struct ShadowRig {
 };
 
 void BM_OnlineShadow(benchmark::State& state) {
-  ShadowRig rig(static_cast<int>(state.range(0)));
+  ShadowRig rig(state.range(0) != 0);
   const bench::RegistryDelta delta;
   std::int32_t day = 0;
   for (auto _ : state) rig.push_day(day++);
@@ -138,17 +132,15 @@ void BM_OnlineShadow(benchmark::State& state) {
 BENCHMARK(BM_OnlineShadow)
     ->Arg(0)
     ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
     ->ArgNames({"challengers"})
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 /// Wall-clock seconds for kCheckDays fleet-days, best of kCheckRepeats.
-double best_ingest_seconds(int challengers) {
+double best_ingest_seconds(bool challenger) {
   double best = 1e300;
   for (int r = 0; r < kCheckRepeats; ++r) {
-    ShadowRig rig(challengers);
+    ShadowRig rig(challenger);
     rig.push_day(0);  // warm-up day: ring, WAL, and engine caches settle
     const auto begin = std::chrono::steady_clock::now();
     for (int day = 1; day <= kCheckDays; ++day) rig.push_day(day);
@@ -160,8 +152,8 @@ double best_ingest_seconds(int challengers) {
 }
 
 int check_shadow_overhead() {
-  const double baseline = best_ingest_seconds(0);
-  const double shadowed = best_ingest_seconds(1);
+  const double baseline = best_ingest_seconds(false);
+  const double shadowed = best_ingest_seconds(true);
   const double overhead = shadowed / baseline - 1.0;
   std::printf("shadow_overhead_one_challenger: %.2f%% (limit %.0f%%)  "
               "baseline %.3fs shadowed %.3fs\n",

@@ -806,7 +806,6 @@ int cmd_daemon(const Args& args) {
   ocfg.arena.promote_margin = args.real("promote-margin", 0.01);
   ocfg.retrainer.lookahead_days = ocfg.arena.lookahead_days;
   ocfg.retrainer.negative_keep_prob = args.real("retrain-neg-keep", 0.1);
-  ocfg.retrain_on_alert_only = !args.flag("retrain-always");
   const auto step_days =
       std::max<std::int64_t>(1, args.count<std::int64_t>("online-step-days", 15));
 
@@ -883,10 +882,14 @@ int cmd_daemon(const Args& args) {
   const auto t0 = std::chrono::steady_clock::now();
   if (online) {
     // Day-paced ingest: push one stream day, drain it through the
-    // pipeline, and run the learner's control step every K stream days —
-    // so drift windows, retraining, and shadow scoring interleave with
-    // ingest exactly as they would against a real-time fleet, just with
-    // stream days standing in for wall-clock days.
+    // pipeline and the learner's shadow tap, and run the learner's control
+    // step every K stream days — so drift windows, retraining, and shadow
+    // scoring interleave with ingest exactly as they would against a
+    // real-time fleet, just with stream days standing in for wall-clock
+    // days.  Draining the tap each day keeps the replay, which runs far
+    // faster than a real day, from overrunning the tap's bounded queue:
+    // on a busy host a lagging shadow thread would otherwise shed batches
+    // and their labels, and the drill's verdicts would depend on timing.
     //
     // Retirements are routed to retire() after the drive's last record:
     // the compactor turns kRetires into SwapEvents, which is what gives
@@ -921,17 +924,26 @@ int cmd_daemon(const Args& args) {
           daemon.retire(stream[i].drive_model, stream[i].drive_index);
       }
       daemon.drain();
+      learner->drain_shadow();
       if (day - last_step_day >= step_days) {
         const online::StepReport report = learner->step();
         last_step_day = day;
+        const online::ArenaVerdict& verdict = report.verdict;
         std::printf(
-            "online step day %d: drift psi %.3f ks %.3f%s, window %llu rows%s%s%s\n",
+            "online step day %d: drift psi %.3f ks %.3f%s, window %llu rows%s%s%s",
             day, report.drift.max_psi, report.drift.max_ks,
             report.drift.alert ? " ALERT" : "",
             static_cast<unsigned long long>(report.drift.window_rows),
             report.retrained ? ", retrained" : "",
-            report.verdict.enough_data ? "" : " (gate: warming)",
+            verdict.enough_data ? "" : " (gate: warming)",
             report.promoted ? ", PROMOTED" : "");
+        // Say why a dropped challenger lost, so a run that never promotes
+        // shows what the gate saw.
+        if (report.challenger_dropped)
+          std::printf(", gate held (%s): %s, champion auc %.4f, challenger auc %.4f",
+                      verdict.challenger.c_str(), verdict.reason.c_str(),
+                      verdict.champion_auc, verdict.challenger_auc);
+        std::printf("\n");
       }
     }
     daemon.stop();  // graceful drain: rings emptied, WALs fsynced
@@ -1140,9 +1152,8 @@ const Command kCommands[] = {
      " --online-min-samples N --online-min-positives N\n"
      " --promote-margin M --drift-psi T --drift-ks T\n"
      " --drift-min-rows N --retrain-neg-keep P\n"
-     " --retrain-always --drift-day D --drift-frac F\n"
-     " --drift-hazard M --drift-errors M\n"
-     " --drift-bad-blocks M]"},
+     " --drift-day D --drift-frac F --drift-hazard M\n"
+     " --drift-errors M --drift-bad-blocks M]"},
     {"drift", cmd_drift,
      "--reference PATH --current PATH [--psi T] [--ks T]\n"
      "[--min-rows N]   (PATH: .ssdf2 file or store dir;\n"

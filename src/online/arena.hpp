@@ -3,28 +3,31 @@
 // Champion/challenger shadow evaluation (the promotion gate of the online
 // learning loop).
 //
-// Every scored daemon batch is shadow-scored by each challenger at near-
-// zero marginal cost: the feature matrix is already built and challengers
-// are FlatForest-compiled (ml::make_serving_model), so a challenger adds
-// one branchless block scan per batch (bench_online_shadow pins the
-// overhead at <= 10% for one challenger).  The champion's scores arrive
-// for free — they are the daemon's own assessments.
+// The arena holds at most one challenger.  Every scored daemon batch is
+// shadow-scored by it at near-zero marginal cost: the feature matrix is
+// already built and the challenger is FlatForest-compiled
+// (ml::make_serving_model), so it adds one branchless block scan per batch
+// (bench_online_shadow pins the overhead at <= 10%).  The champion's
+// scores arrive for free — they are the daemon's own assessments.
 //
 // Delayed labels: a scored row (uid, day) matures once the per-drive
 // stream reaches day + lookahead (the observation-day watermark — never
 // the wall clock, so tests and replay are deterministic).  Its label is
 // positive iff the drive's failure signal (dead-flagged record, or an
 // explicit retire) lands within the lookahead window.  Matured rows feed
-// a bounded recent-window ring per model; ml::roc_auc over that window is
-// the promotion currency, exactly the paper's evaluation statistic.
+// a bounded recent window holding both models' scores; ml::roc_auc over
+// that window is the promotion currency, exactly the paper's evaluation
+// statistic.
 //
 // Promotion gate: challenger AUC >= champion AUC + margin, over at least
 // min_samples matured rows including min_positives positives.  Hysteresis:
 // promote() clears the matured window, so a freshly promoted
 // champion cannot be demoted until a full fresh window accumulates under
 // its own scores; a cooldown of matured rows after every promotion
-// suppresses flapping beyond that.  Every promotion (and every blocked
-// evaluation) lands in an audit trail.
+// suppresses flapping beyond that.  Every promotion lands in an audit
+// trail.  A challenger that loses a verdict with enough data is dropped
+// by its owner (clear_challenger), so the slot is free for one retrained
+// on newer history.
 //
 // Thread safety: observe_batch may run on every appender thread
 // concurrently; evaluate/promote run on the learner's control thread.  One
@@ -66,9 +69,8 @@ struct ArenaConfig {
   std::size_t cooldown_matured = 0;
 };
 
-/// One promotion-gate decision (kept in the audit trail when it promotes
-/// or is blocked by the margin; pure not-enough-data verdicts are not
-/// recorded).
+/// One promotion-gate decision, with both window AUCs.  Only executed
+/// promotions enter the audit trail (promotions()).
 struct ArenaVerdict {
   bool promote = false;
   bool enough_data = false;
@@ -77,7 +79,7 @@ struct ArenaVerdict {
   std::size_t matured_rows = 0;
   std::size_t matured_positives = 0;
   std::int32_t watermark_day = 0;  ///< stream day at evaluation
-  std::string challenger;          ///< tag of the best challenger
+  std::string challenger;          ///< tag of the judged challenger
   std::string reason;              ///< human-readable gate outcome
 };
 
@@ -94,32 +96,34 @@ class ModelArena {
  public:
   ModelArena(ArenaConfig config, obs::MetricsRegistry* registry);
 
-  /// Install (or replace) a challenger.  `model` is wrapped through
-  /// ml::make_serving_model, so tree ensembles shadow-score through the
-  /// compiled FlatForest engine.  Installing restarts the comparison:
-  /// matured window and pending rows are dropped, because the gate is only
-  /// fair on rows every competing model actually scored.
+  /// Install a challenger into the slot, replacing any current one.
+  /// `model` is wrapped through ml::make_serving_model, so tree ensembles
+  /// shadow-score through the compiled FlatForest engine.  Installing
+  /// restarts the comparison: matured window and pending rows are dropped,
+  /// because the gate is only fair on rows both models actually scored.
   void set_challenger(std::string tag, std::shared_ptr<const ml::Classifier> model);
-  [[nodiscard]] std::size_t challenger_count() const;
+  /// Empty the slot (the challenger lost); the champion's window is kept.
+  void clear_challenger();
+  [[nodiscard]] bool has_challenger() const;
 
   /// Fold one scored daemon batch (appender threads; see daemon::
-  /// BatchObserver).  Shadow-scores all challengers outside the lock.
+  /// BatchObserver).  Shadow-scores the challenger outside the lock.
   void observe_batch(const ml::Matrix& features,
-                     std::span<const trace::DailyRecord> records,
                      std::span<const daemon::DriveAssessment> assessments);
 
   /// Censoring signal: explicitly retired drives count as failure at the
   /// retire point (their pending rows label against the watermark).
   void observe_retires(std::span<const std::uint64_t> uids);
 
-  /// Run the promotion gate over the matured window.  Exports online_*
-  /// metrics.  Does not mutate roles — the caller promotes via promote()
-  /// after persisting the new model.
+  /// Run the promotion gate over the matured window and report both AUCs.
+  /// Exports online_* metrics.  Does not mutate roles — the caller
+  /// promotes via promote() after persisting the new model.
   [[nodiscard]] ArenaVerdict evaluate();
 
-  /// The named challenger becomes champion bookkeeping-wise: the matured
-  /// window and every pending score reset (fresh start under the new
-  /// champion), other challengers are kept, and the event is recorded.
+  /// The verdict's challenger becomes champion bookkeeping-wise: the slot
+  /// empties, the matured window and every pending score reset (fresh
+  /// start under the new champion), and the event is recorded.  A no-op
+  /// when the slot no longer holds that challenger.
   void promote(const ArenaVerdict& verdict);
 
   [[nodiscard]] const std::vector<PromotionEvent>& promotions() const {
@@ -129,47 +133,38 @@ class ModelArena {
   [[nodiscard]] std::size_t pending_rows() const;
   [[nodiscard]] std::int32_t watermark_day() const;
 
-  /// Matured-window AUC per role without gate side effects (tests, CLI).
-  struct WindowAuc {
-    double champion = 0.0;
-    std::vector<double> challengers;
-  };
-  [[nodiscard]] WindowAuc window_auc() const;
-
  private:
   struct Challenger {
     std::string tag;
     std::shared_ptr<const ml::Classifier> model;
   };
-  struct PendingRow {
+  /// One scored row: both models' scores, and (once matured) its label.
+  struct ScoredRow {
     std::int32_t day = 0;
-    float champion_score = 0.0f;
-    std::vector<float> challenger_scores;
+    float champion = 0.0f;
+    float challenger = 0.0f;
+    float label = 0.0f;
   };
   struct DriveLog {
-    std::vector<PendingRow> pending;
+    std::vector<ScoredRow> pending;
     std::optional<std::int32_t> failure_day;
   };
 
   void mature_locked();
-  void push_matured_locked(const PendingRow& row, bool positive);
-  [[nodiscard]] double champion_window_auc_locked() const;
+  void push_matured_locked(ScoredRow row, bool positive);
+  void restart_comparison_locked();
+  [[nodiscard]] double window_auc_locked(float ScoredRow::*score) const;
 
   ArenaConfig config_;
   mutable std::mutex mutex_;
-  std::vector<Challenger> challengers_;
+  std::optional<Challenger> challenger_;
   std::unordered_map<std::uint64_t, DriveLog> drives_;
   std::int32_t watermark_ = 0;
   std::size_t pending_count_ = 0;
   std::size_t cooldown_left_ = 0;
 
-  // Matured recent window (deques bounded by window_capacity; one score
-  // column per model role).
-  std::deque<float> window_labels_;
-  std::deque<float> window_champion_;
-  std::vector<std::deque<float>> window_challengers_;
-  std::uint64_t matured_total_ = 0;
-  std::uint64_t matured_positives_total_ = 0;
+  /// Matured recent window, bounded by window_capacity.
+  std::deque<ScoredRow> window_;
 
   std::vector<PromotionEvent> promotions_;
 

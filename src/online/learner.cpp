@@ -102,7 +102,7 @@ void OnlineLearner::shadow_loop() {
         drift_.observe(rec);
         if (rec.dead) drift_.observe_swap_day(rec.day);
       }
-      arena_.observe_batch(work.features, work.records, work.assessments);
+      arena_.observe_batch(work.features, work.assessments);
     }
     lock.lock();
     shadow_busy_ = false;
@@ -163,19 +163,14 @@ StepReport OnlineLearner::step() {
     drift_.reset_window();
   }
 
-  // 3. Retrain at most one pending challenger per drift episode.
-  const bool want_retrain =
-      (report.drift.alert || !config_.retrain_on_alert_only) &&
-      arena_.challenger_count() == 0;
-  if (want_retrain) {
+  // 3. While drift alerts, keep the challenger slot filled with a model
+  //    retrained on the newest label-matured window.
+  if (report.drift.alert && !arena_.has_challenger()) {
     const std::int32_t now_day = arena_.watermark_day();
     if (std::optional<RetrainResult> result = retrainer_.retrain(now_day)) {
-      auto gb = std::static_pointer_cast<const ml::GradientBoosting>(result->model);
+      challenger_model_ =
+          std::static_pointer_cast<const ml::GradientBoosting>(result->model);
       const std::string tag = "retrain-d" + std::to_string(result->window_end);
-      {
-        std::scoped_lock lock(models_mutex_);
-        challenger_models_.emplace_back(tag, gb);
-      }
       arena_.set_challenger(tag, result->model);
       retrains_metric_->inc();
       report.retrained = true;
@@ -185,20 +180,21 @@ StepReport OnlineLearner::step() {
     }
   }
 
-  // 4. Promotion gate.
+  // 4. Promotion gate.  A challenger judged on enough data that does not
+  //    win is dropped, so the next alerting step retrains on newer history.
   report.verdict = arena_.evaluate();
-  if (report.verdict.promote) report.promoted = execute_promotion(report.verdict);
+  if (report.verdict.promote) {
+    report.promoted = execute_promotion(report.verdict);
+  } else if (report.verdict.enough_data && !report.verdict.challenger.empty()) {
+    arena_.clear_challenger();
+    challenger_model_.reset();
+    report.challenger_dropped = true;
+  }
   return report;
 }
 
 bool OnlineLearner::execute_promotion(const ArenaVerdict& verdict) {
-  std::shared_ptr<const ml::GradientBoosting> model;
-  {
-    std::scoped_lock lock(models_mutex_);
-    for (const auto& [tag, gb] : challenger_models_)
-      if (tag == verdict.challenger) model = gb;
-  }
-  if (model == nullptr) return false;
+  if (challenger_model_ == nullptr) return false;
 
   std::shared_ptr<const ml::Classifier> serving;
   if (!config_.model_path.empty()) {
@@ -207,23 +203,19 @@ bool OnlineLearner::execute_promotion(const ArenaVerdict& verdict) {
     // reload round-trips the bytes and recompiles the FlatForest engine,
     // so a corrupt write can never be hot-swapped in.
     try {
-      ml::save_model_file(config_.model_path, *model);
+      ml::save_model_file(config_.model_path, *challenger_model_);
       serving = ml::load_serving_classifier_file(config_.model_path);
     } catch (const std::exception&) {
       promotion_failures_metric_->inc();
       return false;
     }
   } else {
-    serving = ml::make_serving_model(model);
+    serving = ml::make_serving_model(challenger_model_);
   }
 
   if (daemon_ != nullptr) daemon_->set_model(serving);
   arena_.promote(verdict);
-  {
-    std::scoped_lock lock(models_mutex_);
-    std::erase_if(challenger_models_,
-                  [&](const auto& entry) { return entry.first == verdict.challenger; });
-  }
+  challenger_model_.reset();
   // The promoted model was trained on the drifted fleet: the drifted
   // window IS its reference distribution now.
   if (last_window_.rows > 0) {

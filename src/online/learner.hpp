@@ -16,24 +16,27 @@
 //      retraining always sees fresh, label-complete history;
 //   2. evaluate feature drift (bootstrap the reference from the store on
 //      the first compaction if none was installed);
-//   3. if drift is alerting (or always, when retrain_on_alert_only is
-//      off) and no challenger is pending, retrain on the label-matured
-//      window and enter the result into the arena;
+//   3. if drift is alerting and the arena's one challenger slot is empty,
+//      retrain on the label-matured window and enter the result into the
+//      arena under the tag retrain-d<window end day>;
 //   4. run the promotion gate; on promote, persist the challenger through
 //      ml::save_model_file (temp file, fsync, rename, directory fsync — a
 //      SIGKILL or an OS crash leaves the old or the new file, never a torn
 //      one), reload it through
 //      load_serving_classifier_file (round-trips the bytes and recompiles/
 //      verifies the FlatForest engine), hot-swap it into the daemon, and
-//      adopt the drifted window as the new drift reference.
+//      adopt the drifted window as the new drift reference.  A challenger
+//      that loses a verdict with enough data is dropped instead, so the
+//      next alerting step retrains on newer history: a stale champion is
+//      replaced even when the first retrain was not good enough.
 //
 // Nothing here blocks ingest.  The BatchObserver tap copies each batch
 // into a bounded queue and returns; a dedicated shadow thread drains it,
-// updating the drift sketches and shadow-scoring the arena's challengers
+// updating the drift sketches and shadow-scoring the arena's challenger
 // off the appender path (bench/bench_online_shadow.cpp pins the hot-path
-// overhead at <= 10% with one challenger).  When the shadow thread falls
-// behind, whole batches are dropped — counted in
-// online_shadow_dropped_total — rather than ever stalling an appender.
+// overhead at <= 10%).  When the shadow thread falls behind, whole
+// batches are dropped — counted in online_shadow_dropped_total — rather
+// than ever stalling an appender.
 // step() drains the queue first, so the control loop always judges
 // everything the daemon had handed over before the step began.  step()
 // shares no locks with the appender path, and its heavy work (compaction,
@@ -75,10 +78,6 @@ struct OnlineConfig {
   /// retrainer.store_dir is overridden by store_dir above.
   RetrainerConfig retrainer;
 
-  /// Retrain only while drift is alerting (default); off retrains on every
-  /// step that has no challenger pending.
-  bool retrain_on_alert_only = true;
-
   /// Registry for online_* metrics; null uses the global one.
   obs::MetricsRegistry* registry = nullptr;
 };
@@ -93,6 +92,9 @@ struct StepReport {
   std::string challenger;  ///< tag entered into the arena this step
   ArenaVerdict verdict;
   bool promoted = false;
+  /// The verdict judged the challenger on enough data and it did not win:
+  /// it left the slot, and the next alerting step retrains.
+  bool challenger_dropped = false;
 };
 
 class OnlineLearner final : public daemon::BatchObserver {
@@ -159,15 +161,14 @@ class OnlineLearner final : public daemon::BatchObserver {
   ModelArena arena_;
   Retrainer retrainer_;
 
-  std::mutex step_mutex_;  ///< serializes step() bodies
-  /// Last drift window big enough to judge (tumbling-window archive;
-  /// guarded by step_mutex_ — only step() and promotion touch it).
+  /// Serializes step() bodies and guards the two members below, which
+  /// only step() and execute_promotion() touch.
+  std::mutex step_mutex_;
+  /// Last drift window big enough to judge (tumbling-window archive).
   FeatureSketches last_window_;
-  /// Trainable challengers by tag (the arena holds serving wrappers; the
-  /// concrete GradientBoosting is needed again at save_model_file time).
-  std::mutex models_mutex_;
-  std::vector<std::pair<std::string, std::shared_ptr<const ml::GradientBoosting>>>
-      challenger_models_;
+  /// The trainable model behind the arena's challenger (the arena holds
+  /// the serving wrapper; save_model_file needs the GradientBoosting).
+  std::shared_ptr<const ml::GradientBoosting> challenger_model_;
 
   /// Shadow tap: bounded queue + worker (runs from construction to
   /// destruction).

@@ -1,7 +1,8 @@
 // ModelArena tests: delayed-label maturation against the observation-day
 // watermark, positive labeling from dead records and explicit retires, the
 // promotion gate (margin + minimums + cooldown), hysteresis on promote,
-// and the fairness reset when a challenger is installed mid-stream.
+// the fairness reset when a challenger is installed mid-stream, and the
+// one challenger slot (replace, clear, stale promote).
 
 #include "online/arena.hpp"
 
@@ -44,18 +45,16 @@ struct Row {
 
 void push_batch(ModelArena& arena, const std::vector<Row>& rows) {
   ml::Matrix features(rows.size(), 1);
-  std::vector<trace::DailyRecord> records(rows.size());
   std::vector<daemon::DriveAssessment> assessments(rows.size());
   for (std::size_t i = 0; i < rows.size(); ++i) {
     features(i, 0) = rows[i].challenger;
-    records[i].day = rows[i].day;
     assessments[i].uid = rows[i].uid;
     assessments[i].day = rows[i].day;
     assessments[i].score = rows[i].champion;
     assessments[i].scored = rows[i].scored;
     assessments[i].dead = rows[i].dead;
   }
-  arena.observe_batch(features, records, assessments);
+  arena.observe_batch(features, assessments);
 }
 
 ArenaConfig tiny_config() {
@@ -162,7 +161,7 @@ TEST(ModelArena, SeparableChallengerPromotesAndPromotionResetsTheWindow) {
   obs::MetricsRegistry registry;
   ModelArena arena(cfg, &registry);
   arena.set_challenger("fresh", std::make_shared<FirstFeatureModel>());
-  EXPECT_EQ(arena.challenger_count(), 1u);
+  EXPECT_TRUE(arena.has_challenger());
 
   play_separable_round(arena, 0);
   const ArenaVerdict v = arena.evaluate();
@@ -174,7 +173,7 @@ TEST(ModelArena, SeparableChallengerPromotesAndPromotionResetsTheWindow) {
   EXPECT_EQ(v.reason, "challenger beats champion by margin");
 
   arena.promote(v);
-  EXPECT_EQ(arena.challenger_count(), 0u);
+  EXPECT_FALSE(arena.has_challenger());
   EXPECT_EQ(arena.matured_rows(), 0u) << "hysteresis: clean slate after promote";
   EXPECT_EQ(arena.pending_rows(), 0u);
   ASSERT_EQ(arena.promotions().size(), 1u);
@@ -245,17 +244,99 @@ TEST(ModelArena, MaturedWindowIsBoundedByCapacity) {
 }
 
 TEST(ModelArena, WindowAucReportsPerRole) {
-  ArenaConfig cfg = tiny_config();
-  ModelArena arena(cfg, nullptr);
+  obs::MetricsRegistry registry;
+  ModelArena arena(tiny_config(), &registry);
   arena.set_challenger("c", std::make_shared<FirstFeatureModel>());
   // Champion inverted (scores negatives high), challenger perfect.
   push_batch(arena, {{1, 0, 0.9f, 0.1f}, {2, 0, 0.1f, 0.9f}});
   push_batch(arena, {{2, 1, 0.5f, 0.5f, false, true}});
   push_batch(arena, {{3, 5}});
-  const ModelArena::WindowAuc auc = arena.window_auc();
-  EXPECT_NEAR(auc.champion, 0.0, 1e-9);
-  ASSERT_EQ(auc.challengers.size(), 1u);
-  EXPECT_NEAR(auc.challengers[0], 1.0, 1e-9);
+  const ArenaVerdict v = arena.evaluate();
+  EXPECT_EQ(v.challenger, "c");
+  EXPECT_NEAR(v.champion_auc, 0.0, 1e-9);
+  EXPECT_NEAR(v.challenger_auc, 1.0, 1e-9);
+  EXPECT_NEAR(registry.gauge("online_window_auc", {{"role", "champion"}}, "").value(),
+              0.0, 1e-9);
+  EXPECT_NEAR(registry.gauge("online_window_auc", {{"role", "challenger"}}, "").value(),
+              1.0, 1e-9);
+}
+
+/// Challenger that scores every row the same: AUC 0.5 on any window.
+class ConstantModel final : public ml::Classifier {
+ public:
+  void fit(const ml::Dataset&) override {}
+  [[nodiscard]] std::vector<float> predict_proba(const ml::Matrix& x) const override {
+    return std::vector<float>(x.rows(), 0.5f);
+  }
+  [[nodiscard]] std::string name() const override { return "constant"; }
+  [[nodiscard]] std::unique_ptr<ml::Classifier> clone() const override {
+    return std::make_unique<ConstantModel>();
+  }
+};
+
+TEST(ModelArena, ANewTagReplacesTheSlotAndRestartsTheWindow) {
+  ModelArena arena(tiny_config(), nullptr);
+  arena.set_challenger("old", std::make_shared<ConstantModel>());
+  play_separable_round(arena, 0);
+  ASSERT_GT(arena.matured_rows(), 0u);
+  ArenaVerdict v = arena.evaluate();
+  EXPECT_EQ(v.challenger, "old");
+  EXPECT_NEAR(v.challenger_auc, 0.5, 1e-9);
+
+  arena.set_challenger("new", std::make_shared<FirstFeatureModel>());
+  EXPECT_TRUE(arena.has_challenger());
+  EXPECT_EQ(arena.matured_rows(), 0u);
+  EXPECT_EQ(arena.pending_rows(), 0u);
+
+  // Only the new challenger is judged, on rows it scored itself.
+  play_separable_round(arena, 10);
+  v = arena.evaluate();
+  EXPECT_EQ(v.challenger, "new");
+  EXPECT_NEAR(v.challenger_auc, 1.0, 1e-9);
+}
+
+TEST(ModelArena, PromoteWithAStaleTagIsANoOp) {
+  ArenaConfig cfg = tiny_config();
+  cfg.cooldown_matured = 5;
+  obs::MetricsRegistry registry;
+  ModelArena arena(cfg, &registry);
+  arena.set_challenger("first", std::make_shared<FirstFeatureModel>());
+  play_separable_round(arena, 0);
+  const ArenaVerdict stale = arena.evaluate();
+  ASSERT_EQ(stale.challenger, "first");
+
+  // The slot moved on before the verdict was acted on.
+  arena.set_challenger("second", std::make_shared<FirstFeatureModel>());
+  play_separable_round(arena, 10);
+  const std::size_t matured = arena.matured_rows();
+  arena.promote(stale);
+  EXPECT_TRUE(arena.has_challenger());
+  EXPECT_EQ(arena.evaluate().challenger, "second");
+  EXPECT_EQ(arena.matured_rows(), matured) << "window kept";
+  EXPECT_TRUE(arena.evaluate().enough_data) << "no cooldown started";
+  EXPECT_TRUE(arena.promotions().empty());
+  EXPECT_EQ(registry.counter("online_promotions_total", {}, "").value(), 0u);
+
+  arena.clear_challenger();
+  arena.promote(arena.evaluate());  // empty slot: nothing to promote
+  EXPECT_TRUE(arena.promotions().empty());
+}
+
+TEST(ModelArena, ClearingTheSlotKeepsTheChampionWindow) {
+  ModelArena arena(tiny_config(), nullptr);
+  arena.set_challenger("loser", std::make_shared<ConstantModel>());
+  play_separable_round(arena, 0);
+  const std::size_t matured = arena.matured_rows();
+  ASSERT_GT(matured, 0u);
+
+  arena.clear_challenger();
+  EXPECT_FALSE(arena.has_challenger());
+  EXPECT_EQ(arena.matured_rows(), matured);
+  const ArenaVerdict v = arena.evaluate();
+  EXPECT_FALSE(v.promote);
+  EXPECT_TRUE(v.challenger.empty());
+  EXPECT_EQ(v.challenger_auc, 0.0);
+  EXPECT_EQ(v.reason, "no challenger installed");
 }
 
 }  // namespace

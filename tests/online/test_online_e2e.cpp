@@ -1,7 +1,9 @@
 // End-to-end online-learning tests: the full drift-gate loop against a
 // live TelemetryDaemon (drifting fleet -> drift alert -> retrain ->
 // shadow gate -> promotion with the strike reset and the atomic model
-// swap), the drift-free control (no promotion, scoring bit-identical to a
+// swap), the CLI's drift-gate drill in process (a real trained champion,
+// a challenger that loses and is replaced by a newer retrain that wins),
+// the drift-free control (no promotion, scoring bit-identical to a
 // learner-free daemon), and real-SIGKILL promotion persistence (the
 // champion file is always the old or the new model, never torn).
 
@@ -12,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -21,10 +24,13 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/dataset_builder.hpp"
 #include "core/fleet_observation.hpp"
 #include "daemon/daemon.hpp"
 #include "daemon/daemon_test_util.hpp"
+#include "ml/downsample.hpp"
 #include "ml/gradient_boosting.hpp"
+#include "ml/random_forest.hpp"
 #include "ml/serialize.hpp"
 #include "obs/metrics.hpp"
 #include "online/learner.hpp"
@@ -69,35 +75,67 @@ OnlineConfig loop_online_config(const std::string& wal_dir,
   return ocfg;
 }
 
+/// Stream index after which each retiring drive is retired: uid -> index.
+using RetirePoints = std::unordered_map<std::uint64_t, std::size_t>;
+
+/// Retire each drive after its last dead-flagged record.
+RetirePoints dead_record_retires(const std::vector<core::FleetObservation>& stream) {
+  RetirePoints points;
+  for (std::size_t i = 0; i < stream.size(); ++i)
+    if (stream[i].record.dead) points[stream[i].uid()] = i;
+  return points;
+}
+
+/// The CLI's `daemon --online` rule: retire a drive after its last record
+/// when it carries a dead-flagged record or ends in a terminal swap.
+RetirePoints cli_retires(const trace::FleetTrace& fleet,
+                         const std::vector<core::FleetObservation>& stream) {
+  RetirePoints points;
+  for (const auto& d : fleet.drives) {
+    const bool dead_flagged = std::any_of(d.records.begin(), d.records.end(),
+                                          [](const auto& r) { return r.dead; });
+    const bool terminal_swap = !d.swaps.empty() && !d.records.empty() &&
+                               d.swaps.back().day > d.records.back().day;
+    if (dead_flagged || terminal_swap) points[d.uid()] = 0;
+  }
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    const auto it = points.find(stream[i].uid());
+    if (it != points.end()) it->second = i;
+  }
+  return points;
+}
+
 /// The CLI's day-paced online ingest loop, in miniature: push a stream
-/// day, drain it, route deaths to retire() after the drive's last record
-/// (the compactor turns retires into the SwapEvents that give retraining
-/// its positive labels), and run the learner every `step_days` stream
-/// days.  `route_retires` false skips the retire calls, so the run can be
+/// day, retire drives at their retire points (the compactor turns retires
+/// into the SwapEvents that give retraining its positive labels), drain
+/// the day through the daemon and the learner's tap, and run the learner
+/// every `step_days` stream days.  With no retire points the run can be
 /// digest-compared with a control daemon that only pushes the stream.
-void run_online_loop(daemon::TelemetryDaemon& daemon, OnlineLearner& learner,
-                     const std::vector<core::FleetObservation>& stream,
-                     std::int32_t step_days, bool route_retires = true) {
-  std::unordered_map<std::uint64_t, std::size_t> last_index_of_dead;
-  if (route_retires)
-    for (std::size_t i = 0; i < stream.size(); ++i)
-      if (stream[i].record.dead) last_index_of_dead[stream[i].uid()] = i;
+/// Returns every step's report.
+std::vector<StepReport> run_online_loop(daemon::TelemetryDaemon& daemon,
+                                        OnlineLearner& learner,
+                                        const std::vector<core::FleetObservation>& stream,
+                                        std::int32_t step_days,
+                                        const RetirePoints& retires = {}) {
+  std::vector<StepReport> reports;
   std::int64_t last_step_day = std::numeric_limits<std::int64_t>::min() / 2;
   std::size_t i = 0;
   while (i < stream.size()) {
     const std::int32_t day = stream[i].record.day;
     for (; i < stream.size() && stream[i].record.day == day; ++i) {
       (void)daemon.push(stream[i]);
-      const auto it = last_index_of_dead.find(stream[i].uid());
-      if (it != last_index_of_dead.end() && it->second == i)
+      const auto it = retires.find(stream[i].uid());
+      if (it != retires.end() && it->second == i)
         daemon.retire(stream[i].drive_model, stream[i].drive_index);
     }
     daemon.drain();
+    learner.drain_shadow();
     if (day - last_step_day >= step_days) {
-      (void)learner.step();
+      reports.push_back(learner.step());
       last_step_day = day;
     }
   }
+  return reports;
 }
 
 TEST(OnlineE2E, DriftingFleetFiresTheDetectorAndPromotesARetrainedChallenger) {
@@ -126,7 +164,7 @@ TEST(OnlineE2E, DriftingFleetFiresTheDetectorAndPromotesARetrainedChallenger) {
   daemon::TelemetryDaemon daemon(std::make_shared<StubModel>(), dcfg);
   learner.attach(&daemon);
   daemon.start();
-  run_online_loop(daemon, learner, stream, 30);
+  (void)run_online_loop(daemon, learner, stream, 30, dead_record_retires(stream));
   (void)learner.step();  // final gate pass over the fully drained stream
   daemon.stop();
 
@@ -153,6 +191,94 @@ TEST(OnlineE2E, DriftingFleetFiresTheDetectorAndPromotesARetrainedChallenger) {
   EXPECT_GE(registry.counter("daemon_strike_resets_total", {}, "").value(), 1u);
 }
 
+// The CI drift-gate drill (.github/workflows/ci.yml, job drift-gate) in
+// process: a random-forest champion trained the way `ssdfail_cli train
+// --drives 8 --seed 2019 --lookahead 7` trains it, then the drifting
+// fleet through `daemon --online` with the drill's flags.  The first
+// retrain loses the shadow gate; the loop must drop it, retrain on newer
+// history and promote that challenger on strictly better AUC.
+TEST(OnlineE2E, CliDriftDrillReplacesALosingChallengerAndPromotes) {
+  TempDir dir("e2e_cli_drill");
+  obs::MetricsRegistry registry;
+
+  sim::FleetConfig train_cfg;
+  train_cfg.drives_per_model = 8;
+  train_cfg.seed = 2019;
+  train_cfg.keep_ground_truth = true;
+  core::DatasetBuildOptions build;
+  build.lookahead_days = 7;
+  build.negative_keep_prob = 0.02;
+  const ml::Dataset train = ml::downsample_negatives(
+      core::build_dataset(sim::FleetSimulator(train_cfg), build), 1.0, train_cfg.seed);
+  ml::RandomForest forest;
+  forest.fit(train);
+  const std::string champion_file = dir.path() + "/trained.bin";
+  ml::save_model_file(champion_file, forest);
+
+  sim::DriftingFleetConfig fleet_cfg;
+  fleet_cfg.base.drives_per_model = 24;
+  fleet_cfg.base.window_days = 730;
+  fleet_cfg.base.seed = 424242;
+  fleet_cfg.base.keep_ground_truth = false;
+  fleet_cfg.drift.drift_day = 300;
+  fleet_cfg.drift.drifted_fraction = 0.6;
+  fleet_cfg.drift.hazard_mult = 8.0;
+  fleet_cfg.drift.error_rate_mult = 4.0;
+  fleet_cfg.drift.bad_block_mult = 4.0;
+  const trace::FleetTrace fleet = sim::DriftingFleetSimulator(fleet_cfg).generate_all();
+  const auto stream = core::day_ordered_stream(fleet);
+
+  // The CLI's online settings; the retrainer keeps its default boosting.
+  OnlineConfig ocfg;
+  ocfg.wal_dir = dir.path();
+  ocfg.store_dir = dir.path() + "/store";
+  ocfg.model_path = dir.path() + "/promoted.bin";
+  ocfg.registry = &registry;
+  ocfg.drift.min_window_rows = 256;
+  ocfg.arena.lookahead_days = 7;
+  ocfg.arena.min_samples = 200;
+  ocfg.arena.min_positives = 3;
+  ocfg.arena.promote_margin = 0.005;
+  ocfg.retrainer.lookahead_days = 7;
+  ocfg.retrainer.negative_keep_prob = 0.1;
+  OnlineLearner learner(nullptr, ocfg);
+
+  daemon::DaemonConfig dcfg = loop_daemon_config(dir.path(), &registry);
+  dcfg.shards = 4;
+  dcfg.threshold = 0.9;
+  dcfg.block_timeout = std::chrono::seconds(10);
+  dcfg.batch_observer = &learner;
+  daemon::TelemetryDaemon daemon(ml::load_serving_classifier_file(champion_file), dcfg);
+  learner.attach(&daemon);
+  daemon.start();
+
+  const std::vector<StepReport> reports =
+      run_online_loop(daemon, learner, stream, 30, cli_retires(fleet, stream));
+  daemon.stop();
+
+  std::size_t retrains = 0;
+  std::size_t losses = 0;
+  for (const StepReport& r : reports) {
+    retrains += r.retrained ? 1 : 0;
+    losses += r.challenger_dropped ? 1 : 0;
+  }
+  EXPECT_EQ(registry.counter("online_shadow_dropped_total", {}, "").value(), 0u)
+      << "the day-paced loop drains the tap, so no batch (or label) is shed";
+  EXPECT_GE(retrains, 2u) << "a losing challenger must be replaced by a newer retrain";
+  EXPECT_GE(losses, 1u);
+  EXPECT_EQ(registry.counter("online_retrains_total", {}, "").value(), retrains);
+
+  ASSERT_GE(learner.promotions().size(), 1u)
+      << "the drill must promote a retrained challenger";
+  for (const PromotionEvent& p : learner.promotions()) {
+    EXPECT_GT(p.challenger_auc, p.champion_auc);
+    EXPECT_GE(p.matured_rows, 200u);
+  }
+  EXPECT_TRUE(std::filesystem::exists(dir.path() + "/promoted.bin"));
+  EXPECT_GT(daemon.stats().alerts, 0u)
+      << "the drill must raise a health page, not only drift alerts";
+}
+
 TEST(OnlineE2E, DriftFreeRunNeverPromotesAndLeavesScoringUntouched) {
   TempDir dir("e2e_stable");
   TempDir control_dir("e2e_stable_control");
@@ -170,19 +296,18 @@ TEST(OnlineE2E, DriftFreeRunNeverPromotesAndLeavesScoringUntouched) {
   // must never retrain, never install a challenger, never promote.
   ocfg.drift.psi_alert = 1e9;
   ocfg.drift.ks_alert = 1e9;
-  ASSERT_TRUE(ocfg.retrain_on_alert_only);
   OnlineLearner learner(nullptr, ocfg);
   daemon::DaemonConfig dcfg = loop_daemon_config(dir.path(), &registry);
   dcfg.batch_observer = &learner;
   daemon::TelemetryDaemon daemon(std::make_shared<StubModel>(), dcfg);
   learner.attach(&daemon);
   daemon.start();
-  run_online_loop(daemon, learner, stream, 30, /*route_retires=*/false);
+  (void)run_online_loop(daemon, learner, stream, 30);
   daemon.stop();
 
   EXPECT_GT(learner.steps_run(), 5u);
   EXPECT_TRUE(learner.promotions().empty());
-  EXPECT_EQ(learner.arena().challenger_count(), 0u);
+  EXPECT_FALSE(learner.arena().has_challenger());
   EXPECT_EQ(registry.counter("online_retrains_total", {}, "").value(), 0u);
   EXPECT_FALSE(std::filesystem::exists(dir.path() + "/champion.bin"));
   // The loop still did its background work: sealed WALs became v3 shards.
