@@ -681,8 +681,8 @@ int cmd_serve(const Args& args) {
   if (!fleet) return 1;
 
   // Optional per-replay-day metric stream: one JSON line per changed
-  // sample, diffed by a manually ticked Snapshotter (the replay day is the
-  // service's clock, so cadence 0 + force gives one capture per day).
+  // sample, diffed by a Snapshotter ticked once per replay day (the replay
+  // day is the service's clock).
   std::ofstream stream_out;
   std::optional<obs::Snapshotter> snapshotter;
   if (!stream_path.empty()) {
@@ -692,7 +692,7 @@ int cmd_serve(const Args& args) {
       return 1;
     }
     stream_out.precision(17);
-    snapshotter.emplace(obs::MetricsRegistry::global(), std::chrono::milliseconds(0));
+    snapshotter.emplace(obs::MetricsRegistry::global());
   }
 
   // Optional chaos: corrupt the replay stream with a seeded injector so the
@@ -745,12 +745,10 @@ int cmd_serve(const Args& args) {
       if (final_day.at(it->uid()) == day) (void)daemon.retire(it->drive_model, it->drive_index);
     if (snapshotter) {
       daemon.drain();
-      if (auto deltas = snapshotter->tick(obs::Snapshotter::Clock::now(), true)) {
-        for (const auto& d : *deltas) {
-          if (d.delta == 0.0) continue;
-          stream_out << "{\"day\":" << day << ",\"delta\":" << d.delta
-                     << ",\"sample\":" << obs::to_json(d.sample) << "}\n";
-        }
+      for (const auto& d : snapshotter->tick()) {
+        if (d.delta == 0.0) continue;
+        stream_out << "{\"day\":" << day << ",\"delta\":" << d.delta
+                   << ",\"sample\":" << obs::to_json(d.sample) << "}\n";
       }
     }
   }
@@ -795,16 +793,15 @@ int cmd_daemon(const Args& args) {
   if (online && cfg.wal_rotate_bytes == 0) cfg.wal_rotate_bytes = 64 * 1024;
   online::OnlineConfig ocfg;
   ocfg.wal_dir = cfg.wal_dir;
-  ocfg.store_dir = args.get("store-dir", cfg.wal_dir + "/store");
+  ocfg.retrainer.store_dir = args.get("store-dir", cfg.wal_dir + "/store");
   ocfg.model_path = args.get("promote-out", cfg.wal_dir + "/champion.bin");
   ocfg.drift.psi_alert = args.real("drift-psi", 0.25);
   ocfg.drift.ks_alert = args.real("drift-ks", 0.35);
   ocfg.drift.min_window_rows = args.count<std::uint64_t>("drift-min-rows", 512);
-  ocfg.arena.lookahead_days = args.count<int>("online-lookahead", 7);
+  ocfg.retrainer.lookahead_days = args.count<int>("online-lookahead", 7);
   ocfg.arena.min_samples = args.count<std::size_t>("online-min-samples", 256);
   ocfg.arena.min_positives = args.count<std::size_t>("online-min-positives", 8);
   ocfg.arena.promote_margin = args.real("promote-margin", 0.01);
-  ocfg.retrainer.lookahead_days = ocfg.arena.lookahead_days;
   ocfg.retrainer.negative_keep_prob = args.real("retrain-neg-keep", 0.1);
   const auto step_days =
       std::max<std::int64_t>(1, args.count<std::int64_t>("online-step-days", 15));
@@ -837,7 +834,7 @@ int cmd_daemon(const Args& args) {
       std::fprintf(stderr, "daemon: --online requires a loadable --model-file\n");
       return 2;
     }
-    learner = std::make_unique<online::OnlineLearner>(nullptr, std::move(ocfg));
+    learner = std::make_unique<online::OnlineLearner>(std::move(ocfg));
     cfg.batch_observer = learner.get();
   }
 

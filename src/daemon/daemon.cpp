@@ -46,9 +46,8 @@ TelemetryDaemon::Shard::Shard(const DaemonConfig& config,
                               obs::MetricsRegistry& registry, std::uint32_t idx)
     : index(idx),
       ring(config.ring_capacity),
-      scoring(config.threshold,
-              robustness::SanitizerConfig{config.dead_letter_capacity, &registry}),
-      health(config.health, &registry) {}
+      scoring(config.threshold, robustness::SanitizerConfig{.registry = &registry}),
+      health(HealthConfig{}, &registry) {}
 
 TelemetryDaemon::TelemetryDaemon(std::shared_ptr<const ml::Classifier> model,
                                  DaemonConfig config)

@@ -11,6 +11,10 @@
 //                     |                                        score, clamp, alert]
 //                     |--> HealthTracker                     [escalate/page]
 //
+// Each shard's sanitizer keeps the default dead-letter bound
+// (SanitizerConfig: the 64 most recent quarantines, evictions counted) and
+// its health machine the default HealthConfig thresholds.
+//
 // Every streaming scorer runs here: the CLI's `daemon`, `serve` and
 // `metrics`, the fleet-health example, and perfbench's ingest workload
 // (the in-memory ones with an empty wal_dir).  Scoring is the shared
@@ -118,11 +122,9 @@ struct DaemonConfig {
   std::uint64_t wal_rotate_bytes = 0;
 
   double threshold = 0.5;  ///< alert when score >= threshold
-  HealthConfig health;
 
   /// Registry for all daemon metric families; null uses the global one.
   obs::MetricsRegistry* registry = nullptr;
-  std::size_t dead_letter_capacity = 64;  ///< per-shard sanitizer DLQ bound
 
   /// Observability sink for every processed record (tests, CLI --verbose).
   /// Called from appender threads; must be thread-safe if shards > 1.

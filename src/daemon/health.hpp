@@ -56,8 +56,11 @@ struct HealthConfig {
 
 class HealthTracker {
  public:
-  /// `registry` may be null (no metric mirroring — recovery replay uses
-  /// this so counters reflect live traffic only).
+  /// `registry` may be null (no metric mirroring; the unit tests use
+  /// this).  The daemon's shards always pass their registry, recovery
+  /// replay included: the daemon_drive_health gauges must count the drives
+  /// that replay puts in each state, or a restarted daemon's gauges would
+  /// miss every replayed drive.
   explicit HealthTracker(HealthConfig config, obs::MetricsRegistry* registry);
 
   /// Fold one scored observation for `uid` into its state machine.

@@ -1,16 +1,13 @@
 #include "obs/snapshotter.hpp"
 
 #include <map>
+#include <string>
 #include <utility>
 
 namespace ssdfail::obs {
 
-Snapshotter::Snapshotter(MetricsRegistry& registry, std::chrono::milliseconds cadence)
-    : registry_(registry), cadence_(cadence) {}
-
-Snapshotter::~Snapshotter() { stop(); }
-
-std::vector<SampleDelta> Snapshotter::diff(const RegistrySnapshot& current) const {
+std::vector<SampleDelta> Snapshotter::tick() {
+  RegistrySnapshot current = registry_.snapshot();
   // Key the previous capture for O(log n) lookup; sample keys are unique
   // (one per (name, labels) child).
   std::map<std::string, const Sample*> previous;
@@ -30,43 +27,8 @@ std::vector<SampleDelta> Snapshotter::diff(const RegistrySnapshot& current) cons
     }
     deltas.push_back(std::move(d));
   }
-  return deltas;
-}
-
-std::optional<std::vector<SampleDelta>> Snapshotter::tick(Clock::time_point now,
-                                                          bool force) {
-  if (!force && last_capture_ && now - *last_capture_ < cadence_) return std::nullopt;
-  RegistrySnapshot current = registry_.snapshot();
-  std::vector<SampleDelta> deltas = diff(current);
   last_ = std::move(current);
-  last_capture_ = now;
   return deltas;
-}
-
-void Snapshotter::start(Sink sink) {
-  std::scoped_lock lock(bg_mutex_);
-  if (bg_thread_.joinable()) return;
-  bg_stop_ = false;
-  bg_thread_ = std::thread([this, sink = std::move(sink)] {
-    std::unique_lock bg_lock(bg_mutex_);
-    for (;;) {
-      if (bg_cv_.wait_for(bg_lock, cadence_, [this] { return bg_stop_; })) return;
-      bg_lock.unlock();
-      if (auto deltas = tick(Clock::now(), /*force=*/true)) sink(last_, *deltas);
-      bg_lock.lock();
-    }
-  });
-}
-
-void Snapshotter::stop() {
-  {
-    std::scoped_lock lock(bg_mutex_);
-    if (!bg_thread_.joinable()) return;
-    bg_stop_ = true;
-  }
-  bg_cv_.notify_all();
-  bg_thread_.join();
-  bg_thread_ = std::thread();
 }
 
 }  // namespace ssdfail::obs

@@ -1,28 +1,14 @@
 #pragma once
 
-// Periodic registry differ: capture a RegistrySnapshot at a configurable
-// cadence and report what moved since the previous capture.
-//
-// Two drive modes:
-//
-//  - Manual (deterministic, used by tests and the CLI replay loop): call
-//    tick(now) as often as you like; it captures only when `cadence` has
-//    elapsed since the last capture (or on force) and returns the deltas.
-//
-//  - Background: start(sink) spawns a thread that ticks every `cadence`
-//    and hands each capture to the sink callback; stop() joins it.  The
-//    sink runs on the snapshotter thread.
+// Registry differ: each tick() captures a RegistrySnapshot and reports
+// what moved since the previous capture.  The caller owns the clock: the
+// CLI's `serve --metrics-stream` ticks once per replay day, right after
+// TelemetryDaemon::drain(), so a replay gives the same stream every run.
 //
 // Counter samples report value + delta since the previous capture; gauge
 // samples report value + delta; histogram samples report count/sum deltas
 // through their Sample (the delta field carries the count delta).
 
-#include <chrono>
-#include <condition_variable>
-#include <functional>
-#include <mutex>
-#include <optional>
-#include <thread>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -37,42 +23,18 @@ struct SampleDelta {
 
 class Snapshotter {
  public:
-  using Clock = std::chrono::steady_clock;
-  using Sink = std::function<void(const RegistrySnapshot&,
-                                  const std::vector<SampleDelta>&)>;
+  explicit Snapshotter(MetricsRegistry& registry) : registry_(registry) {}
 
-  Snapshotter(MetricsRegistry& registry, std::chrono::milliseconds cadence);
-  ~Snapshotter();
-
-  Snapshotter(const Snapshotter&) = delete;
-  Snapshotter& operator=(const Snapshotter&) = delete;
-
-  /// Capture if `cadence` elapsed since the last capture (always on
-  /// `force` or first call).  Returns deltas vs the previous capture, or
-  /// nullopt when it is not yet time.  New samples delta from zero.
-  std::optional<std::vector<SampleDelta>> tick(Clock::time_point now = Clock::now(),
-                                               bool force = false);
+  /// Capture now and return the deltas vs the previous capture.  New
+  /// samples (and every sample on the first call) delta from zero.
+  std::vector<SampleDelta> tick();
 
   /// Most recent capture (empty before the first tick).
   [[nodiscard]] const RegistrySnapshot& last() const { return last_; }
 
-  /// Spawn the background thread (no-op if already running).
-  void start(Sink sink);
-  /// Stop and join the background thread (safe if not running).
-  void stop();
-
  private:
-  std::vector<SampleDelta> diff(const RegistrySnapshot& current) const;
-
   MetricsRegistry& registry_;
-  std::chrono::milliseconds cadence_;
   RegistrySnapshot last_;
-  std::optional<Clock::time_point> last_capture_;
-
-  std::mutex bg_mutex_;
-  std::condition_variable bg_cv_;
-  bool bg_stop_ = false;
-  std::thread bg_thread_;
 };
 
 }  // namespace ssdfail::obs

@@ -8,9 +8,16 @@
 #include "ml/model_zoo.hpp"
 
 namespace ssdfail::online {
+namespace {
 
-ModelArena::ModelArena(ArenaConfig config, obs::MetricsRegistry* registry)
-    : config_(config) {
+/// Matured rows kept in the recent window the gate judges.
+constexpr std::size_t kWindowCapacity = 8192;
+
+}  // namespace
+
+ModelArena::ModelArena(ArenaConfig config, int lookahead_days,
+                       obs::MetricsRegistry* registry)
+    : config_(config), lookahead_days_(lookahead_days) {
   if (registry == nullptr) return;
   shadow_scored_total_ = &registry->counter(
       "online_shadow_scored_total", {}, "Rows shadow-scored by the challenger");
@@ -109,11 +116,9 @@ void ModelArena::mature_locked() {
     for (std::size_t i = 0; i < log.pending.size(); ++i) {
       const ScoredRow& row = log.pending[i];
       const bool failed_in_window =
-          log.failure_day && *log.failure_day - row.day <= config_.lookahead_days &&
+          log.failure_day && *log.failure_day - row.day <= lookahead_days_ &&
           *log.failure_day >= row.day;
-      const bool matured =
-          failed_in_window ||
-          watermark_ >= row.day + config_.lookahead_days;
+      const bool matured = failed_in_window || watermark_ >= row.day + lookahead_days_;
       if (!matured) {
         log.pending[kept++] = row;
         continue;
@@ -134,8 +139,7 @@ void ModelArena::mature_locked() {
 void ModelArena::push_matured_locked(ScoredRow row, bool positive) {
   row.label = positive ? 1.0f : 0.0f;
   window_.push_back(row);
-  if (window_.size() > config_.window_capacity) window_.pop_front();
-  if (cooldown_left_ > 0) --cooldown_left_;
+  if (window_.size() > kWindowCapacity) window_.pop_front();
   if (matured_total_metric_ != nullptr) matured_total_metric_->inc();
 }
 
@@ -185,13 +189,11 @@ ArenaVerdict ModelArena::evaluate() {
     challenger_auc_gauge_->set(verdict.challenger_auc);
 
   verdict.enough_data = verdict.matured_rows >= config_.min_samples &&
-                        verdict.matured_positives >= config_.min_positives &&
-                        cooldown_left_ == 0;
+                        verdict.matured_positives >= config_.min_positives;
   if (!challenger_) {
     verdict.reason = "no challenger installed";
   } else if (!verdict.enough_data) {
-    verdict.reason = cooldown_left_ > 0 ? "promotion cooldown active"
-                                        : "matured window below minimums";
+    verdict.reason = "matured window below minimums";
   } else if (verdict.challenger_auc >= verdict.champion_auc + config_.promote_margin) {
     verdict.promote = true;
     verdict.reason = "challenger beats champion by margin";
@@ -209,7 +211,6 @@ void ModelArena::promote(const ArenaVerdict& verdict) {
   // window and every pending score reset, so demotion requires a full
   // fresh window scored by the new champion itself.
   restart_comparison_locked();
-  cooldown_left_ = config_.cooldown_matured;
   promotions_.push_back({verdict.challenger, verdict.champion_auc,
                          verdict.challenger_auc, verdict.matured_rows,
                          verdict.watermark_day});

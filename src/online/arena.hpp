@@ -4,30 +4,32 @@
 // learning loop).
 //
 // The arena holds at most one challenger.  Every scored daemon batch is
-// shadow-scored by it at near-zero marginal cost: the feature matrix is
-// already built and the challenger is FlatForest-compiled
-// (ml::make_serving_model), so it adds one branchless block scan per batch
-// (bench_online_shadow pins the overhead at <= 10%).  The champion's
-// scores arrive for free — they are the daemon's own assessments.
+// shadow-scored by it: the feature matrix is already built and the
+// challenger is FlatForest-compiled (ml::make_serving_model), so it adds
+// one branchless block scan per batch (bench_online_shadow budgets it at
+// 10% of a fleet-day's processing time).  The champion's scores arrive
+// for free — they are the daemon's own assessments.
 //
 // Delayed labels: a scored row (uid, day) matures once the per-drive
 // stream reaches day + lookahead (the observation-day watermark — never
-// the wall clock, so tests and replay are deterministic).  Its label is
+// the wall clock, so tests and replay are deterministic).  The lookahead
+// is the label horizon N the challenger was trained for, passed in by the
+// owner (the learner hands over RetrainerConfig::lookahead_days), so the
+// gate and the retrainer can never disagree about N.  A row's label is
 // positive iff the drive's failure signal (dead-flagged record, or an
 // explicit retire) lands within the lookahead window.  Matured rows feed
-// a bounded recent window holding both models' scores; ml::roc_auc over
-// that window is the promotion currency, exactly the paper's evaluation
-// statistic.
+// a recent window of the last 8192 rows holding both models' scores;
+// ml::roc_auc over that window is the promotion currency, exactly the
+// paper's evaluation statistic.
 //
 // Promotion gate: challenger AUC >= champion AUC + margin, over at least
 // min_samples matured rows including min_positives positives.  Hysteresis:
-// promote() clears the matured window, so a freshly promoted
-// champion cannot be demoted until a full fresh window accumulates under
-// its own scores; a cooldown of matured rows after every promotion
-// suppresses flapping beyond that.  Every promotion lands in an audit
-// trail.  A challenger that loses a verdict with enough data is dropped
-// by its owner (clear_challenger), so the slot is free for one retrained
-// on newer history.
+// promote() clears the matured window, so a freshly promoted champion
+// cannot be judged again until min_samples fresh rows accumulate under
+// its own scores.  Every promotion lands in an audit trail.  A challenger
+// that loses a verdict with enough data is dropped by its owner
+// (clear_challenger), so the slot is free for one retrained on newer
+// history.
 //
 // Thread safety: observe_batch may run on every appender thread
 // concurrently; evaluate/promote run on the learner's control thread.  One
@@ -51,10 +53,6 @@
 namespace ssdfail::online {
 
 struct ArenaConfig {
-  /// Label maturation horizon: a row labels positive iff the drive's
-  /// failure signal lands within this many days (inclusive, matching
-  /// DatasetBuildOptions::lookahead_days).
-  int lookahead_days = 7;
   /// Matured rows required before any promotion verdict.
   std::size_t min_samples = 256;
   /// Matured positives required before any promotion verdict (AUC over a
@@ -62,11 +60,6 @@ struct ArenaConfig {
   std::size_t min_positives = 8;
   /// Challenger must beat the champion's recent-window AUC by this much.
   double promote_margin = 0.01;
-  /// Matured-row ring capacity (the "recent window").
-  std::size_t window_capacity = 8192;
-  /// Additional matured rows required after a promotion before the next
-  /// verdict (flap damping on top of the window reset).
-  std::size_t cooldown_matured = 0;
 };
 
 /// One promotion-gate decision, with both window AUCs.  Only executed
@@ -94,7 +87,10 @@ struct PromotionEvent {
 
 class ModelArena {
  public:
-  ModelArena(ArenaConfig config, obs::MetricsRegistry* registry);
+  /// `lookahead_days` is the label horizon: a row labels positive iff the
+  /// drive's failure signal lands within this many days (inclusive,
+  /// matching DatasetBuildOptions::lookahead_days).
+  ModelArena(ArenaConfig config, int lookahead_days, obs::MetricsRegistry* registry);
 
   /// Install a challenger into the slot, replacing any current one.
   /// `model` is wrapped through ml::make_serving_model, so tree ensembles
@@ -156,14 +152,14 @@ class ModelArena {
   [[nodiscard]] double window_auc_locked(float ScoredRow::*score) const;
 
   ArenaConfig config_;
+  int lookahead_days_;
   mutable std::mutex mutex_;
   std::optional<Challenger> challenger_;
   std::unordered_map<std::uint64_t, DriveLog> drives_;
   std::int32_t watermark_ = 0;
   std::size_t pending_count_ = 0;
-  std::size_t cooldown_left_ = 0;
 
-  /// Matured recent window, bounded by window_capacity.
+  /// Matured recent window (the newest kWindowCapacity rows).
   std::deque<ScoredRow> window_;
 
   std::vector<PromotionEvent> promotions_;

@@ -15,22 +15,18 @@ namespace {
 /// are dropped (online_shadow_dropped_total) instead of blocking ingest.
 constexpr std::size_t kShadowQueueBatches = 64;
 
+obs::MetricsRegistry& registry_of(const OnlineConfig& config) {
+  return config.registry != nullptr ? *config.registry : obs::MetricsRegistry::global();
+}
+
 }  // namespace
 
-OnlineLearner::OnlineLearner(daemon::TelemetryDaemon* daemon, OnlineConfig config)
-    : daemon_(daemon),
-      config_(std::move(config)),
-      drift_(config_.drift, config_.registry != nullptr ? config_.registry
-                                                        : &obs::MetricsRegistry::global()),
-      arena_(config_.arena, config_.registry != nullptr ? config_.registry
-                                                        : &obs::MetricsRegistry::global()),
-      retrainer_([&] {
-        RetrainerConfig rc = config_.retrainer;
-        rc.store_dir = config_.store_dir;
-        return rc;
-      }()) {
-  obs::MetricsRegistry& registry =
-      config_.registry != nullptr ? *config_.registry : obs::MetricsRegistry::global();
+OnlineLearner::OnlineLearner(OnlineConfig config)
+    : config_(std::move(config)),
+      drift_(config_.drift, &registry_of(config_)),
+      arena_(config_.arena, config_.retrainer.lookahead_days, &registry_of(config_)),
+      retrainer_(config_.retrainer) {
+  obs::MetricsRegistry& registry = registry_of(config_);
   steps_metric_ = &registry.counter("online_steps_total", {},
                                     "Online control-loop steps executed");
   retrains_metric_ = &registry.counter("online_retrains_total", {},
@@ -118,7 +114,7 @@ void OnlineLearner::drain_shadow() {
 
 bool OnlineLearner::set_drift_reference_from_store() {
   try {
-    const auto view = store::ShardedFleetView::open(config_.store_dir);
+    const auto view = store::ShardedFleetView::open(config_.retrainer.store_dir);
     drift_.set_reference(sketch_fleet(view));
     return true;
   } catch (const std::exception&) {
@@ -139,7 +135,7 @@ StepReport OnlineLearner::step() {
   if (!config_.wal_dir.empty()) {
     try {
       report.compaction =
-          daemon::compact_sealed_wals(config_.wal_dir, config_.store_dir);
+          daemon::compact_sealed_wals(config_.wal_dir, config_.retrainer.store_dir);
     } catch (const std::exception&) {
       // I/O failure writing the shard: skip this round, the sealed files
       // are still there for the next one.

@@ -12,8 +12,9 @@
 // CLI's `daemon --online` calls it every K stream days, right after
 // TelemetryDaemon::drain()):
 //
-//   1. compact sealed WALs into the v3 store (daemon/compactor.hpp) so
-//      retraining always sees fresh, label-complete history;
+//   1. compact sealed WALs into the v3 store at retrainer.store_dir
+//      (daemon/compactor.hpp) so retraining always sees fresh,
+//      label-complete history;
 //   2. evaluate feature drift (bootstrap the reference from the store on
 //      the first compaction if none was installed);
 //   3. if drift is alerting and the arena's one challenger slot is empty,
@@ -30,13 +31,18 @@
 //      next alerting step retrains on newer history: a stale champion is
 //      replaced even when the first retrain was not good enough.
 //
+// Wiring: construct the learner, set it as DaemonConfig::batch_observer,
+// construct the daemon, then attach() the daemon.  Every setting has one
+// owner: the store directory and the label horizon N live only in
+// OnlineConfig::retrainer, and the arena matures its labels over that N.
+//
 // Nothing here blocks ingest.  The BatchObserver tap copies each batch
 // into a bounded queue and returns; a dedicated shadow thread drains it,
 // updating the drift sketches and shadow-scoring the arena's challenger
-// off the appender path (bench/bench_online_shadow.cpp pins the hot-path
-// overhead at <= 10%).  When the shadow thread falls behind, whole
-// batches are dropped — counted in online_shadow_dropped_total — rather
-// than ever stalling an appender.
+// off the appender path (bench/bench_online_shadow.cpp budgets one
+// challenger at 10% of a fleet-day's processing time).  When the shadow
+// thread falls behind, whole batches are dropped — counted in
+// online_shadow_dropped_total — rather than ever stalling an appender.
 // step() drains the queue first, so the control loop always judges
 // everything the daemon had handed over before the step began.  step()
 // shares no locks with the appender path, and its heavy work (compaction,
@@ -63,11 +69,10 @@
 namespace ssdfail::online {
 
 struct OnlineConfig {
-  /// Daemon WAL directory (sealed segments are compacted from here).
-  /// Empty skips compaction (the store is maintained externally).
+  /// Daemon WAL directory (sealed segments are compacted from here into
+  /// retrainer.store_dir).  Empty skips compaction (the store is
+  /// maintained externally).
   std::string wal_dir;
-  /// Sharded v3 store directory (compaction target, retraining source).
-  std::string store_dir;
   /// Champion model file: promotions persist here (atomic temp + rename)
   /// before the hot swap, so a restart reloads the promoted model.  Empty
   /// promotes in memory only.
@@ -75,7 +80,10 @@ struct OnlineConfig {
 
   DriftConfig drift;
   ArenaConfig arena;
-  /// retrainer.store_dir is overridden by store_dir above.
+  /// Owns the two settings the whole loop shares: store_dir (compaction
+  /// target, drift-reference source, retraining source) and lookahead_days
+  /// (the horizon the challenger is trained for and the arena matures its
+  /// labels over).
   RetrainerConfig retrainer;
 
   /// Registry for online_* metrics; null uses the global one.
@@ -99,13 +107,13 @@ struct StepReport {
 
 class OnlineLearner final : public daemon::BatchObserver {
  public:
-  /// `daemon` non-owning, may be null (offline tests drive the tap by
-  /// hand); promotions then skip the hot swap but still persist the model.
-  OnlineLearner(daemon::TelemetryDaemon* daemon, OnlineConfig config);
+  explicit OnlineLearner(OnlineConfig config);
   ~OnlineLearner() override;
 
-  /// Late daemon wiring for construction-order cycles (DaemonConfig wants
-  /// the observer before the daemon exists).  Call before step().
+  /// Wire the daemon a promotion hot-swaps into (non-owning).  The learner
+  /// is built first because DaemonConfig::batch_observer wants it before
+  /// the daemon exists; call this before step().  Unattached, promotions
+  /// still persist the model but skip the hot swap.
   void attach(daemon::TelemetryDaemon* daemon) noexcept { daemon_ = daemon; }
   OnlineLearner(const OnlineLearner&) = delete;
   OnlineLearner& operator=(const OnlineLearner&) = delete;
@@ -155,7 +163,7 @@ class OnlineLearner final : public daemon::BatchObserver {
   void enqueue_shadow(ShadowWork work);
   void shadow_loop();
 
-  daemon::TelemetryDaemon* daemon_;
+  daemon::TelemetryDaemon* daemon_ = nullptr;
   OnlineConfig config_;
   DriftDetector drift_;
   ModelArena arena_;

@@ -303,7 +303,7 @@ TEST(TelemetryDaemon, NonFiniteScoresClampToAlertAndCount) {
   ASSERT_EQ(stats.scored, stream.size());
   EXPECT_EQ(stats.alerts, stream.size());
   ASSERT_EQ(seen.size(), stream.size());
-  const auto alert_day = static_cast<std::int32_t>(cfg.health.alert_days) - 1;
+  const auto alert_day = static_cast<std::int32_t>(HealthConfig{}.alert_days) - 1;
   for (const DriveAssessment& a : seen) {
     EXPECT_EQ(a.score, 1.0f) << "uid " << a.uid << " day " << a.day;
     EXPECT_TRUE(a.alert);
@@ -510,17 +510,18 @@ TEST(TelemetryDaemon, DrainCoversRecordsAndRetiresWithoutAModel) {
 }
 
 TEST(TelemetryDaemon, PromotionResetsStrikesBeforeItsFirstBatch) {
-  // Both models score every record at an alert strike and alert_days is 2.
-  // The promotion lands on the iteration that holds the drive's second
-  // record, so that record must be the first strike under the new model,
-  // not the second on top of the old model's streak.
+  // Both models score every record at an alert strike and alert_days is 2
+  // (the daemon's HealthConfig).  The promotion lands on the iteration
+  // that holds the drive's second record, so that record must be the first
+  // strike under the new model, not the second on top of the old model's
+  // streak.
   obs::MetricsRegistry registry;
   auto cfg = base_config("", &registry);
   cfg.shards = 1;
   cfg.max_batch = 1;
-  cfg.health.alert_days = 2;
+  ASSERT_EQ(HealthConfig{}.alert_days, 2u);
   const float score = 0.95f;
-  ASSERT_GE(score, cfg.health.alert_threshold);
+  ASSERT_GE(score, HealthConfig{}.alert_threshold);
   TelemetryDaemon* daemon_ptr = nullptr;
   int iteration = 0;
   cfg.appender_hook = [&](std::uint32_t) {
@@ -1050,8 +1051,9 @@ std::vector<core::FleetObservation> replay_stream(std::uint32_t drives_per_model
 
 TEST(TelemetryDaemon, CorruptedReplayRepairsOrQuarantinesEverything) {
   // Replay a ~10%-corrupted stream: no exceptions, exact dead-letter
-  // accounting, and bit-identical scores for the records the injector
-  // certifies as untainted.
+  // accounting through the production per-shard bound (every quarantine
+  // is either still queued or counted as evicted), and bit-identical
+  // scores for the records the injector certifies as untainted.
   const auto stream = replay_stream(12);
   ASSERT_GT(stream.size(), 1000u);
   obs::MetricsRegistry registry;
@@ -1062,7 +1064,6 @@ TEST(TelemetryDaemon, CorruptedReplayRepairsOrQuarantinesEverything) {
   const auto corrupted = injector.corrupt(stream);
   ASSERT_GT(corrupted.total_injected(), 0u);
   DaemonConfig cfg = memory_config(&registry, 4);
-  cfg.dead_letter_capacity = 1u << 20;  // unbounded for exact accounting
   cfg.max_batch = 512;
   ScoreLog log;
   log.attach(cfg);
@@ -1098,8 +1099,12 @@ TEST(TelemetryDaemon, CorruptedReplayRepairsOrQuarantinesEverything) {
   EXPECT_EQ(stats.quarantined, sanitizer.records_quarantined);
   EXPECT_EQ(stats.duplicates_dropped, sanitizer.duplicates_dropped);
   EXPECT_EQ(stats.scored, log.scores().size());
-  EXPECT_EQ(sanitizer.dead_letters.size(), sanitizer.records_quarantined);
-  EXPECT_EQ(sanitizer.dead_letter_overflow, 0u);
+  EXPECT_EQ(sanitizer.dead_letters.size() + sanitizer.dead_letter_evicted,
+            sanitizer.records_quarantined);
+  EXPECT_GT(sanitizer.dead_letter_evicted, 0u) << "the stream must overflow a shard's queue";
+  EXPECT_EQ(sanitizer.dead_letter_evicted, sanitizer.dead_letter_overflow);
+  EXPECT_LE(sanitizer.dead_letters.size(),
+            cfg.shards * robustness::SanitizerConfig{}.dead_letter_capacity);
   EXPECT_EQ(stats.non_finite, 0u);
   EXPECT_FALSE(stats.degraded);
 }

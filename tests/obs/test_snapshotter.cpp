@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <string>
 #include <vector>
 
@@ -11,8 +9,6 @@
 
 namespace ssdfail::obs {
 namespace {
-
-using namespace std::chrono_literals;
 
 const SampleDelta* find_delta(const std::vector<SampleDelta>& deltas,
                               const std::string& name) {
@@ -24,72 +20,46 @@ const SampleDelta* find_delta(const std::vector<SampleDelta>& deltas,
 TEST(Snapshotter, FirstTickCapturesEverythingFromZero) {
   MetricsRegistry reg;
   reg.counter("boot_total").inc(5);
-  Snapshotter snap(reg, 1000ms);
-  const auto deltas = snap.tick(Snapshotter::Clock::now());
-  ASSERT_TRUE(deltas.has_value());
-  const SampleDelta* d = find_delta(*deltas, "boot_total");
+  Snapshotter snap(reg);
+  const auto deltas = snap.tick();
+  const SampleDelta* d = find_delta(deltas, "boot_total");
   ASSERT_NE(d, nullptr);
   EXPECT_DOUBLE_EQ(d->delta, 5.0);
   EXPECT_DOUBLE_EQ(d->sample.value, 5.0);
 }
 
-TEST(Snapshotter, RespectsCadence) {
-  MetricsRegistry reg;
-  Counter& c = reg.counter("paced_total");
-  Snapshotter snap(reg, 1000ms);
-  const auto t0 = Snapshotter::Clock::now();
-  ASSERT_TRUE(snap.tick(t0).has_value());  // first capture is free
-  c.inc();
-  EXPECT_FALSE(snap.tick(t0 + 10ms).has_value());  // too soon
-  const auto due = snap.tick(t0 + 1001ms);
-  ASSERT_TRUE(due.has_value());
-  EXPECT_DOUBLE_EQ(find_delta(*due, "paced_total")->delta, 1.0);
-}
-
-TEST(Snapshotter, ForceOverridesCadence) {
-  MetricsRegistry reg;
-  Counter& c = reg.counter("forced_total");
-  Snapshotter snap(reg, 1000ms);
-  const auto t0 = Snapshotter::Clock::now();
-  ASSERT_TRUE(snap.tick(t0).has_value());
-  c.inc(3);
-  const auto forced = snap.tick(t0 + 1ms, /*force=*/true);
-  ASSERT_TRUE(forced.has_value());
-  EXPECT_DOUBLE_EQ(find_delta(*forced, "forced_total")->delta, 3.0);
-}
-
 TEST(Snapshotter, DeltasAreSinceLastCaptureNotStart) {
   MetricsRegistry reg;
   Counter& c = reg.counter("steps_total");
-  Snapshotter snap(reg, 0ms);
+  Snapshotter snap(reg);
   c.inc(2);
-  (void)snap.tick(Snapshotter::Clock::now(), true);
+  (void)snap.tick();
   c.inc(7);
-  const auto second = snap.tick(Snapshotter::Clock::now(), true);
-  ASSERT_TRUE(second.has_value());
-  const SampleDelta* d = find_delta(*second, "steps_total");
+  const auto second = snap.tick();
+  const SampleDelta* d = find_delta(second, "steps_total");
+  ASSERT_NE(d, nullptr);
   EXPECT_DOUBLE_EQ(d->delta, 7.0);
   EXPECT_DOUBLE_EQ(d->sample.value, 9.0);
 }
 
 TEST(Snapshotter, NewMetricsDeltaFromZero) {
   MetricsRegistry reg;
-  Snapshotter snap(reg, 0ms);
-  (void)snap.tick(Snapshotter::Clock::now(), true);
+  Snapshotter snap(reg);
+  (void)snap.tick();
   reg.counter("late_total").inc(4);
-  const auto deltas = snap.tick(Snapshotter::Clock::now(), true);
-  EXPECT_DOUBLE_EQ(find_delta(*deltas, "late_total")->delta, 4.0);
+  const auto deltas = snap.tick();
+  EXPECT_DOUBLE_EQ(find_delta(deltas, "late_total")->delta, 4.0);
 }
 
 TEST(Snapshotter, HistogramDeltaIsObservationCount) {
   MetricsRegistry reg;
   Histogram& h = reg.histogram("lag_us", std::vector<double>{10.0, 20.0});
-  Snapshotter snap(reg, 0ms);
+  Snapshotter snap(reg);
   h.observe(5.0, 2);
-  (void)snap.tick(Snapshotter::Clock::now(), true);
+  (void)snap.tick();
   h.observe(15.0, 3);
-  const auto deltas = snap.tick(Snapshotter::Clock::now(), true);
-  const SampleDelta* d = find_delta(*deltas, "lag_us");
+  const auto deltas = snap.tick();
+  const SampleDelta* d = find_delta(deltas, "lag_us");
   ASSERT_NE(d, nullptr);
   EXPECT_DOUBLE_EQ(d->delta, 3.0);
   EXPECT_EQ(d->sample.count, 5u);
@@ -98,28 +68,11 @@ TEST(Snapshotter, HistogramDeltaIsObservationCount) {
 TEST(Snapshotter, LastHoldsMostRecentCapture) {
   MetricsRegistry reg;
   reg.gauge("level").set(2.5);
-  Snapshotter snap(reg, 0ms);
+  Snapshotter snap(reg);
   EXPECT_TRUE(snap.last().samples.empty());
-  (void)snap.tick(Snapshotter::Clock::now(), true);
+  (void)snap.tick();
   ASSERT_EQ(snap.last().samples.size(), 1u);
   EXPECT_DOUBLE_EQ(snap.last().samples[0].value, 2.5);
-}
-
-TEST(Snapshotter, BackgroundThreadDeliversCaptures) {
-  MetricsRegistry reg;
-  Counter& c = reg.counter("bg_total");
-  Snapshotter snap(reg, 1ms);
-  std::atomic<int> captures{0};
-  snap.start([&captures](const RegistrySnapshot&, const std::vector<SampleDelta>&) {
-    captures.fetch_add(1);
-  });
-  c.inc();
-  const auto deadline = Snapshotter::Clock::now() + 2s;
-  while (captures.load() == 0 && Snapshotter::Clock::now() < deadline)
-    std::this_thread::yield();
-  snap.stop();
-  EXPECT_GT(captures.load(), 0);
-  snap.stop();  // idempotent
 }
 
 }  // namespace

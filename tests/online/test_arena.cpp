@@ -1,8 +1,8 @@
 // ModelArena tests: delayed-label maturation against the observation-day
 // watermark, positive labeling from dead records and explicit retires, the
-// promotion gate (margin + minimums + cooldown), hysteresis on promote,
-// the fairness reset when a challenger is installed mid-stream, and the
-// one challenger slot (replace, clear, stale promote).
+// promotion gate (margin + minimums), hysteresis on promote, the bounded
+// matured window, the fairness reset when a challenger is installed
+// mid-stream, and the one challenger slot (replace, clear, stale promote).
 
 #include "online/arena.hpp"
 
@@ -57,16 +57,18 @@ void push_batch(ModelArena& arena, const std::vector<Row>& rows) {
   arena.observe_batch(features, assessments);
 }
 
+/// Label horizon of every arena in this file.
+constexpr int kLookahead = 3;
+
 ArenaConfig tiny_config() {
   ArenaConfig cfg;
-  cfg.lookahead_days = 3;
   cfg.min_samples = 1;
   cfg.min_positives = 0;
   return cfg;
 }
 
 TEST(ModelArena, RowsMatureOnlyWhenTheWatermarkPassesTheLookahead) {
-  ModelArena arena(tiny_config(), nullptr);
+  ModelArena arena(tiny_config(), kLookahead, nullptr);
   push_batch(arena, {{1, 0}});
   EXPECT_EQ(arena.pending_rows(), 1u);
   EXPECT_EQ(arena.matured_rows(), 0u);
@@ -83,7 +85,7 @@ TEST(ModelArena, RowsMatureOnlyWhenTheWatermarkPassesTheLookahead) {
 }
 
 TEST(ModelArena, DeadRecordWithinLookaheadLabelsPositive) {
-  ModelArena arena(tiny_config(), nullptr);
+  ModelArena arena(tiny_config(), kLookahead, nullptr);
   push_batch(arena, {{1, 0}});
   push_batch(arena, {{1, 2, 0.5f, 0.5f, false, true}});  // dies day 2, unscored row
   const ArenaVerdict v = arena.evaluate();
@@ -94,7 +96,7 @@ TEST(ModelArena, DeadRecordWithinLookaheadLabelsPositive) {
 }
 
 TEST(ModelArena, FailureBeyondLookaheadLabelsNegative) {
-  ModelArena arena(tiny_config(), nullptr);
+  ModelArena arena(tiny_config(), kLookahead, nullptr);
   push_batch(arena, {{1, 0}});
   push_batch(arena, {{1, 10, 0.5f, 0.5f, false, true}});  // dies 10 days later
   const ArenaVerdict v = arena.evaluate();
@@ -103,7 +105,7 @@ TEST(ModelArena, FailureBeyondLookaheadLabelsNegative) {
 }
 
 TEST(ModelArena, RetireCountsAsFailureAtTheWatermark) {
-  ModelArena arena(tiny_config(), nullptr);
+  ModelArena arena(tiny_config(), kLookahead, nullptr);
   push_batch(arena, {{1, 5}, {2, 5}});
   const std::uint64_t retired[] = {1};
   arena.observe_retires(retired);
@@ -116,7 +118,7 @@ TEST(ModelArena, RetireCountsAsFailureAtTheWatermark) {
 }
 
 TEST(ModelArena, UnscoredRowsNeverEnterTheWindow) {
-  ModelArena arena(tiny_config(), nullptr);
+  ModelArena arena(tiny_config(), kLookahead, nullptr);
   push_batch(arena, {{1, 0, 0.5f, 0.5f, false}});
   EXPECT_EQ(arena.pending_rows(), 0u);
 }
@@ -125,7 +127,7 @@ TEST(ModelArena, GateBlocksBelowMinimumsAndWithoutChallenger) {
   ArenaConfig cfg = tiny_config();
   cfg.min_samples = 100;
   cfg.min_positives = 2;
-  ModelArena arena(cfg, nullptr);
+  ModelArena arena(cfg, kLookahead, nullptr);
   EXPECT_EQ(arena.evaluate().reason, "no challenger installed");
 
   arena.set_challenger("c1", std::make_shared<FirstFeatureModel>());
@@ -159,7 +161,7 @@ TEST(ModelArena, SeparableChallengerPromotesAndPromotionResetsTheWindow) {
   cfg.min_positives = 2;
   cfg.promote_margin = 0.1;
   obs::MetricsRegistry registry;
-  ModelArena arena(cfg, &registry);
+  ModelArena arena(cfg, kLookahead, &registry);
   arena.set_challenger("fresh", std::make_shared<FirstFeatureModel>());
   EXPECT_TRUE(arena.has_challenger());
 
@@ -186,7 +188,7 @@ TEST(ModelArena, ChallengerWithinMarginDoesNotPromote) {
   ArenaConfig cfg = tiny_config();
   cfg.min_samples = 1;
   cfg.min_positives = 1;
-  ModelArena arena(cfg, nullptr);
+  ModelArena arena(cfg, kLookahead, nullptr);
   arena.set_challenger("same", std::make_shared<FirstFeatureModel>());
   // Challenger mirrors the champion exactly: equal AUC, margin not met.
   push_batch(arena, {{1, 0, 0.9f, 0.9f}, {2, 0, 0.1f, 0.1f}});
@@ -199,7 +201,7 @@ TEST(ModelArena, ChallengerWithinMarginDoesNotPromote) {
 }
 
 TEST(ModelArena, InstallingAChallengerRestartsTheComparison) {
-  ModelArena arena(tiny_config(), nullptr);
+  ModelArena arena(tiny_config(), kLookahead, nullptr);
   push_batch(arena, {{1, 0}, {2, 0}});
   push_batch(arena, {{3, 5}});  // matures the day-0 rows, leaves one pending
   EXPECT_EQ(arena.matured_rows(), 2u);
@@ -212,40 +214,24 @@ TEST(ModelArena, InstallingAChallengerRestartsTheComparison) {
   EXPECT_EQ(arena.pending_rows(), 0u);
 }
 
-TEST(ModelArena, CooldownDelaysTheNextVerdict) {
-  ArenaConfig cfg = tiny_config();
-  cfg.cooldown_matured = 3;
-  ModelArena arena(cfg, nullptr);
-  arena.set_challenger("c1", std::make_shared<FirstFeatureModel>());
-  ArenaVerdict fake;
-  fake.challenger = "c1";
-  arena.promote(fake);
-
-  arena.set_challenger("c2", std::make_shared<FirstFeatureModel>());
-  push_batch(arena, {{1, 0, 0.5f, 0.9f}, {2, 0, 0.5f, 0.9f}});
-  push_batch(arena, {{3, 5}});  // matures 2 rows; cooldown 3 -> 1 left
-  ArenaVerdict v = arena.evaluate();
-  EXPECT_FALSE(v.enough_data);
-  EXPECT_EQ(v.reason, "promotion cooldown active");
-
-  push_batch(arena, {{4, 10}});  // matures the day-5 row: cooldown exhausted
-  v = arena.evaluate();
-  EXPECT_TRUE(v.enough_data);
-}
-
 TEST(ModelArena, MaturedWindowIsBoundedByCapacity) {
-  ArenaConfig cfg = tiny_config();
-  cfg.window_capacity = 16;
-  ModelArena arena(cfg, nullptr);
-  for (std::int32_t day = 0; day < 50; ++day)
-    push_batch(arena, {{1, day}});
-  push_batch(arena, {{2, 100}});
-  EXPECT_EQ(arena.matured_rows(), 16u);
+  // The gate judges the newest 8192 matured rows (the window capacity in
+  // arena.cpp): mature 9000 and only 8192 stay.
+  ModelArena arena(tiny_config(), kLookahead, nullptr);
+  constexpr std::uint64_t kDrives = 100;
+  for (std::int32_t day = 0; day < 90; ++day) {
+    std::vector<Row> batch;
+    for (std::uint64_t d = 0; d < kDrives; ++d) batch.push_back({d, day});
+    push_batch(arena, batch);
+  }
+  push_batch(arena, {{kDrives, 100}});
+  EXPECT_EQ(arena.pending_rows(), 1u);
+  EXPECT_EQ(arena.matured_rows(), 8192u);
 }
 
 TEST(ModelArena, WindowAucReportsPerRole) {
   obs::MetricsRegistry registry;
-  ModelArena arena(tiny_config(), &registry);
+  ModelArena arena(tiny_config(), kLookahead, &registry);
   arena.set_challenger("c", std::make_shared<FirstFeatureModel>());
   // Champion inverted (scores negatives high), challenger perfect.
   push_batch(arena, {{1, 0, 0.9f, 0.1f}, {2, 0, 0.1f, 0.9f}});
@@ -275,7 +261,7 @@ class ConstantModel final : public ml::Classifier {
 };
 
 TEST(ModelArena, ANewTagReplacesTheSlotAndRestartsTheWindow) {
-  ModelArena arena(tiny_config(), nullptr);
+  ModelArena arena(tiny_config(), kLookahead, nullptr);
   arena.set_challenger("old", std::make_shared<ConstantModel>());
   play_separable_round(arena, 0);
   ASSERT_GT(arena.matured_rows(), 0u);
@@ -297,9 +283,8 @@ TEST(ModelArena, ANewTagReplacesTheSlotAndRestartsTheWindow) {
 
 TEST(ModelArena, PromoteWithAStaleTagIsANoOp) {
   ArenaConfig cfg = tiny_config();
-  cfg.cooldown_matured = 5;
   obs::MetricsRegistry registry;
-  ModelArena arena(cfg, &registry);
+  ModelArena arena(cfg, kLookahead, &registry);
   arena.set_challenger("first", std::make_shared<FirstFeatureModel>());
   play_separable_round(arena, 0);
   const ArenaVerdict stale = arena.evaluate();
@@ -313,7 +298,7 @@ TEST(ModelArena, PromoteWithAStaleTagIsANoOp) {
   EXPECT_TRUE(arena.has_challenger());
   EXPECT_EQ(arena.evaluate().challenger, "second");
   EXPECT_EQ(arena.matured_rows(), matured) << "window kept";
-  EXPECT_TRUE(arena.evaluate().enough_data) << "no cooldown started";
+  EXPECT_TRUE(arena.evaluate().enough_data) << "the gate can still judge the window";
   EXPECT_TRUE(arena.promotions().empty());
   EXPECT_EQ(registry.counter("online_promotions_total", {}, "").value(), 0u);
 
@@ -323,7 +308,7 @@ TEST(ModelArena, PromoteWithAStaleTagIsANoOp) {
 }
 
 TEST(ModelArena, ClearingTheSlotKeepsTheChampionWindow) {
-  ModelArena arena(tiny_config(), nullptr);
+  ModelArena arena(tiny_config(), kLookahead, nullptr);
   arena.set_challenger("loser", std::make_shared<ConstantModel>());
   play_separable_round(arena, 0);
   const std::size_t matured = arena.matured_rows();

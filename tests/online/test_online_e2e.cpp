@@ -4,8 +4,9 @@
 // swap), the CLI's drift-gate drill in process (a real trained champion,
 // a challenger that loses and is replaced by a newer retrain that wins),
 // the drift-free control (no promotion, scoring bit-identical to a
-// learner-free daemon), and real-SIGKILL promotion persistence (the
-// champion file is always the old or the new model, never torn).
+// learner-free daemon), one owner for the label horizon and the store
+// directory, and real-SIGKILL promotion persistence (the champion file is
+// always the old or the new model, never torn).
 
 #include <signal.h>
 #include <sys/types.h>
@@ -58,14 +59,13 @@ OnlineConfig loop_online_config(const std::string& wal_dir,
                                 obs::MetricsRegistry* registry) {
   OnlineConfig ocfg;
   ocfg.wal_dir = wal_dir;
-  ocfg.store_dir = wal_dir + "/store";
   ocfg.model_path = wal_dir + "/champion.bin";
   ocfg.registry = registry;
   ocfg.drift.min_window_rows = 256;
-  ocfg.arena.lookahead_days = 7;
   ocfg.arena.min_samples = 200;
   ocfg.arena.min_positives = 3;
   ocfg.arena.promote_margin = 0.005;
+  ocfg.retrainer.store_dir = wal_dir + "/store";
   ocfg.retrainer.lookahead_days = 7;
   ocfg.retrainer.negative_keep_prob = 0.1;
   ocfg.retrainer.min_rows = 64;
@@ -158,7 +158,7 @@ TEST(OnlineE2E, DriftingFleetFiresTheDetectorAndPromotesARetrainedChallenger) {
       core::day_ordered_stream(sim::DriftingFleetSimulator(fleet_cfg).generate_all());
   ASSERT_GT(stream.size(), 10'000u);
 
-  OnlineLearner learner(nullptr, loop_online_config(dir.path(), &registry));
+  OnlineLearner learner(loop_online_config(dir.path(), &registry));
   daemon::DaemonConfig dcfg = loop_daemon_config(dir.path(), &registry);
   dcfg.batch_observer = &learner;
   daemon::TelemetryDaemon daemon(std::make_shared<StubModel>(), dcfg);
@@ -231,17 +231,16 @@ TEST(OnlineE2E, CliDriftDrillReplacesALosingChallengerAndPromotes) {
   // The CLI's online settings; the retrainer keeps its default boosting.
   OnlineConfig ocfg;
   ocfg.wal_dir = dir.path();
-  ocfg.store_dir = dir.path() + "/store";
   ocfg.model_path = dir.path() + "/promoted.bin";
   ocfg.registry = &registry;
   ocfg.drift.min_window_rows = 256;
-  ocfg.arena.lookahead_days = 7;
   ocfg.arena.min_samples = 200;
   ocfg.arena.min_positives = 3;
   ocfg.arena.promote_margin = 0.005;
+  ocfg.retrainer.store_dir = dir.path() + "/store";
   ocfg.retrainer.lookahead_days = 7;
   ocfg.retrainer.negative_keep_prob = 0.1;
-  OnlineLearner learner(nullptr, ocfg);
+  OnlineLearner learner(ocfg);
 
   daemon::DaemonConfig dcfg = loop_daemon_config(dir.path(), &registry);
   dcfg.shards = 4;
@@ -296,7 +295,7 @@ TEST(OnlineE2E, DriftFreeRunNeverPromotesAndLeavesScoringUntouched) {
   // must never retrain, never install a challenger, never promote.
   ocfg.drift.psi_alert = 1e9;
   ocfg.drift.ks_alert = 1e9;
-  OnlineLearner learner(nullptr, ocfg);
+  OnlineLearner learner(ocfg);
   daemon::DaemonConfig dcfg = loop_daemon_config(dir.path(), &registry);
   dcfg.batch_observer = &learner;
   daemon::TelemetryDaemon daemon(std::make_shared<StubModel>(), dcfg);
@@ -324,6 +323,52 @@ TEST(OnlineE2E, DriftFreeRunNeverPromotesAndLeavesScoringUntouched) {
     ASSERT_EQ(control.push(obs), daemon::PushResult::kAccepted);
   control.stop();
   EXPECT_EQ(daemon.state_digest(), control.state_digest());
+}
+
+// RetrainerConfig owns the label horizon and the store directory for the
+// whole loop: the arena matures its labels over retrainer.lookahead_days,
+// and compaction writes the store the retrainer reads.
+TEST(OnlineE2E, RetrainerConfigOwnsTheLabelHorizonAndTheStoreDirectory) {
+  TempDir dir("e2e_one_owner");
+  obs::MetricsRegistry registry;
+  OnlineConfig ocfg;
+  ocfg.wal_dir = dir.path();
+  ocfg.registry = &registry;
+  ocfg.retrainer.lookahead_days = 14;
+  ocfg.retrainer.store_dir = dir.path() + "/store";
+  OnlineLearner learner(ocfg);
+
+  daemon::DaemonConfig dcfg = loop_daemon_config(dir.path(), &registry);
+  dcfg.wal_rotate_bytes = 4096;  // seal segments for the compactor
+  dcfg.batch_observer = &learner;
+  daemon::TelemetryDaemon daemon(std::make_shared<StubModel>(), dcfg);
+  learner.attach(&daemon);
+  daemon.start();
+
+  constexpr std::uint32_t kDrives = 32;
+  const auto stream = daemon::testing::make_stream(kDrives, 15);  // days 0..14
+  std::size_t next = 0;
+  auto push_through = [&](std::int32_t last_day) {
+    for (; next < stream.size() && stream[next].record.day <= last_day; ++next)
+      ASSERT_EQ(daemon.push(stream[next]), daemon::PushResult::kAccepted);
+    daemon.drain();
+    learner.drain_shadow();
+  };
+
+  push_through(10);
+  ASSERT_EQ(learner.arena().watermark_day(), 10);
+  EXPECT_EQ(learner.arena().matured_rows(), 0u) << "day-0 rows wait for day 14";
+  EXPECT_EQ(learner.arena().pending_rows(), std::size_t{kDrives} * 11);
+
+  push_through(14);
+  EXPECT_EQ(learner.arena().matured_rows(), std::size_t{kDrives})
+      << "exactly the day-0 rows mature at day 14";
+
+  const StepReport report = learner.step();
+  daemon.stop();
+  EXPECT_GT(report.compaction.shards_written, 0u);
+  EXPECT_TRUE(std::filesystem::exists(dir.path() + "/store/manifest.ssdm"))
+      << "compaction must target retrainer.store_dir";
 }
 
 // ---------------------------------------------------------------------------
